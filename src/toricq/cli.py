@@ -20,6 +20,7 @@ import numpy as np
 
 from . import geodesic, polytope, quantization, reduction
 from .potential import DomainError, abreu_scalar_curvature, guillemin_potential
+from .quadrature import cell_budget
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -75,6 +76,14 @@ def parse_point(text):
         raise UsageError(f"could not parse --point {text!r}")
 
 
+def positive_int(text):
+    """argparse type of --alpha; argparse reports the ValueError."""
+    value = int(text)
+    if value <= 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="toricq",
@@ -90,7 +99,7 @@ def build_parser():
     ap.add_argument("--s-grid", default="10,20,40",
                     help="comma-separated increasing geodesic times")
     ap.add_argument("--m", help="single lattice point 'm1;m2' to restrict to")
-    ap.add_argument("--alpha", type=float,
+    ap.add_argument("--alpha", type=positive_int,
                     help="weight of the hyperplane-reduction family")
     ap.add_argument("--point", help="evaluation point 'x1,x2'")
     ap.add_argument("--tol", type=float, default=1e-6,
@@ -119,6 +128,11 @@ def load_input(args):
 def check_p(poly, p):
     if not 1 <= p <= poly.dim:
         raise UsageError(f"--p {p} out of range for dimension {poly.dim}")
+
+
+def check_point(x, dim):
+    if len(x) != dim:
+        raise UsageError(f"--point has {len(x)} coordinates, expected {dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +181,8 @@ def cmd_validate(args):
 
 def cmd_points(args):
     poly = load_input(args)
-    basis = quantization.quantum_basis(poly, min(args.p, poly.dim))
+    check_p(poly, args.p)
+    basis = quantization.quantum_basis(poly, args.p)
     columns = ["index", "m", "H"]
     rows = [[el.index, ";".join(str(c) for c in el.m),
              fmt(el.hamiltonian_value)] for el in basis]
@@ -179,6 +194,8 @@ def cmd_norms(args):
     poly = load_input(args)
     check_p(poly, args.p)
     grid = parse_s_grid(getattr(args, "s_grid"))
+    if 0 in grid:
+        raise UsageError("--s-grid for norms needs positive values")
     basis = quantization.quantum_basis(poly, args.p)
     points = [el.m for el in basis]
     if args.m is not None:
@@ -196,7 +213,7 @@ def cmd_norms(args):
         for s in grid:
             tilde = quantization.tilde_norm_squared(poly, args.p, m, s,
                                                     tol=args.tol)
-            H = 0.5 * sum(float(c) ** 2 for c in m[:args.p])
+            H = quantization.hamiltonian_value(m, args.p)
             values.append(tilde.value)
             rows.append([mtxt, fmt(s), fmt(math.exp(2 * s * H) * tilde.value),
                          fmt(tilde.value), fmt(cm), fmt(limit),
@@ -220,6 +237,7 @@ def cmd_flow(args):
     ray = geodesic.MabuchiRay(base, args.p)
     if args.point is not None:
         pts = [parse_point(args.point)]
+        check_point(pts[0], poly.dim)
     else:
         pts = [np.array([float(c) for c in poly.barycenter])]
     columns = ["point", "s", "frame_distance", "connection_gap"]
@@ -243,8 +261,7 @@ def cmd_flow(args):
 
 def cmd_reduce(args):
     if args.alpha is not None:
-        a = int(args.alpha)
-        structure = reduction.c3_reduction(a, a, 0)
+        structure = reduction.c3_reduction(args.alpha, args.alpha, 0)
         s11 = reduction.reduced_scalar_curvature(structure, [1.0, 1.0])
         s22 = reduction.reduced_scalar_curvature(structure, [2.0, 2.0])
         columns = ["alpha", "class", "S_at_1_1", "S_at_2_2"]
@@ -265,14 +282,14 @@ def cmd_reduce(args):
 
 def cmd_curvature(args):
     if args.alpha is not None:
-        a = int(args.alpha)
-        structure = reduction.c3_reduction(a, a, 0)
+        structure = reduction.c3_reduction(args.alpha, args.alpha, 0)
         pot = structure.potential
     else:
         poly = load_input(args)
         pot = guillemin_potential(poly)
     if args.point is not None:
         x = parse_point(args.point)
+        check_point(x, pot.dim)
     else:
         x = np.array([float(c) for c in pot.barycenter])
     try:
@@ -300,6 +317,11 @@ def main(argv=None) -> int:
         print("error: --tol must be positive", file=sys.stderr)
         return EXIT_USAGE
     try:
+        cell_budget()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -307,10 +329,6 @@ def main(argv=None) -> int:
     except (polytope.PolytopeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-
-def console_main():  # pragma: no cover - thin wrapper
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,63 +10,17 @@ are only ever compared through principal angles.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .potential import DomainError, SymplecticPotential
+from .potential import QuadraticCorrection, SymplecticPotential
 
 
 class BlockError(ValueError):
     """Invalid Hessian block structure."""
-
-
-class RayPotential:
-    """Potential g_0 + s H along a ray; same evaluator surface as the base."""
-
-    def __init__(self, base: SymplecticPotential, p: int, s: float):
-        self.base = base
-        self.p = p
-        self.s = float(s)
-        self.dim = base.dim
-
-    # facet geometry is that of the base polytope
-    def facet_values(self, x):
-        return self.base.facet_values(x)
-
-    def is_interior(self, x, margin=0.0):
-        return self.base.is_interior(x, margin=margin)
-
-    def boundary_distance(self, x):
-        return self.base.boundary_distance(x)
-
-    def _require_interior(self, x):
-        self.base._require_interior(x)
-
-    @property
-    def barycenter(self):
-        return self.base.barycenter
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.base.value(x) + self.s * 0.5 * np.sum(
-            x[..., :self.p] ** 2, axis=-1)
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        y = self.base.grad(x).copy()
-        y[..., :self.p] += self.s * x[..., :self.p]
-        return y
-
-    def hess(self, x):
-        G = self.base.hess(x).copy()
-        idx = np.arange(self.p)
-        G[..., idx, idx] += self.s
-        return G
-
-    def third(self, x):
-        return self.base.third(x)
 
 
 @dataclass(frozen=True)
@@ -84,14 +38,17 @@ class MabuchiRay:
         x = np.asarray(x, dtype=float)
         return 0.5 * float(np.sum(x[..., :self.p] ** 2, axis=-1))
 
-    def potential(self, s: float) -> RayPotential:
+    def potential(self, s: float) -> SymplecticPotential:
+        """g_0 + s H: the base potential with s added to the quadratic
+        correction on the first p axes."""
         if s < 0:
             raise ValueError("geodesic parameter s must be nonnegative")
-        return RayPotential(self.base, self.p, s)
-
-
-def ray_potential(ray: MabuchiRay, s: float) -> RayPotential:
-    return ray.potential(s)
+        coeffs = [float(s) if j < self.p else 0.0 for j in range(self.base.dim)]
+        if self.base.correction is not None:
+            coeffs = [a + b for a, b in zip(self.base.correction.coeffs, coeffs)]
+        pot = copy.copy(self.base)
+        pot.correction = QuadraticCorrection(tuple(coeffs))
+        return pot
 
 
 @dataclass(frozen=True)
@@ -260,14 +217,6 @@ class ConnectionFormValue:
     coeffs: np.ndarray  # (n,) complex
 
 
-def log_det_hessian_gradient(pot, x):
-    """d/dx_j log det Hess g, via trace(G^-1 dG/dx_j) with analytic thirds."""
-    G = pot.hess(x)
-    Ginv = np.linalg.inv(G)
-    T = pot.third(x)
-    return np.einsum('jkl,kl->j', T, Ginv)
-
-
 def connection_form_s(ray: MabuchiRay, x, s: float) -> ConnectionFormValue:
     """Theta_0^s = -i x . dtheta + (i/4)(d log det G_s) . G_s^(-1) dtheta."""
     pot = ray.potential(s)
@@ -298,28 +247,3 @@ def connection_form_limit(ray: MabuchiRay, x) -> ConnectionFormValue:
 
 def connection_form_gap(a: ConnectionFormValue, b: ConnectionFormValue) -> float:
     return float(np.linalg.norm(a.coeffs - b.coeffs))
-
-
-def vertex_connection_form_limit(ray: MabuchiRay, chart, x) -> ConnectionFormValue:
-    """Limit connection in a vertex chart: conjugate the open-orbit data by
-    A_v and add the half-sum i/2 sum dtheta_v^k term.
-
-    x is an interior point in the original coordinates; the returned
-    coefficients are with respect to dtheta_v.
-    """
-    ray.base._require_interior(x)
-    x = np.asarray(x, dtype=float)
-    n, p = ray.base.dim, ray.p
-    A_v = np.array([[float(c) for c in row] for row in chart.A_v])
-    lam = np.array([float(c) for c in chart.lambda_v])
-    x_v = A_v @ x + lam
-    coeffs = (-1j * x_v + 0.5j * np.ones(n)).astype(complex)
-    if p < n:
-        blocks = hessian_blocks(ray.base.hess(x), p)
-        dinv = np.linalg.inv(blocks.d)
-        T = ray.base.third(x)
-        u = np.einsum('jkl,kl->j', T[:, p:, p:], dinv)
-        ginf = np.zeros((n, n))
-        ginf[p:, p:] = dinv
-        coeffs += 0.25j * (u @ (A_v @ ginf @ A_v.T))
-    return ConnectionFormValue(basepoint=x_v, coeffs=coeffs)

@@ -24,103 +24,49 @@ class PolytopeError(ValueError):
 # ---------------------------------------------------------------------------
 # exact linear algebra over Fraction (dimensions are tiny, <= ~4)
 
-def _solve_square(rows, rhs):
-    """Solve the square system rows * x = rhs exactly; None if singular."""
-    n = len(rows)
-    M = [[Fraction(e) for e in row] + [Fraction(v)] for row, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+def _eliminate(rows, ncols):
+    """Exact Gauss-Jordan elimination on the first ncols columns.
+
+    Returns (reduced rows, pivot columns, determinant); columns past ncols
+    are carried along, so an augmented [A | B] comes back as [I | A^-1 B]
+    when A is invertible.  The determinant is det A when the rows are
+    square in their first ncols columns, and 0 when a column has no pivot.
+    """
+    M = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    scales = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
         if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [e / inv for e in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        pivot = M[r][col]
+        M[r] = [e / pivot for e in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(col)
+        scales.append(pivot)
+    det = sign * math.prod(scales) if len(pivots) == ncols else Fraction(0)
+    return M, pivots, det
 
 
 def _det(rows):
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    M = [[Fraction(e) for e in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col] / inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return det
+    """Exact determinant of a square matrix."""
+    return _eliminate(rows, len(rows))[2]
 
 
-def _inv(rows):
-    """Exact inverse of a square matrix; None if singular."""
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        x = _solve_square(rows, e)
-        if x is None:
-            return None
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _rank(rows, ncols):
-    M = [[Fraction(e) for e in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][col]
-        M[rank] = [e / inv for e in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
-        rank += 1
-    return rank
-
-
-def _kernel_direction(rows, ncols):
-    """One nonzero exact kernel vector of the given rows, or None."""
-    M = [[Fraction(e) for e in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][col]
-        M[rank] = [e / inv for e in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    j = free[0]
-    v = [Fraction(0)] * ncols
-    v[j] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        v[pc] = -M[r][j]
-    return v
+def _affine_rank(points, dim):
+    """Exact dimension of the affine hull of the points (-1 if none)."""
+    if not points:
+        return -1
+    rows = [[a - b for a, b in zip(v, points[0])] for v in points[1:]]
+    return len(_eliminate(rows, dim)[1])
 
 
 def _dot(u, v):
@@ -176,12 +122,12 @@ class HPolytope:
         seen = set()
         out = []
         for idxs in itertools.combinations(range(len(self.facets)), n):
-            rows = [self.facets[r].normal for r in idxs]
-            rhs = [-self.facets[r].offset for r in idxs]
-            x = _solve_square(rows, rhs)
-            if x is None:
+            M, _, det = _eliminate(
+                [self.facets[r].normal + (-self.facets[r].offset,)
+                 for r in idxs], n)
+            if det == 0:
                 continue
-            x = tuple(x)
+            x = tuple(row[n] for row in M)
             if x in seen:
                 continue
             if self.contains(x):
@@ -198,7 +144,7 @@ class HPolytope:
         """Exact recession-cone test: bounded iff {d : N d >= 0} = {0}."""
         n = self.dim
         normals = [f.normal for f in self.facets]
-        if _rank(normals, n) < n:
+        if len(_eliminate(normals, n)[1]) < n:
             return False
         candidates = []
         for i in range(n):
@@ -206,8 +152,13 @@ class HPolytope:
             candidates.append(e)
         if n >= 2:
             for idxs in itertools.combinations(range(len(normals)), n - 1):
-                d = _kernel_direction([normals[r] for r in idxs], n)
-                if d is not None and any(c != 0 for c in d):
+                M, pivots, _ = _eliminate([normals[r] for r in idxs], n)
+                free = [c for c in range(n) if c not in pivots]
+                if free:
+                    # the kernel vector with a 1 in the first free column
+                    d = [Fraction(int(c == free[0])) for c in range(n)]
+                    for row, pc in zip(M, pivots):
+                        d[pc] = -row[free[0]]
                     candidates.append(tuple(d))
         for d in candidates:
             for sign in (1, -1):
@@ -224,12 +175,7 @@ class HPolytope:
 
     @cached_property
     def is_full_dimensional(self):
-        verts = self.vertices
-        if not verts:
-            return False
-        v0 = verts[0]
-        rows = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
-        return _rank(rows, self.dim) == self.dim
+        return _affine_rank(self.vertices, self.dim) == self.dim
 
     @cached_property
     def barycenter(self):
@@ -367,12 +313,7 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
     verts = poly.vertices
     for r in range(len(poly.facets)):
         on_facet = [v for v in verts if poly.facet_value(r, v) == 0]
-        if not on_facet:
-            report.redundant_facets.append(r)
-            continue
-        v0 = on_facet[0]
-        rows = [tuple(a - b for a, b in zip(v, v0)) for v in on_facet[1:]]
-        if _rank(rows, poly.dim) < poly.dim - 1:
+        if _affine_rank(on_facet, poly.dim) < poly.dim - 1:
             report.redundant_facets.append(r)
     if report.redundant_facets:
         report.ok = False
@@ -425,14 +366,16 @@ def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytop
     n = poly.dim
     if len(fc.B) != n:
         raise PolytopeError("frame change dimension mismatch")
-    Bt = [[Fraction(int(fc.B[j][i])) for j in range(n)] for i in range(n)]
-    Bt_inv = _inv(Bt)
+    # solve B^T nu' = nu for every normal at once
+    M, _, _ = _eliminate(
+        [[int(fc.B[j][i]) for j in range(n)]
+         + [f.normal[i] for f in poly.facets] for i in range(n)], n)
     facets = []
-    for f in poly.facets:
-        nu = [_dot(Bt_inv[i], f.normal) for i in range(n)]
+    for k, f in enumerate(poly.facets):
+        nu = tuple(row[n + k] for row in M)
         if any(c.denominator != 1 for c in nu):
             raise PolytopeError("frame change produced non-integer normal")
-        facets.append(Facet(tuple(nu), f.offset))
+        facets.append(Facet(nu, f.offset))
     return DelzantPolytope(dim=n, facets=tuple(facets), name=poly.name)
 
 
@@ -509,19 +452,3 @@ def polytope_from_json(data) -> DelzantPolytope:
 def load_polytope(path) -> DelzantPolytope:
     with open(path) as fh:
         return polytope_from_json(json.load(fh))
-
-
-def polytope_to_json(poly: HPolytope) -> dict:
-    out = {
-        "dim": poly.dim,
-        "facets": [
-            {"normal": [int(c) if c.denominator == 1 else str(c)
-                        for c in f.normal],
-             "offset": str(f.offset)}
-            for f in poly.facets
-        ],
-    }
-    name = getattr(poly, "name", "")
-    if name:
-        out["name"] = name
-    return out

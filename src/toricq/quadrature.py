@@ -1,32 +1,44 @@
 """Deterministic adaptive quadrature over polytopes and their slices.
 
-Polytopes are fan-triangulated from the barycenter; each simplex carries an
-open (interior-node) Gauss rule of degree 5, so integrands that are only
-continuous up to the boundary are never sampled on it.  Refinement bisects
-the cell with the largest two-level error estimate; accumulation is done in
-fixed cell-insertion order with compensated summation, which makes repeated
-runs bit-identical.
+Polytopes of any dimension are triangulated by a recursive face fan from
+exact barycenters; each simplex carries an open (interior-node) rule of
+degree 5, so integrands that are only continuous up to the boundary are
+never sampled on it.  Refinement bisects the cell with the largest
+two-level error estimate; accumulation is done in fixed cell-insertion
+order with compensated summation, which makes repeated runs bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .polytope import PolytopeError, axis_slice
+from .polytope import PolytopeError, _affine_rank, _det, axis_slice
 
 DEFAULT_CELL_BUDGET = 200_000
 _BUDGET_ENV = "TORICQ_CELL_BUDGET"
 
 
 def cell_budget():
+    """The cell cap: TORICQ_CELL_BUDGET if set, else the default."""
     value = os.environ.get(_BUDGET_ENV)
-    return int(value) if value else DEFAULT_CELL_BUDGET
+    if not value:
+        return DEFAULT_CELL_BUDGET
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ValueError(
+            f"{_BUDGET_ENV} must be a positive integer, got {value!r}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +67,6 @@ def _rule_triangle():
 
 def _rule_grundmann_moller(dim, s=2):
     """Grundmann-Moller rule of degree 2s+1; all nodes strictly interior."""
-    import itertools
-
     d = dim
     pts = []
     wts = []
@@ -79,27 +89,31 @@ def _rule_grundmann_moller(dim, s=2):
     return bary, w
 
 
-_RULES = {1: _rule_1d(), 2: _rule_triangle(),
-          3: _rule_grundmann_moller(3, s=2)}
+@functools.cache
+def _rules(dim):
+    """The degree-5 rule of the dim-simplex and its degree-3 companion.
 
-# embedded degree-3 companions used only for error estimation; comparing
-# two different-degree rules on the same cell catches boundary-singular
-# cells whose two-level difference is accidentally tiny
-_LOW_RULES = {d: _rule_grundmann_moller(d, s=1) for d in (1, 2, 3)}
+    The companion is used only for error estimation: comparing two
+    different-degree rules on the same cell catches boundary-singular
+    cells whose two-level difference is accidentally tiny.
+    """
+    if dim == 1:
+        high = _rule_1d()
+    elif dim == 2:
+        high = _rule_triangle()
+    else:
+        high = _rule_grundmann_moller(dim, s=2)
+    return high, _rule_grundmann_moller(dim, s=1)
 
 
 def _simplex_volume(verts):
     verts = np.asarray(verts, dtype=float)
     k = verts.shape[0] - 1
-    if k == 0:
-        return 0.0
     M = verts[1:] - verts[0]
     return abs(np.linalg.det(M)) / math.factorial(k)
 
 
 def _exact_simplex_volume(verts):
-    from .polytope import _det
-
     k = len(verts) - 1
     rows = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
     return abs(_det(rows)) / Fraction(math.factorial(k))
@@ -111,12 +125,11 @@ def _exact_simplex_volume(verts):
 
 @dataclass
 class IntegrationRegion:
-    """Simplicial cover of a polytope or slice with the quadrature rule."""
+    """Simplicial cover of a polytope or slice."""
 
     dim: int
     simplices: list                       # list of exact vertex tuples
     exact_volume: Fraction
-    rule_order: int = 5
 
     @property
     def float_simplices(self):
@@ -124,51 +137,34 @@ class IntegrationRegion:
                 for s in self.simplices]
 
 
-def _order_polygon(verts_exact):
-    """Order coplanar 3D points cyclically around their centroid."""
-    V = np.array([[float(c) for c in v] for v in verts_exact])
-    centroid = V.mean(axis=0)
-    # basis of the facet plane from the two largest spread directions
-    U, _, _ = np.linalg.svd((V - centroid).T, full_matrices=False)
-    u, w = U[:, 0], U[:, 1]
-    ang = np.arctan2((V - centroid) @ w, (V - centroid) @ u)
-    order = np.argsort(ang, kind="stable")
-    return [verts_exact[i] for i in order]
+def _face_fan(poly, verts, rank):
+    """Simplices of the face with the given vertices and affine rank.
+
+    An edge is its own simplex.  A higher face is the cone from its exact
+    barycenter over the fans of its facets, which are the vertex sets that
+    the polytope's facets cut out of it with rank one less; a facet listed
+    twice (or cut out by two facets) is used once.
+    """
+    if rank == 1:
+        return [verts]
+    faces = []
+    for f in poly.facets:
+        sub = tuple(v for v in verts if f.value(v) == 0)
+        if sub not in faces and _affine_rank(sub, poly.dim) == rank - 1:
+            faces.append(sub)
+    apex = tuple(sum(c) / len(verts) for c in zip(*verts))
+    return [s + (apex,) for face in faces
+            for s in _face_fan(poly, face, rank - 1)]
 
 
 def triangulate(poly) -> IntegrationRegion:
-    """Barycenter-fan triangulation; deterministic in the input facet order."""
-    if getattr(poly, "empty", False) or not poly.vertices:
-        raise PolytopeError("cannot triangulate an empty region")
-    n = poly.dim
-    verts = poly.vertices
-    if n == 1:
-        lo = min(verts)
-        hi = max(verts)
-        if lo == hi:
-            raise PolytopeError("degenerate segment")
-        simplices = [(lo, hi)]
-    elif n in (2, 3):
-        bary = poly.barycenter
-        simplices = []
-        for r in range(len(poly.facets)):
-            on_facet = [v for v in verts if poly.facet_value(r, v) == 0]
-            if len(on_facet) < n:
-                continue
-            if n == 2:
-                face_simplices = [tuple(sorted(on_facet))]
-            else:
-                ring = _order_polygon(sorted(on_facet))
-                face_simplices = [(ring[0], ring[i], ring[i + 1])
-                                  for i in range(1, len(ring) - 1)]
-            for fs in face_simplices:
-                simp = fs + (bary,)
-                if _exact_simplex_volume(simp) > 0:
-                    simplices.append(simp)
-    else:
-        raise PolytopeError(f"triangulation not implemented for dim {n}")
+    """Face-fan triangulation; deterministic in the input facet order."""
+    if not poly.is_full_dimensional:
+        raise PolytopeError("cannot triangulate a region without interior")
+    simplices = _face_fan(poly, poly.vertices, poly.dim)
     total = sum((_exact_simplex_volume(s) for s in simplices), Fraction(0))
-    return IntegrationRegion(dim=n, simplices=simplices, exact_volume=total)
+    return IntegrationRegion(dim=poly.dim, simplices=simplices,
+                             exact_volume=total)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +222,7 @@ def integrate(f, region: IntegrationRegion, tol: float,
     """
     if budget is None:
         budget = cell_budget()
-    bary, weights = _RULES[region.dim]
-    bary_low, weights_low = _LOW_RULES[region.dim]
+    (bary, weights), (bary_low, weights_low) = _rules(region.dim)
 
     def make_cell(verts, idx):
         coarse = _apply_rule(f, verts, bary, weights)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polytope import PolytopeError
 from .potential import SymplecticPotential, guillemin_potential
-from .quadrature import IntegralResult, cell_budget, integrate, integrate_slice, triangulate
+from .quadrature import IntegralResult, integrate, integrate_slice, triangulate
 
 
 @dataclass(frozen=True)
@@ -32,22 +33,27 @@ class QuantumBasisElement:
     index: int
 
 
+def hamiltonian_value(m, p: int) -> float:
+    """Ray energy H(m) = 1/2 sum_{j<=p} m_j^2 of a lattice point."""
+    return 0.5 * sum(float(c) ** 2 for c in tuple(m)[:p])
+
+
 def quantum_basis(poly, p: int):
     """Basis elements for the lattice points of poly, lexicographic order."""
     if not 1 <= p <= poly.dim:
         raise ValueError("p out of range")
-    out = []
-    for i, m in enumerate(poly.lattice_points()):
-        H = 0.5 * sum(float(c) ** 2 for c in m[:p])
-        out.append(QuantumBasisElement(m=tuple(int(c) for c in m),
-                                       hamiltonian_value=H, index=i))
-    return out
+    return [QuantumBasisElement(m=tuple(int(c) for c in m),
+                                hamiltonian_value=hamiltonian_value(m, p),
+                                index=i)
+            for i, m in enumerate(poly.lattice_points())]
 
 
 def _facet_powers(pot: SymplecticPotential, m):
     lm = pot.facet_values(np.asarray(m, dtype=float))
     if np.any(lm < 0.5 - 1e-12):
-        raise ValueError(f"lattice point {m} has a facet value below 1/2")
+        raise PolytopeError(
+            f"lattice point {m} has a facet value below 1/2; "
+            "the polytope is not half-form shifted")
     return lm
 
 
@@ -94,8 +100,7 @@ def norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
                  budget=None) -> IntegralResult:
     """Squared norm of the monomial section at time s; differs from the
     rescaled norm by the factor e^{2 s H(m)}."""
-    H = 0.5 * sum(float(c) ** 2 for c in tuple(m)[:p])
-    scale = math.exp(2.0 * s * H)
+    scale = math.exp(2.0 * s * hamiltonian_value(m, p))
     res = tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
     return IntegralResult(value=scale * res.value,
                           error_estimate=scale * res.error_estimate,
@@ -108,21 +113,19 @@ def limit_constant(poly, p: int, m, tol: float = 1e-10) -> float:
 
     For p = n the slice is the point m and c_m = prod_r l_r(m)^{l_r(m)}.
     """
-    n = poly.dim
     pot = guillemin_potential(poly)
-    lm = _facet_powers(pot, m)
-    if p == n:
+    if p == poly.dim:
+        lm = _facet_powers(pot, m)
         return float(np.exp(np.sum(lm * np.log(lm))))
+    density = stable_density(pot, m)
     c = tuple(m)[:p]
     cf = np.asarray([float(v) for v in c], dtype=float)
 
     def f(y):
         x = np.concatenate(
             [np.broadcast_to(cf, y.shape[:-1] + (p,)), y], axis=-1)
-        l = pot.facet_values(x)
-        density = np.exp(np.sum(lm * np.log(l) + (lm - l), axis=-1))
         D = pot.hess(x)[..., p:, p:]
-        return density * np.sqrt(np.linalg.det(D))
+        return density(x) * np.sqrt(np.linalg.det(D))
 
     res = integrate_slice(f, poly, p, c, tol)
     return res.value
@@ -145,8 +148,7 @@ class GcstMap:
     s: float
 
     def factor(self, m) -> float:
-        H = 0.5 * sum(float(c) ** 2 for c in tuple(m)[:self.p])
-        return math.exp(-self.s * H)
+        return math.exp(-self.s * hamiltonian_value(m, self.p))
 
     def compose(self, other: "GcstMap") -> "GcstMap":
         if self.p != other.p:

@@ -10,6 +10,7 @@ vertex structure of its facet normals: smooth, finite-quotient, or worse.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ import numpy as np
 
 from .polytope import HPolytope, PolytopeError, SlicePolytope, _det, axis_slice
 from .potential import SymplecticPotential, abreu_scalar_curvature
-from .quantization import quantum_basis
+from .quantization import decomposition
 
 CLASS_DELZANT = "delzant"
 CLASS_ORBIFOLD = "orbifold"
@@ -137,11 +138,8 @@ def reduction_level_report(poly, p: int):
     """Per-integral-level rows {c, dim, class}; levels span the integer
     range of the projected bounding box, so empty fibers appear with
     dimension 0 and class "trivial"."""
-    groups = {}
-    for el in quantum_basis(poly, p):
-        groups.setdefault(el.m[:p], []).append(el)
+    groups = dict(decomposition(poly, p))
     lo, hi = poly.bounding_box()
-    import itertools
     ranges = [range(math.ceil(a), math.floor(b) + 1)
               for a, b in zip(lo[:p], hi[:p])]
     rows = []
@@ -161,7 +159,7 @@ def reduction_level_report(poly, p: int):
                 cls = classify_polytope(sl)
         rows.append({"c": list(c), "dim": dim, "class": cls})
     total = sum(r["dim"] for r in rows)
-    return rows, total, total == len(quantum_basis(poly, p))
+    return rows, total, total == sum(len(g) for g in groups.values())
 
 
 def reduction_dimension_audit(poly, p: int):
@@ -170,10 +168,5 @@ def reduction_dimension_audit(poly, p: int):
     Returns (levels, dims) with levels sorted lexicographically; the dims
     add up to the total number of lattice points.
     """
-    groups = {}
-    for el in quantum_basis(poly, p):
-        groups.setdefault(el.m[:p], []).append(el)
-    levels = sorted(groups)
-    dims = [len(groups[lv]) for lv in levels]
-    assert sum(dims) == len(quantum_basis(poly, p))
-    return levels, dims
+    groups = decomposition(poly, p)
+    return [lv for lv, _ in groups], [len(g) for _, g in groups]

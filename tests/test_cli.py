@@ -212,3 +212,62 @@ class TestContracts:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("index,m,H")
+
+
+def run_err(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.err
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize("command", ["reduce", "curvature"])
+    @pytest.mark.parametrize("alpha", ["2.7", "-1", "0", "x"])
+    def test_alpha_must_be_positive_int(self, capsys, command, alpha):
+        code, _ = run_err(capsys, ["--command", command, f"--alpha={alpha}"])
+        assert code == 2
+
+    def test_points_p_out_of_range(self, tmp_path, capsys):
+        code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
+                                     "--command", "points", "--p", "5"])
+        assert code == 2
+        assert "--p 5" in err
+
+    @pytest.mark.parametrize("command", ["flow", "curvature"])
+    def test_point_of_wrong_dimension(self, tmp_path, capsys, command):
+        code, err = run_err(capsys, ["--input", write(tmp_path, SQUARE),
+                                     "--command", command,
+                                     "--point", "0.5,0.5,0.5"])
+        assert code == 2
+        assert "--point" in err
+
+    def test_alpha_point_of_wrong_dimension(self, capsys):
+        code, _ = run_err(capsys, ["--command", "curvature", "--alpha", "2",
+                                   "--point", "1"])
+        assert code == 2
+
+    def test_norms_s_grid_with_zero(self, tmp_path, capsys):
+        code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
+                                     "--command", "norms", "--s-grid", "0,10"])
+        assert code == 2
+        assert "--s-grid" in err
+
+    @pytest.mark.parametrize("budget", ["abc", "0", "-5"])
+    def test_cell_budget_must_be_positive_int(self, tmp_path, capsys,
+                                              monkeypatch, budget):
+        monkeypatch.setenv("TORICQ_CELL_BUDGET", budget)
+        code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
+                                     "--command", "norms", "--m", "0",
+                                     "--s-grid", "10,20"])
+        assert code == 2
+        assert err.startswith("error: TORICQ_CELL_BUDGET")
+        assert err.count("\n") == 1
+
+    def test_norms_on_unshifted_polytope(self, tmp_path, capsys):
+        code, err = run_err(capsys, ["--input", write(tmp_path, UNIT_SEGMENT),
+                                     "--command", "norms", "--s-grid", "10,20"])
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "half-form shifted" in err
+        assert err.count("\n") == 1

@@ -1,0 +1,104 @@
+"""Face-fan triangulation in every dimension, and the slice integrals that
+depend on it."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from scipy import integrate as sci
+
+from toricq.polytope import DelzantPolytope, _det, _eliminate, axis_slice
+from toricq.quadrature import integrate, triangulate
+from toricq.quantization import limit_constant
+
+H = Fraction(1, 2)
+FIVE_HALVES = Fraction(5, 2)
+
+
+def cut_cube():
+    """[-1/2, 5/2]^3 cut by x1 + x3 <= 7/2: the corrected [0, 2]^3 cut by
+    x1 + x3 <= 3.  At x1 = 1 the cut coincides with x3 <= 5/2."""
+    facets = [(tuple(int(j == i) for j in range(3)), H) for i in range(3)]
+    facets += [(tuple(-int(j == i) for j in range(3)), FIVE_HALVES)
+               for i in range(3)]
+    facets.append(((-1, 0, -1), Fraction(7, 2)))
+    return DelzantPolytope.from_data(3, facets)
+
+
+def unit_simplex(n):
+    facets = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+    facets.append(((-1,) * n, 1))
+    return DelzantPolytope.from_data(n, facets)
+
+
+def slice_integrand_dblquad(poly, m):
+    """c_m for p = 1, n = 3 by scipy's dblquad, independent of toricq's
+    quadrature: the stable density times sqrt(det D) over the slice."""
+    A = np.array([[float(c) for c in f.normal] for f in poly.facets])
+    b = np.array([float(f.offset) for f in poly.facets])
+    lm = A @ np.asarray(m, dtype=float) + b
+
+    def f(x3, x2):
+        l = A @ np.array([float(m[0]), x2, x3]) + b
+        density = math.exp(np.sum(lm * np.log(l) + lm - l))
+        D = 0.5 * (A[:, 1:].T / l) @ A[:, 1:]
+        return density * math.sqrt(np.linalg.det(D))
+
+    # the slice x1 = 1 is the square [-1/2, 5/2]^2
+    value, _ = sci.dblquad(f, -0.5, 2.5, -0.5, 2.5,
+                           epsabs=1e-10, epsrel=1e-10)
+    return value
+
+
+class TestCutCube:
+    def test_slice_with_repeated_facet_has_exact_area(self):
+        sl = axis_slice(cut_cube(), 1, (1,))
+        assert triangulate(sl).exact_volume == 9
+
+    def test_volume(self):
+        # 27 minus the cut prism of cross-section 9/8 and length 3
+        assert triangulate(cut_cube()).exact_volume == Fraction(189, 8)
+
+    def test_limit_constant_matches_dblquad(self):
+        poly = cut_cube()
+        reference = slice_integrand_dblquad(poly, (1, 1, 1))
+        assert reference == pytest.approx(193.646, rel=1e-5)
+        value = limit_constant(poly, 1, (1, 1, 1), tol=1e-5)
+        assert value == pytest.approx(reference, rel=1e-6)
+
+
+class TestFourSimplex:
+    def test_exact_volume(self):
+        region = triangulate(unit_simplex(4))
+        assert region.exact_volume == Fraction(1, 24)
+        # every simplex of the fan is 4-dimensional with positive volume
+        for s in region.simplices:
+            assert len(s) == 5
+            rows = [[a - b for a, b in zip(v, s[0])] for v in s[1:]]
+            assert _det(rows) != 0
+
+    def test_integrate_coordinate(self):
+        res = integrate(lambda x: x[:, 0], triangulate(unit_simplex(4)),
+                        1e-13)
+        assert res.converged
+        assert res.value == pytest.approx(1.0 / 120.0, abs=1e-13)
+
+
+class TestEliminate:
+    def test_inverse_from_augmented_rows(self):
+        A = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+        rows = [row + [int(i == j) for j in range(3)]
+                for i, row in enumerate(A)]
+        M, pivots, det = _eliminate(rows, 3)
+        assert pivots == [0, 1, 2]
+        assert det == 18
+        inv = [row[3:] for row in M]
+        for i in range(3):
+            for j in range(3):
+                assert sum(A[i][k] * inv[k][j] for k in range(3)) == (i == j)
+
+    def test_rank_deficient(self):
+        M, pivots, det = _eliminate([[1, 2, 3], [2, 4, 6]], 3)
+        assert pivots == [0]
+        assert det == 0

@@ -245,3 +245,17 @@ class TestConnectionForm:
             connection_form_s(ray, np.array([5.0]), 1.0)
         with pytest.raises(DomainError):
             connection_form_limit(ray, np.array([5.0]))
+
+
+class TestRayPotentialCorrection:
+    def test_adds_to_base_correction(self):
+        from toricq.potential import QuadraticCorrection
+
+        base = guillemin_potential(library.corrected_square(),
+                                   correction=QuadraticCorrection((1.0, 2.0)))
+        pot = MabuchiRay(base, 1).potential(3.0)
+        assert pot.correction.coeffs == (4.0, 2.0)
+        assert base.correction.coeffs == (1.0, 2.0)
+        x = np.array([0.4, 0.7])
+        assert pot.hess(x)[0, 0] == pytest.approx(base.hess(x)[0, 0] + 3.0)
+        assert pot.hess(x)[1, 1] == pytest.approx(base.hess(x)[1, 1])

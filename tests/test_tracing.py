@@ -1,0 +1,42 @@
+"""The benchmark's layer tracing (bench/tracing.py) wraps toricq functions
+by name; this guards that contract against renames and removals."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+import tracing
+tr = tracing.install()
+from toricq import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["--input", sys.argv[2], "--command", "norms", "--p", "1",
+                     "--m", "0", "--s-grid", "10,20", "--tol", "1e-6"])
+metrics = tracing.layer_metrics(tr, len(out.getvalue().encode()))
+print(json.dumps({"code": code, "metrics": metrics}))
+"""
+
+SEGMENT = {"dim": 1, "facets": [
+    {"normal": [1], "offset": "1/2"},
+    {"normal": [-1], "offset": "3/2"}]}
+
+
+def test_traced_norms_command_counts_cells(tmp_path):
+    poly = tmp_path / "segment.json"
+    poly.write_text(json.dumps(SEGMENT))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT), str(poly)],
+        capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    metrics = result["metrics"]
+    assert metrics["quadrature.cells"] > 0
+    # p = n: two norms integrals, and c_m in closed form
+    assert metrics["quadrature.integrate.calls"] == 2
+    assert metrics["quantization.limit_constant.calls"] == 1
