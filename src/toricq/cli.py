@@ -47,8 +47,8 @@ def parse_s_grid(text):
         grid = [float(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"could not parse --s-grid {text!r}")
-    if not grid or any(s < 0 for s in grid):
-        raise UsageError("--s-grid needs nonnegative values")
+    if not grid or any(s < 0 or not math.isfinite(s) for s in grid):
+        raise UsageError("--s-grid needs nonnegative finite values")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise UsageError("--s-grid must be strictly increasing")
     return grid
@@ -117,7 +117,7 @@ def load_input(args):
     except FileNotFoundError:
         raise UsageError(f"no such file: {args.input}")
     except (json.JSONDecodeError, polytope.PolytopeError, TypeError,
-            ValueError) as exc:
+            ValueError, OverflowError) as exc:
         raise UsageError(f"malformed polytope JSON: {exc}")
     if args.B:
         fc = polytope.FrameChange(B=parse_matrix(args.B), p=args.p)
@@ -207,24 +207,14 @@ def cmd_norms(args):
     rows = []
     for m in points:
         mtxt = ";".join(str(c) for c in m)
-        cm = quantization.limit_constant(poly, args.p, m, tol=args.tol)
-        limit = math.pi ** (args.p / 2.0) * cm
-        values = []
-        for s in grid:
-            tilde = quantization.tilde_norm_squared(poly, args.p, m, s,
-                                                    tol=args.tol)
-            H = quantization.hamiltonian_value(m, args.p)
-            values.append(tilde.value)
-            rows.append([mtxt, fmt(s), fmt(math.exp(2 * s * H) * tilde.value),
-                         fmt(tilde.value), fmt(cm), fmt(limit),
-                         str(tilde.converged)])
-        if len(grid) >= 2:
-            extrap = quantization.richardson_extrapolate(grid, values)
-        else:
-            extrap = values[-1]
-        ok = abs(extrap - limit) <= max(args.tol, 0.02 * abs(limit))
-        rows.append([mtxt, "inf", "", fmt(extrap), fmt(cm), fmt(limit),
-                     str(ok)])
+        rep = quantization.verify_norm_limit(poly, args.p, m, grid,
+                                             tol=args.tol)
+        cm, limit = fmt(rep.c_m), fmt(rep.target)
+        for s, norm2, res in zip(grid, rep.squared_norms, rep.results):
+            rows.append([mtxt, fmt(s), fmt(norm2), fmt(res.value), cm, limit,
+                         str(res.converged)])
+        rows.append([mtxt, "inf", "", fmt(rep.extrapolated), cm, limit,
+                     str(rep.passed)])
     write_output(emit(columns, rows, args), args)
     return EXIT_OK
 
@@ -313,8 +303,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     try:
         cell_budget()

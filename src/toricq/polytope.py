@@ -100,12 +100,12 @@ class HPolytope:
                 raise PolytopeError("normal dimension mismatch")
 
     @classmethod
-    def from_data(cls, dim, facet_data):
+    def from_data(cls, dim, facet_data, **fields):
         facets = tuple(
             Facet(tuple(Fraction(c) for c in normal), Fraction(offset))
             for normal, offset in facet_data
         )
-        return cls(dim=dim, facets=facets)
+        return cls(dim=dim, facets=facets, **fields)
 
     def facet_value(self, r, x):
         return self.facets[r].value(x)
@@ -222,14 +222,6 @@ class DelzantPolytope(HPolytope):
                 raise PolytopeError("Delzant normals must be integer vectors")
             if all(c == 0 for c in f.normal):
                 raise PolytopeError("zero normal vector")
-
-    @classmethod
-    def from_data(cls, dim, facet_data, name=""):
-        facets = tuple(
-            Facet(tuple(Fraction(int(c)) for c in normal), Fraction(offset))
-            for normal, offset in facet_data
-        )
-        return cls(dim=dim, facets=facets, name=name)
 
     def normal_int(self, r):
         return tuple(int(c) for c in self.facets[r].normal)

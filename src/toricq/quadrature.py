@@ -179,14 +179,6 @@ class IntegralResult:
     converged: bool
 
 
-@dataclass
-class _Cell:
-    verts: np.ndarray
-    fine: float
-    err: float
-    idx: int
-
-
 def _apply_rule(f, verts, bary, weights):
     nodes = bary @ verts
     vol = _simplex_volume(verts)
@@ -223,41 +215,31 @@ def integrate(f, region: IntegrationRegion, tol: float,
     if budget is None:
         budget = cell_budget()
     (bary, weights), (bary_low, weights_low) = _rules(region.dim)
-
-    def make_cell(verts, idx):
-        coarse = _apply_rule(f, verts, bary, weights)
-        low = _apply_rule(f, verts, bary_low, weights_low)
-        halves = _bisect(verts)
-        fine = sum(_apply_rule(f, h, bary, weights) for h in halves)
-        err = abs(coarse - fine) + 0.05 * abs(coarse - low)
-        return _Cell(verts=verts, fine=fine, err=err, idx=idx)
-
-    cells = {}
+    # a cell is the heap entry (-err, id, fine, verts, half values); its
+    # coarse value is the half value its parent computed, so only the
+    # companion rule and the two halves are new
     heap = []
-    counter = 0
-    for verts in region.float_simplices:
-        cell = make_cell(verts, counter)
-        cells[counter] = cell
-        heapq.heappush(heap, (-cell.err, counter))
-        counter += 1
+    ids = itertools.count()
 
-    err = math.fsum(c.err for c in cells.values())
-    while err > tol and len(cells) < budget and heap:
-        neg_err, idx = heapq.heappop(heap)
-        cell = cells.get(idx)
-        if cell is None:
-            continue
-        del cells[idx]
-        err -= cell.err
-        for half in _bisect(cell.verts):
-            child = make_cell(half, counter)
-            cells[counter] = child
-            heapq.heappush(heap, (-child.err, counter))
-            counter += 1
-            err += child.err
+    def push(verts, coarse):
+        low = _apply_rule(f, verts, bary_low, weights_low)
+        halves = tuple(_apply_rule(f, h, bary, weights) for h in _bisect(verts))
+        fine = sum(halves)
+        err = abs(coarse - fine) + 0.05 * abs(coarse - low)
+        heapq.heappush(heap, (-err, next(ids), fine, verts, halves))
+        return err
 
-    err = math.fsum(c.err for c in cells.values())
-    value = math.fsum(cells[i].fine for i in sorted(cells))
+    err = math.fsum(push(verts, _apply_rule(f, verts, bary, weights))
+                    for verts in region.float_simplices)
+    while err > tol and len(heap) < budget and heap:
+        neg_err, _, _, verts, halves = heapq.heappop(heap)
+        err += neg_err
+        for half, coarse in zip(_bisect(verts), halves):
+            err += push(half, coarse)
+
+    cells = sorted(heap, key=lambda cell: cell[1])
+    err = math.fsum(-cell[0] for cell in cells)
+    value = math.fsum(cell[2] for cell in cells)
     return IntegralResult(value=value, error_estimate=err,
                           cells_used=len(cells), converged=err <= tol)
 

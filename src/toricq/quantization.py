@@ -96,14 +96,23 @@ def tilde_norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
     return integrate(f, region, tol, budget=budget)
 
 
+def norm_from_tilde(p: int, m, s: float, tilde: float) -> float:
+    """e^{2 s H(m)} * tilde: a squared norm from its rescaled value, or inf
+    when it exceeds the float range."""
+    try:
+        return math.exp(2.0 * s * hamiltonian_value(m, p)) * tilde
+    except OverflowError:
+        return math.inf
+
+
 def norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
                  budget=None) -> IntegralResult:
     """Squared norm of the monomial section at time s; differs from the
     rescaled norm by the factor e^{2 s H(m)}."""
-    scale = math.exp(2.0 * s * hamiltonian_value(m, p))
     res = tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
-    return IntegralResult(value=scale * res.value,
-                          error_estimate=scale * res.error_estimate,
+    return IntegralResult(value=norm_from_tilde(p, m, s, res.value),
+                          error_estimate=norm_from_tilde(
+                              p, m, s, res.error_estimate),
                           cells_used=res.cells_used, converged=res.converged)
 
 
@@ -166,12 +175,26 @@ def gcst_factor(p: int, m, s: float) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """The rescaled norms of m along s_values, their extrapolation to
+    s = oo, and the limit pi^{p/2} c_m they are checked against."""
+
     m: tuple
+    p: int
     s_values: tuple
-    norm_values: tuple
-    extrapolated: float
+    results: tuple        # IntegralResult of the rescaled norm at each s
+    c_m: float
     target: float
+    extrapolated: float
     passed: bool
+
+    @property
+    def norm_values(self):
+        return tuple(r.value for r in self.results)
+
+    @property
+    def squared_norms(self):
+        return tuple(norm_from_tilde(self.p, self.m, s, r.value)
+                     for s, r in zip(self.s_values, self.results))
 
     @property
     def relative_error(self):
@@ -192,16 +215,18 @@ def richardson_extrapolate(s_values, values) -> float:
 def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
                       rel_tol: float = 0.02, budget=None) -> ConvergenceReport:
     """Extrapolate the rescaled norms along s_values and compare with the
-    slice-integral limit pi^{p/2} c_m."""
-    values = tuple(tilde_norm_squared(poly, p, m, s, tol=tol,
-                                      budget=budget).value
-                   for s in s_values)
-    extrap = richardson_extrapolate(s_values, values)
-    target = norm_limit(poly, p, m, tol=tol)
-    passed = abs(extrap - target) <= max(tol, rel_tol * abs(target))
-    return ConvergenceReport(m=tuple(m), s_values=tuple(s_values),
-                             norm_values=values, extrapolated=extrap,
-                             target=target, passed=passed)
+    slice-integral limit pi^{p/2} c_m.  It passes when the extrapolation is
+    within max(tol, rel_tol * limit) and every norm integral converged."""
+    c_m = limit_constant(poly, p, m, tol=tol)
+    target = math.pi ** (p / 2.0) * c_m
+    results = tuple(tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
+                    for s in s_values)
+    extrap = richardson_extrapolate(s_values, [r.value for r in results])
+    passed = (abs(extrap - target) <= max(tol, rel_tol * abs(target))
+              and all(r.converged for r in results))
+    return ConvergenceReport(m=tuple(m), p=p, s_values=tuple(s_values),
+                             results=results, c_m=c_m, target=target,
+                             extrapolated=extrap, passed=passed)
 
 
 def hermitian_limit_table(poly, p: int, tol: float = 1e-9):

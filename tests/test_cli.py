@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -110,6 +111,28 @@ class TestNorms:
         code, _ = run(capsys, ["--input", write(tmp_path, SEGMENT),
                                "--command", "norms", "--m", "7"])
         assert code == 2
+
+    def test_norm2_past_the_float_range_prints_inf(self, tmp_path, capsys):
+        # e^{2 s H(5)} = e^{1000} at s = 40
+        wide = {"dim": 1, "facets": [{"normal": [1], "offset": "1/2"},
+                                     {"normal": [-1], "offset": "11/2"}]}
+        code, out = run(capsys, ["--input", write(tmp_path, wide),
+                                 "--command", "norms", "--m", "5",
+                                 "--s-grid", "10,20,40", "--tol", "1"])
+        assert code == 0
+        rows = rows_of(out)[1:]
+        assert [r[1] for r in rows] == ["10", "20", "40", "inf"]
+        assert math.isfinite(float(rows[1][2]))
+        assert rows[2][2] == "inf"
+
+    def test_pass_needs_converged_integrals(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv("TORICQ_CELL_BUDGET", "20")
+        code, out = run(capsys, ["--input", write(tmp_path, SEGMENT),
+                                 "--command", "norms", "--m", "0",
+                                 "--s-grid", "10,20,40", "--tol", "1e-13"])
+        assert code == 0
+        assert [r[6] for r in rows_of(out)[1:]] == ["False"] * 4
 
 
 class TestFlow:
@@ -252,6 +275,34 @@ class TestFlagValidation:
                                      "--command", "norms", "--s-grid", "0,10"])
         assert code == 2
         assert "--s-grid" in err
+
+    @pytest.mark.parametrize("grid", ["nan", "10,inf"])
+    def test_norms_s_grid_must_be_finite(self, tmp_path, capsys, grid):
+        code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
+                                     "--command", "norms", "--s-grid", grid])
+        assert code == 2
+        assert err.startswith("error: --s-grid")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_tol_must_be_finite(self, tmp_path, capsys, tol):
+        code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
+                                     "--command", "norms", "--m", "0",
+                                     "--tol", tol])
+        assert code == 2
+        assert err.startswith("error: --tol")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("normal", ["[1.5]", "[Infinity]"])
+    def test_normal_must_be_integer(self, tmp_path, capsys, normal):
+        path = tmp_path / "poly.json"
+        path.write_text('{"dim": 1, "facets": [{"normal": %s, "offset": 0},'
+                        ' {"normal": [-1], "offset": 1}]}' % normal)
+        code, err = run_err(capsys, ["--input", str(path),
+                                     "--command", "validate"])
+        assert code == 2
+        assert err.startswith("error: malformed polytope JSON")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("budget", ["abc", "0", "-5"])
     def test_cell_budget_must_be_positive_int(self, tmp_path, capsys,

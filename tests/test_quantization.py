@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +162,26 @@ class TestConvergence:
         # raw values approach the target monotonically from below
         gaps = [report.target - v for v in report.norm_values]
         assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
+
+    def test_report_rows_match_the_norm_functions(self):
+        poly = library.corrected_segment()
+        report = verify_norm_limit(poly, 1, (1,), (10.0, 20.0), tol=1e-8)
+        assert report.c_m == limit_constant(poly, 1, (1,), tol=1e-8)
+        assert report.target == norm_limit(poly, 1, (1,), tol=1e-8)
+        assert report.squared_norms == tuple(
+            norm_squared(poly, 1, (1,), s, tol=1e-8).value
+            for s in (10.0, 20.0))
+
+    def test_unconverged_integral_does_not_pass(self):
+        report = verify_norm_limit(library.corrected_segment(), 1, (0,),
+                                   (10.0, 20.0, 40.0), tol=1e-13, budget=20)
+        assert not any(r.converged for r in report.results)
+        assert not report.passed
+
+    def test_squared_norm_past_the_float_range_is_inf(self):
+        # e^{2 s H(5)} = e^{1000}
+        poly = library.segment(Fraction(-1, 2), Fraction(11, 2))
+        assert norm_squared(poly, 1, (5,), 40.0, tol=1.0).value == math.inf
 
 
 class TestDecomposition:

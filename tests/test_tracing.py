@@ -40,3 +40,18 @@ def test_traced_norms_command_counts_cells(tmp_path):
     # p = n: two norms integrals, and c_m in closed form
     assert metrics["quadrature.integrate.calls"] == 2
     assert metrics["quantization.limit_constant.calls"] == 1
+
+
+def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
+    # a root cell takes 4 rule applications and every later cell 3; a
+    # segment integral has one root simplex and each split replaces a cell
+    # by 2 new ones, so calls = 4 + 6 (cells - 1) per integral
+    poly = tmp_path / "segment.json"
+    poly.write_text(json.dumps(SEGMENT))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT), str(poly)],
+        capture_output=True, text=True, timeout=120, check=True)
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    assert metrics["quadrature.integrand_calls"] == (
+        6 * metrics["quadrature.cells"]
+        - 2 * metrics["quadrature.integrate.calls"])
