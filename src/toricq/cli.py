@@ -114,14 +114,17 @@ def load_input(args):
         raise UsageError("--input is required for this command")
     try:
         poly = polytope.load_polytope(args.input)
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {args.input}")
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.input}: {exc.strerror}")
     except (json.JSONDecodeError, polytope.PolytopeError, TypeError,
-            ValueError, OverflowError) as exc:
+            ValueError, ArithmeticError) as exc:
         raise UsageError(f"malformed polytope JSON: {exc}")
     if args.B:
-        fc = polytope.FrameChange(B=parse_matrix(args.B), p=args.p)
-        poly = polytope.apply_frame_change(poly, fc)
+        try:
+            fc = polytope.FrameChange(B=parse_matrix(args.B), p=args.p)
+            poly = polytope.apply_frame_change(poly, fc)
+        except polytope.PolytopeError as exc:
+            raise UsageError(f"bad --B: {exc}")
     return poly
 
 
@@ -153,8 +156,11 @@ def emit(columns, rows, args) -> str:
 
 def write_output(text, args):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

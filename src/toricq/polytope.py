@@ -187,6 +187,8 @@ class HPolytope:
 
     def bounding_box(self):
         verts = self.vertices
+        if not verts:
+            raise PolytopeError("empty polytope has no bounding box")
         lo = tuple(min(v[i] for v in verts) for i in range(self.dim))
         hi = tuple(max(v[i] for v in verts) for i in range(self.dim))
         return lo, hi
@@ -200,13 +202,6 @@ class HPolytope:
         lo, hi = self.bounding_box()
         ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
         return [m for m in itertools.product(*ranges) if self.contains(m)]
-
-    def float_normals_offsets(self):
-        import numpy as np
-
-        A = np.array([[float(c) for c in f.normal] for f in self.facets])
-        b = np.array([float(f.offset) for f in self.facets])
-        return A, b
 
 
 @dataclass(frozen=True)
@@ -256,20 +251,6 @@ class FrameChange:
             raise PolytopeError("frame change must have determinant 1")
         if not 1 <= self.p <= n:
             raise PolytopeError("p out of range")
-
-
-@dataclass(frozen=True)
-class SlicePolytope(HPolytope):
-    """Axis-aligned slice {y : <y, b_j> + lam_j >= 0} at fixed leading values."""
-
-    fixed_values: tuple = ()
-    empty: bool = False
-
-    @cached_property
-    def is_empty(self):
-        if self.empty:
-            return True
-        return super().is_empty
 
 
 @dataclass
@@ -387,11 +368,12 @@ def vertex_chart(poly: DelzantPolytope, vertex_index: int) -> VertexChart:
     return VertexChart(vertex=v, A_v=rows, lambda_v=lam)
 
 
-def axis_slice(poly: HPolytope, p: int, c) -> SlicePolytope:
+def axis_slice(poly: HPolytope, p: int, c) -> HPolytope:
     """Fix the first p coordinates to c and keep the trailing n-p ones.
 
-    Facets with vanishing trailing normal are dropped if satisfied and make
-    the slice empty otherwise.
+    A facet with vanishing trailing normal is dropped if satisfied and kept
+    as a negative constant otherwise, which leaves the slice without
+    vertices, i.e. empty.
     """
     n = poly.dim
     if not 1 <= p < n:
@@ -403,13 +385,10 @@ def axis_slice(poly: HPolytope, p: int, c) -> SlicePolytope:
     for f in poly.facets:
         a, b = f.normal[:p], f.normal[p:]
         lam = _dot(c, a) + f.offset
-        if all(e == 0 for e in b):
-            if lam < 0:
-                return SlicePolytope(dim=n - p, facets=(), fixed_values=c,
-                                     empty=True)
+        if lam >= 0 and all(e == 0 for e in b):
             continue
         facets.append(Facet(b, lam))
-    return SlicePolytope(dim=n - p, facets=tuple(facets), fixed_values=c)
+    return HPolytope(dim=n - p, facets=tuple(facets))
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +411,15 @@ def polytope_from_json(data) -> DelzantPolytope:
     for key in ("dim", "facets"):
         if key not in data:
             raise PolytopeError(f"missing key {key!r} in polytope JSON")
+    dim = int(data["dim"])
+    if dim < 1:
+        raise PolytopeError(f"dimension must be at least 1, got {dim}")
     facet_data = []
     for i, f in enumerate(data["facets"]):
         if "normal" not in f or "offset" not in f:
             raise PolytopeError(f"facet {i}: missing 'normal' or 'offset'")
         facet_data.append((f["normal"], _parse_offset(f["offset"])))
-    return DelzantPolytope.from_data(int(data["dim"]), facet_data,
+    return DelzantPolytope.from_data(dim, facet_data,
                                      name=data.get("name", ""))
 
 

@@ -63,22 +63,13 @@ class SymplecticPotential:
     """Evaluator bundle (g, grad g, Hess g, third derivatives) on the open
     interior of a polytope given by float facet data A x + b >= 0."""
 
-    def __init__(self, normals, offsets, correction=None, barycenter=None,
-                 polytope=None):
+    def __init__(self, normals, offsets, correction=None, barycenter=None):
         self.A = np.atleast_2d(np.asarray(normals, dtype=float))
         self.b = np.asarray(offsets, dtype=float)
         self.dim = self.A.shape[1]
         self.correction = correction
-        self.polytope = polytope
-        if barycenter is None and polytope is not None:
-            barycenter = [float(c) for c in polytope.barycenter]
         self._barycenter = None if barycenter is None else np.asarray(
             barycenter, dtype=float)
-
-    @classmethod
-    def from_polytope(cls, poly, correction=None):
-        A, b = poly.float_normals_offsets()
-        return cls(A, b, correction=correction, polytope=poly)
 
     @property
     def barycenter(self):
@@ -142,7 +133,10 @@ class SymplecticPotential:
 
 def guillemin_potential(poly, correction=None) -> SymplecticPotential:
     """Guillemin potential g_P = 1/2 sum l_r log l_r plus optional h."""
-    return SymplecticPotential.from_polytope(poly, correction=correction)
+    return SymplecticPotential(
+        [[float(c) for c in f.normal] for f in poly.facets],
+        [float(f.offset) for f in poly.facets], correction=correction,
+        barycenter=[float(c) for c in poly.barycenter])
 
 
 def legendre_forward(pot: SymplecticPotential, x):

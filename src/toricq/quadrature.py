@@ -106,13 +106,6 @@ def _rules(dim):
     return high, _rule_grundmann_moller(dim, s=1)
 
 
-def _simplex_volume(verts):
-    verts = np.asarray(verts, dtype=float)
-    k = verts.shape[0] - 1
-    M = verts[1:] - verts[0]
-    return abs(np.linalg.det(M)) / math.factorial(k)
-
-
 def _exact_simplex_volume(verts):
     k = len(verts) - 1
     rows = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
@@ -129,7 +122,11 @@ class IntegrationRegion:
 
     dim: int
     simplices: list                       # list of exact vertex tuples
-    exact_volume: Fraction
+    volumes: list                         # exact volume of each simplex
+
+    @property
+    def exact_volume(self):
+        return sum(self.volumes, Fraction(0))
 
     @property
     def float_simplices(self):
@@ -162,9 +159,9 @@ def triangulate(poly) -> IntegrationRegion:
     if not poly.is_full_dimensional:
         raise PolytopeError("cannot triangulate a region without interior")
     simplices = _face_fan(poly, poly.vertices, poly.dim)
-    total = sum((_exact_simplex_volume(s) for s in simplices), Fraction(0))
     return IntegrationRegion(dim=poly.dim, simplices=simplices,
-                             exact_volume=total)
+                             volumes=[_exact_simplex_volume(s)
+                                      for s in simplices])
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +176,9 @@ class IntegralResult:
     converged: bool
 
 
-def _apply_rule(f, verts, bary, weights):
-    nodes = bary @ verts
-    vol = _simplex_volume(verts)
-    if vol == 0.0:
-        return 0.0
-    vals = np.asarray(f(nodes), dtype=float)
-    return vol * float(weights @ vals)
+def _apply_rule(f, verts, volume, bary, weights):
+    vals = np.asarray(f(bary @ verts), dtype=float)
+    return volume * float(weights @ vals)
 
 
 def _bisect(verts):
@@ -215,31 +208,34 @@ def integrate(f, region: IntegrationRegion, tol: float,
     if budget is None:
         budget = cell_budget()
     (bary, weights), (bary_low, weights_low) = _rules(region.dim)
-    # a cell is the heap entry (-err, id, fine, verts, half values); its
+    # a cell is the heap entry (-err, id, volume, verts, half values); its
     # coarse value is the half value its parent computed, so only the
-    # companion rule and the two halves are new
+    # companion rule and the two halves are new.  The volume is the exact
+    # volume of its root simplex, halved at each bisection.
     heap = []
     ids = itertools.count()
 
-    def push(verts, coarse):
-        low = _apply_rule(f, verts, bary_low, weights_low)
-        halves = tuple(_apply_rule(f, h, bary, weights) for h in _bisect(verts))
-        fine = sum(halves)
-        err = abs(coarse - fine) + 0.05 * abs(coarse - low)
-        heapq.heappush(heap, (-err, next(ids), fine, verts, halves))
+    def push(verts, volume, coarse):
+        low = _apply_rule(f, verts, volume, bary_low, weights_low)
+        halves = tuple(_apply_rule(f, h, volume / 2, bary, weights)
+                       for h in _bisect(verts))
+        err = abs(coarse - sum(halves)) + 0.05 * abs(coarse - low)
+        heapq.heappush(heap, (-err, next(ids), volume, verts, halves))
         return err
 
-    err = math.fsum(push(verts, _apply_rule(f, verts, bary, weights))
-                    for verts in region.float_simplices)
+    roots = zip(region.float_simplices, map(float, region.volumes))
+    err = math.fsum(push(verts, volume,
+                         _apply_rule(f, verts, volume, bary, weights))
+                    for verts, volume in roots)
     while err > tol and len(heap) < budget and heap:
-        neg_err, _, _, verts, halves = heapq.heappop(heap)
+        neg_err, _, volume, verts, halves = heapq.heappop(heap)
         err += neg_err
         for half, coarse in zip(_bisect(verts), halves):
-            err += push(half, coarse)
+            err += push(half, volume / 2, coarse)
 
     cells = sorted(heap, key=lambda cell: cell[1])
     err = math.fsum(-cell[0] for cell in cells)
-    value = math.fsum(cell[2] for cell in cells)
+    value = math.fsum(sum(cell[4]) for cell in cells)
     return IntegralResult(value=value, error_estimate=err,
                           cells_used=len(cells), converged=err <= tol)
 

@@ -68,29 +68,20 @@ def stable_density(pot: SymplecticPotential, m):
     return density
 
 
-def _halfform_factor(pot: SymplecticPotential, p: int, s: float):
-    idx = np.arange(p)
-
-    def factor(x):
-        G = pot.hess(x)
-        G[..., idx, idx] += s
-        return np.sqrt(np.linalg.det(G))
-
-    return factor
-
-
 def tilde_norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
                        budget=None) -> IntegralResult:
     """Rescaled squared norm: the x-integral of
     e^{-s sum_{j<=p}(x_j - m_j)^2} * stable density * sqrt(det G_s)."""
     pot = guillemin_potential(poly)
     density = stable_density(pot, m)
-    halfform = _halfform_factor(pot, p, s)
     mm = np.asarray(m, dtype=float)[:p]
+    idx = np.arange(p)
 
     def f(x):
         gauss = np.exp(-s * np.sum((x[..., :p] - mm) ** 2, axis=-1))
-        return gauss * density(x) * halfform(x)
+        G = pot.hess(x)  # Hess g_s: s added on the first p axes
+        G[..., idx, idx] += s
+        return gauss * density(x) * np.sqrt(np.linalg.det(G))
 
     region = triangulate(poly)
     return integrate(f, region, tol, budget=budget)
@@ -123,9 +114,6 @@ def limit_constant(poly, p: int, m, tol: float = 1e-10) -> float:
     For p = n the slice is the point m and c_m = prod_r l_r(m)^{l_r(m)}.
     """
     pot = guillemin_potential(poly)
-    if p == poly.dim:
-        lm = _facet_powers(pot, m)
-        return float(np.exp(np.sum(lm * np.log(lm))))
     density = stable_density(pot, m)
     c = tuple(m)[:p]
     cf = np.asarray([float(v) for v in c], dtype=float)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import HPolytope, PolytopeError, SlicePolytope, _det, axis_slice
+from .polytope import HPolytope, PolytopeError, _det, axis_slice
 from .potential import SymplecticPotential, abreu_scalar_curvature
 from .quantization import decomposition
 
@@ -62,7 +62,7 @@ def classify_polytope(poly: HPolytope) -> str:
 class ReducedStructure:
     """Slice polytope, restricted potential, and smoothness class."""
 
-    slice: SlicePolytope
+    slice: HPolytope
     potential: SymplecticPotential
     classification: str
     level: tuple
@@ -83,9 +83,7 @@ def reduced_potential(poly, p: int, c) -> SymplecticPotential:
         normals.append([float(e) for e in b])
         offsets.append(float(lam))
     sl = axis_slice(poly, p, c)
-    bary = None
-    if not sl.is_empty and sl.vertices:
-        bary = [float(v) for v in sl.barycenter]
+    bary = None if sl.is_empty else [float(v) for v in sl.barycenter]
     return SymplecticPotential(normals, offsets, barycenter=bary)
 
 
@@ -124,8 +122,7 @@ def c3_reduction(alpha1: int, alpha2: int, c=0) -> ReducedStructure:
     potential = SymplecticPotential(
         [(1.0, 0.0), (0.0, 1.0), (float(alpha1), float(alpha2))],
         [0.0, 0.0, float(c)], barycenter=[1.0, 1.0])
-    sl = SlicePolytope(dim=2, facets=quadrant.facets, fixed_values=(c,))
-    return ReducedStructure(slice=sl, potential=potential,
+    return ReducedStructure(slice=quadrant, potential=potential,
                             classification=classify_polytope(quadrant),
                             level=(c,), p=1)
 
@@ -150,13 +147,12 @@ def reduction_level_report(poly, p: int):
         elif p == poly.dim:
             cls = CLASS_DELZANT
         else:
+            # a level with lattice points has a non-empty slice
             sl = axis_slice(poly, p, c)
-            if sl.is_empty or not sl.vertices:
-                cls = "trivial"
-            elif not sl.is_full_dimensional:
-                cls = "degenerate"
-            else:
+            if sl.is_full_dimensional:
                 cls = classify_polytope(sl)
+            else:
+                cls = "degenerate"
         rows.append({"c": list(c), "dim": dim, "class": cls})
     total = sum(r["dim"] for r in rows)
     return rows, total, total == sum(len(g) for g in groups.values())

@@ -25,6 +25,10 @@ UNIT_SEGMENT = {"dim": 1, "facets": [
     {"normal": [1], "offset": 0},
     {"normal": [-1], "offset": 1}]}
 
+EMPTY_SEGMENT = {"dim": 1, "facets": [
+    {"normal": [1], "offset": "1/2"},
+    {"normal": [-1], "offset": "-3/2"}]}
+
 SQUARE = {"dim": 2, "facets": [
     {"normal": [1, 0], "offset": "1/2"},
     {"normal": [0, 1], "offset": "1/2"},
@@ -199,6 +203,17 @@ class TestCurvature:
                                "--command", "curvature", "--point", "5.0"])
         assert code == 2
 
+    def test_barycenter_without_point(self, tmp_path, capsys):
+        # the Guillemin metric of the simplex of size lam is Fubini-Study on
+        # CP^n, of constant scalar curvature n(n+1)/lam: 3 for n = lam = 2
+        code, out = run(capsys, ["--input", write(tmp_path, SIMPLEX),
+                                 "--command", "curvature"])
+        assert code == 0
+        point, value = rows_of(out)[1]
+        assert [float(v) for v in point.split(";")] == pytest.approx(
+            [2 / 3, 2 / 3], abs=1e-15)
+        assert float(value) == pytest.approx(3.0, abs=1e-6)
+
 
 class TestContracts:
     def test_bad_s_grid(self, tmp_path, capsys):
@@ -322,3 +337,47 @@ class TestFlagValidation:
         assert err.startswith("error: ")
         assert "half-form shifted" in err
         assert err.count("\n") == 1
+
+
+class TestInputErrors:
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        code, err = run_err(capsys, ["--input", str(tmp_path),
+                                     "--command", "validate"])
+        assert code == 2
+        assert err.startswith("error: cannot read")
+        assert err.count("\n") == 1
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
+                                     "--command", "points", "--out",
+                                     str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert err.startswith("error: cannot write")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--B", "1,0;0"],
+        ["--B", "2,0;0,1"],
+        ["--B", "1,0,0;0,1,0;0,0,1"],
+        ["--p", "5", "--B", "1,0;0,1"]],
+        ids=["ragged", "det-2", "3x3-on-2d", "p-out-of-range"])
+    def test_bad_frame_change_is_a_usage_error(self, tmp_path, capsys, argv):
+        code, err = run_err(capsys, ["--input", write(tmp_path, SIMPLEX),
+                                     "--command", "points"] + argv)
+        assert code == 2
+        assert err.startswith("error: bad --B")
+        assert err.count("\n") == 1
+
+    def test_reduce_on_empty_polytope(self, tmp_path, capsys):
+        code, err = run_err(capsys, ["--input", write(tmp_path, EMPTY_SEGMENT),
+                                     "--command", "reduce"])
+        assert code == 1
+        assert err.startswith("error: empty polytope")
+        assert err.count("\n") == 1
+
+    def test_dimension_zero_rejected(self, tmp_path, capsys):
+        code, err = run_err(capsys, ["--input",
+                                     write(tmp_path, {"dim": 0, "facets": []}),
+                                     "--command", "curvature"])
+        assert code == 2
+        assert "dimension must be at least 1" in err

@@ -8,6 +8,7 @@ from toricq import library
 from toricq.polytope import (
     DelzantPolytope,
     FrameChange,
+    HPolytope,
     PolytopeError,
     apply_frame_change,
     axis_slice,
@@ -231,11 +232,25 @@ class TestAxisSlice:
     def test_slice_commutes_with_enumeration(self):
         poly = library.simplex(2)
         full = lattice_points(poly)
-        for c in range(0, 3):
+        for c in range(-1, 4):
             sl = axis_slice(poly, 1, (c,))
             sliced = lattice_points(sl)
             expected = sorted(m[1:] for m in full if m[0] == c)
             assert sliced == expected
+
+    def test_violated_constant_facet_is_kept(self):
+        # at x1 = -1 the facet x1 >= 0 becomes the constant -1 >= 0
+        sl = axis_slice(library.simplex(2), 1, (-1,))
+        assert type(sl) is HPolytope
+        assert any(f.normal == (0,) and f.offset == -1 for f in sl.facets)
+        assert sl.is_empty
+        assert sl.vertices == ()
+
+    def test_empty_polytope_has_no_bounding_box(self):
+        poly = DelzantPolytope.from_data(
+            1, [((1,), Fraction(1, 2)), ((-1,), Fraction(-3, 2))])
+        with pytest.raises(PolytopeError, match="empty"):
+            poly.bounding_box()
 
 
 class TestJson:
@@ -249,3 +264,8 @@ class TestJson:
     def test_missing_key(self):
         with pytest.raises(PolytopeError, match="facets"):
             polytope_from_json({"dim": 2})
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_must_be_positive(self, dim):
+        with pytest.raises(PolytopeError, match="at least 1"):
+            polytope_from_json({"dim": dim, "facets": []})

@@ -139,10 +139,11 @@ class TestIntegrateSlice:
         assert res.converged
 
     def test_empty_slice(self):
-        res = integrate_slice(lambda y: np.ones(len(y)),
-                              library.simplex(2), 1, (3,), tol=1e-10)
-        assert res.value == 0.0
-        assert res.converged
+        for level in ((3,), (-1,)):
+            res = integrate_slice(lambda y: np.ones(len(y)),
+                                  library.simplex(2), 1, level, tol=1e-10)
+            assert res.value == 0.0
+            assert res.converged
 
     def test_product_factorization(self):
         # slice integral of f(x2) over [-1/2,3/2]^2 at x1=0 equals the 1D
