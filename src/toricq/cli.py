@@ -138,6 +138,16 @@ def check_point(x, dim):
         raise UsageError(f"--point has {len(x)} coordinates, expected {dim}")
 
 
+def default_point(pot):
+    """The barycenter of the vertices, used when --point is not given."""
+    x = np.array(pot.barycenter)
+    if not pot.is_interior(x):
+        raise DomainError(
+            f"the barycenter of the vertices ({';'.join(fmt(v) for v in x)})"
+            " is not interior; give a point with --point")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # table emission
 
@@ -235,7 +245,7 @@ def cmd_flow(args):
         pts = [parse_point(args.point)]
         check_point(pts[0], poly.dim)
     else:
-        pts = [np.array([float(c) for c in poly.barycenter])]
+        pts = [default_point(base)]
     columns = ["point", "s", "frame_distance", "connection_gap"]
     rows = []
     for x in pts:
@@ -287,7 +297,7 @@ def cmd_curvature(args):
         x = parse_point(args.point)
         check_point(x, pot.dim)
     else:
-        x = np.array([float(c) for c in pot.barycenter])
+        x = default_point(pot)
     try:
         S = abreu_scalar_curvature(pot, x)
     except DomainError as exc:

@@ -411,7 +411,9 @@ def polytope_from_json(data) -> DelzantPolytope:
     for key in ("dim", "facets"):
         if key not in data:
             raise PolytopeError(f"missing key {key!r} in polytope JSON")
-    dim = int(data["dim"])
+    dim = data["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise PolytopeError(f"dimension must be an integer, got {dim!r}")
     if dim < 1:
         raise PolytopeError(f"dimension must be at least 1, got {dim}")
     facet_data = []

@@ -176,20 +176,26 @@ class IntegralResult:
     converged: bool
 
 
-def _apply_rule(f, verts, volume, bary, weights):
-    vals = np.asarray(f(bary @ verts), dtype=float)
-    return volume * float(weights @ vals)
+def _apply_rules(f, jobs):
+    """volume * (rule on verts) for each (verts, volume, rule) job, with
+    the nodes of all jobs passed to f in one array."""
+    nodes = [bary @ verts for verts, _, (bary, _) in jobs]
+    vals = np.asarray(f(np.concatenate(nodes)), dtype=float)
+    out, start = [], 0
+    for (_, volume, (_, weights)), x in zip(jobs, nodes):
+        out.append(volume * float(weights @ vals[start:start + len(x)]))
+        start += len(x)
+    return out
 
 
 def _bisect(verts):
     """Split along the longest edge; deterministic tie-breaking."""
-    k = verts.shape[0]
+    rows = verts.tolist()
     best = None
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = float(np.linalg.norm(verts[i] - verts[j]))
-            if best is None or d > best[0] + 1e-15:
-                best = (d, i, j)
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(rows[i], rows[j])))
+        if best is None or d > best[0] + 1e-15:
+            best = (d, i, j)
     _, i, j = best
     mid = 0.5 * (verts[i] + verts[j])
     c1 = verts.copy()
@@ -203,11 +209,13 @@ def integrate(f, region: IntegrationRegion, tol: float,
               budget: int | None = None) -> IntegralResult:
     """Adaptively integrate the vectorized evaluator f over the region.
 
-    f maps an (N, dim) array of strictly interior points to (N,) values.
+    f maps an (N, dim) array of strictly interior points to (N,) values and
+    must be pointwise: one call receives the nodes of several cells and
+    rules stacked in one array, all new nodes of a refinement step at once.
     """
     if budget is None:
         budget = cell_budget()
-    (bary, weights), (bary_low, weights_low) = _rules(region.dim)
+    high, low = _rules(region.dim)
     # a cell is the heap entry (-err, id, volume, verts, half values); its
     # coarse value is the half value its parent computed, so only the
     # companion rule and the two halves are new.  The volume is the exact
@@ -215,23 +223,30 @@ def integrate(f, region: IntegrationRegion, tol: float,
     heap = []
     ids = itertools.count()
 
-    def push(verts, volume, coarse):
-        low = _apply_rule(f, verts, volume, bary_low, weights_low)
-        halves = tuple(_apply_rule(f, h, volume / 2, bary, weights)
-                       for h in _bisect(verts))
-        err = abs(coarse - sum(halves)) + 0.05 * abs(coarse - low)
-        heapq.heappush(heap, (-err, next(ids), volume, verts, halves))
-        return err
+    def push(cells):
+        """Push (verts, volume, coarse) cells; returns their errors."""
+        jobs = []
+        for verts, volume, _ in cells:
+            jobs.append((verts, volume, low))
+            jobs += [(h, volume / 2, high) for h in _bisect(verts)]
+        vals = iter(_apply_rules(f, jobs))
+        errs = []
+        for (verts, volume, coarse), low_val in zip(cells, vals):
+            halves = (next(vals), next(vals))
+            err = abs(coarse - sum(halves)) + 0.05 * abs(coarse - low_val)
+            heapq.heappush(heap, (-err, next(ids), volume, verts, halves))
+            errs.append(err)
+        return errs
 
-    roots = zip(region.float_simplices, map(float, region.volumes))
-    err = math.fsum(push(verts, volume,
-                         _apply_rule(f, verts, volume, bary, weights))
-                    for verts, volume in roots)
+    roots = list(zip(region.float_simplices, map(float, region.volumes)))
+    coarse = _apply_rules(f, [(verts, volume, high) for verts, volume in roots])
+    err = math.fsum(push([root + (c,) for root, c in zip(roots, coarse)]))
     while err > tol and len(heap) < budget and heap:
         neg_err, _, volume, verts, halves = heapq.heappop(heap)
         err += neg_err
-        for half, coarse in zip(_bisect(verts), halves):
-            err += push(half, volume / 2, coarse)
+        for child_err in push([(half, volume / 2, c) for half, c
+                               in zip(_bisect(verts), halves)]):
+            err += child_err
 
     cells = sorted(heap, key=lambda cell: cell[1])
     err = math.fsum(-cell[0] for cell in cells)

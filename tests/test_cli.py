@@ -29,6 +29,10 @@ EMPTY_SEGMENT = {"dim": 1, "facets": [
     {"normal": [1], "offset": "1/2"},
     {"normal": [-1], "offset": "-3/2"}]}
 
+QUADRANT = {"dim": 2, "facets": [
+    {"normal": [1, 0], "offset": 0},
+    {"normal": [0, 1], "offset": 0}]}
+
 SQUARE = {"dim": 2, "facets": [
     {"normal": [1, 0], "offset": "1/2"},
     {"normal": [0, 1], "offset": "1/2"},
@@ -165,6 +169,14 @@ class TestFlow:
         assert code == 0
         assert "error: point not interior" in out
 
+    def test_default_point_not_interior(self, tmp_path, capsys):
+        # the only vertex of the quadrant is the origin, on its boundary
+        code, err = run_err(capsys, ["--input", write(tmp_path, QUADRANT),
+                                     "--command", "flow"])
+        assert code == 1
+        assert "not interior" in err and "--point" in err
+        assert err.count("\n") == 1
+
 
 class TestReduce:
     def test_simplex_levels(self, tmp_path, capsys):
@@ -213,6 +225,13 @@ class TestCurvature:
         assert [float(v) for v in point.split(";")] == pytest.approx(
             [2 / 3, 2 / 3], abs=1e-15)
         assert float(value) == pytest.approx(3.0, abs=1e-6)
+
+    def test_default_point_not_interior(self, tmp_path, capsys):
+        code, err = run_err(capsys, ["--input", write(tmp_path, QUADRANT),
+                                     "--command", "curvature"])
+        assert code == 1
+        assert "not interior" in err and "--point" in err
+        assert err.count("\n") == 1
 
 
 class TestContracts:

@@ -269,3 +269,9 @@ class TestJson:
     def test_dimension_must_be_positive(self, dim):
         with pytest.raises(PolytopeError, match="at least 1"):
             polytope_from_json({"dim": dim, "facets": []})
+
+    @pytest.mark.parametrize("dim", [1.9, True, "2"])
+    def test_dimension_must_be_an_integer(self, dim):
+        with pytest.raises(PolytopeError, match="must be an integer"):
+            polytope_from_json({"dim": dim, "facets": [
+                {"normal": [1], "offset": 0}, {"normal": [-1], "offset": 1}]})

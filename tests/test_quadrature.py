@@ -125,6 +125,37 @@ class TestIntegrate:
         assert r1.error_estimate == r2.error_estimate
         assert r1.cells_used == r2.cells_used
 
+    @pytest.mark.parametrize("poly, tol", [
+        (library.simplex(2), 1e-6),
+        (DelzantPolytope.from_data(
+            3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)]), 1e-4),
+    ], ids=["2d", "3d"])
+    def test_batching_is_invisible(self, poly, tol):
+        # f gets the nodes of many cells and rules in one array; a pointwise
+        # f must give the same bits as when it sees one node at a time
+        def g(x):
+            return np.exp(-10 * np.sum((x - 0.4) ** 2, axis=-1)) * (1 + x[:, 0])
+
+        calls = []
+
+        def batched(x):
+            calls.append(len(x))
+            return g(x)
+
+        def one_at_a_time(x):
+            return np.concatenate([g(x[i:i + 1]) for i in range(len(x))])
+
+        region = triangulate(poly)
+        r1 = integrate(batched, region, tol=tol)
+        r2 = integrate(one_at_a_time, region, tol=tol)
+        assert r1.converged and r1.cells_used > 100
+        assert r1.value == r2.value
+        assert r1.error_estimate == r2.error_estimate
+        assert r1.cells_used == r2.cells_used
+        # two calls for the roots, then one per split
+        assert len(calls) == r1.cells_used - len(region.simplices) + 2
+
 
 class TestIntegrateSlice:
     def test_square_slice_length(self):

@@ -43,15 +43,19 @@ def test_traced_norms_command_counts_cells(tmp_path):
 
 
 def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
-    # a root cell takes 4 rule applications and every later cell 3; a
-    # segment integral has one root simplex and each split replaces a cell
-    # by 2 new ones, so calls = 4 + 6 (cells - 1) per integral
+    # every segment rule has 3 nodes.  A segment integral has one root
+    # cell, which takes 4 rule applications (12 nodes), and each split
+    # replaces a cell by 2 new ones at 3 applications each (18 nodes), so
+    # nodes = 12 + 18 (cells - 1) per integral.  The nodes of one split go
+    # to the integrand in one call and those of the root in two, so
+    # calls = 2 + (cells - 1) per integral.
     poly = tmp_path / "segment.json"
     poly.write_text(json.dumps(SEGMENT))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT), str(poly)],
         capture_output=True, text=True, timeout=120, check=True)
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
-    assert metrics["quadrature.integrand_calls"] == (
-        6 * metrics["quadrature.cells"]
-        - 2 * metrics["quadrature.integrate.calls"])
+    cells = metrics["quadrature.cells"]
+    integrals = metrics["quadrature.integrate.calls"]
+    assert metrics["quadrature.nodes"] == 18 * cells - 6 * integrals
+    assert metrics["quadrature.integrand_calls"] == cells + integrals
