@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .potential import QuadraticCorrection, SymplecticPotential
+from .quantization import hamiltonian_value
 
 
 class BlockError(ValueError):
@@ -35,8 +36,7 @@ class MabuchiRay:
             raise ValueError("p must satisfy 1 <= p <= n")
 
     def hamiltonian(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(np.sum(x[..., :self.p] ** 2, axis=-1))
+        return hamiltonian_value(x, self.p)
 
     def potential(self, s: float) -> SymplecticPotential:
         """g_0 + s H: the base potential with s added to the quadratic

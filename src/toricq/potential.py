@@ -1,17 +1,17 @@
 """Symplectic potentials and the Kahler data they induce.
 
 The Guillemin potential of a polytope with facet functions l_r is
-g(x) = 1/2 sum_r l_r(x) log l_r(x), optionally plus a quadratic correction.
-Value, gradient, Hessian and third derivatives are closed-form; boundary
-behaviour is only ever probed through the dedicated limit paths of the
-quadrature and quantization modules.
+g(x) = 1/2 sum_r l_r(x) log l_r(x), optionally plus a quadratic correction,
+which only shifts the Hessian diagonal.  Value, gradient, Hessian, third
+derivatives and the Abreu scalar curvature are closed-form; `restrict` fixes
+the leading coordinates to a level.  Boundary behaviour is only ever probed
+through the dedicated limit paths of the quadrature and quantization modules.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,19 +32,6 @@ class QuadraticCorrection:
 
     def grad(self, x):
         return np.asarray(self.coeffs) * np.asarray(x)
-
-    def hess(self, x):
-        x = np.asarray(x)
-        n = x.shape[-1]
-        H = np.zeros(x.shape[:-1] + (n, n))
-        idx = np.arange(n)
-        H[..., idx, idx] = np.asarray(self.coeffs)
-        return H
-
-    def third(self, x):
-        x = np.asarray(x)
-        n = x.shape[-1]
-        return np.zeros(x.shape[:-1] + (n, n, n))
 
 
 def parse_correction(spec: str, dim: int):
@@ -118,17 +105,26 @@ class SymplecticPotential:
         l = self.facet_values(x)
         G = 0.5 * np.einsum('...r,rj,rk->...jk', 1.0 / l, self.A, self.A)
         if self.correction is not None:
-            G = G + self.correction.hess(x)
+            idx = np.arange(self.dim)
+            G[..., idx, idx] += self.correction.coeffs
         return G
 
     def third(self, x):
-        """T[j,k,l] = d^3 g / dx_j dx_k dx_l."""
+        """T[j,k,l] = d^3 g / dx_j dx_k dx_l; a quadratic correction has
+        none."""
         l = self.facet_values(x)
-        T = -0.5 * np.einsum('...r,rj,rk,rl->...jkl',
-                             1.0 / l ** 2, self.A, self.A, self.A)
-        if self.correction is not None:
-            T = T + self.correction.third(x)
-        return T
+        return -0.5 * np.einsum('...r,rj,rk,rl->...jkl',
+                                1.0 / l ** 2, self.A, self.A, self.A)
+
+    def restrict(self, p: int, c, barycenter=None) -> "SymplecticPotential":
+        """y -> g(c, y) up to a constant, with facet data (A[:, p:],
+        A[:, :p] c + b); a facet with zero trailing normal stays a constant."""
+        c = np.asarray(c, dtype=float)
+        correction = None if self.correction is None else QuadraticCorrection(
+            tuple(self.correction.coeffs[p:]))
+        return SymplecticPotential(self.A[:, p:], self.A[:, :p] @ c + self.b,
+                                   correction=correction,
+                                   barycenter=barycenter)
 
 
 def guillemin_potential(poly, correction=None) -> SymplecticPotential:
@@ -202,45 +198,26 @@ def complex_structure(pot: SymplecticPotential, x):
     return J
 
 
-def abreu_scalar_curvature(pot: SymplecticPotential, x, step: Optional[float] = None):
+def abreu_scalar_curvature(pot: SymplecticPotential, x):
     """Scalar curvature S = -1/2 sum_{jk} d^2 (G^-1)_{jk} / dx_j dx_k.
 
     The -1/2 normalization is calibrated so that the reduced potential
     1/2 (x1 log x1 + x2 log x2 + a(x1+x2) log(a(x1+x2))) yields
     S = 2a/((a+1)(x1+x2)); the round-segment [0, lam] value is 2/lam.
-    Second derivatives of the analytic inverse Hessian are taken by central
-    differences with one Richardson step.
+    In closed form, with H = G^-1, T_j = d_j G and d_j d_k G = sum_r
+    a_rj a_rk a_r a_r^T / l_r^3: d_j d_k H = H T_j H T_k H + H T_k H T_j H
+    - H (d_j d_k G) H.  Its O(1/dist) terms cancel, so rounding grows as
+    the point nears a facet; points within 8e-10 of the boundary are rejected.
     """
     x = np.asarray(x, dtype=float)
     pot._require_interior(x)
-    dist = pot.boundary_distance(x)
-    if step is None:
-        step = min(1e-2, dist / 8.0)
-    if step < 1e-10 or dist <= 2 * step:
+    if pot.boundary_distance(x) < 8e-10:
         raise DomainError("point too close to the boundary for the "
-                          "finite-difference stencil")
-
-    def ginv(z):
-        return np.linalg.inv(pot.hess(z))
-
-    def trace_sum(h):
-        n = pot.dim
-        total = 0.0
-        F0 = ginv(x)
-        for j in range(n):
-            ej = np.zeros(n)
-            ej[j] = h
-            total += (ginv(x + ej)[j, j] - 2 * F0[j, j] + ginv(x - ej)[j, j]) / h ** 2
-            for k in range(j + 1, n):
-                ek = np.zeros(n)
-                ek[k] = h
-                mixed = (ginv(x + ej + ek)[j, k] - ginv(x + ej - ek)[j, k]
-                         - ginv(x - ej + ek)[j, k] + ginv(x - ej - ek)[j, k]) \
-                    / (4 * h ** 2)
-                total += 2 * mixed
-        return total
-
-    coarse = trace_sum(step)
-    fine = trace_sum(step / 2.0)
-    # central differences are O(h^2); one Richardson level removes it
-    return -0.5 * (4.0 * fine - coarse) / 3.0
+                          "curvature formula")
+    H = np.linalg.inv(pot.hess(x))
+    HT = np.einsum('ab,jbc->jac', H, pot.third(x))      # H T_j
+    HTHTH = np.einsum('jab,kbc,cd->jkad', HT, HT, H)     # H T_j H T_k H
+    aHa = np.einsum('rj,jk,rk->r', pot.A, H, pot.A)      # a_r . H a_r
+    # sum_jk (H d_j d_k G H)_jk = sum_r (a_r . H a_r)^2 / l_r^3
+    return -0.5 * float(np.einsum('jkjk->', HTHTH) + np.einsum('jkkj->', HTHTH)
+                        - np.sum(aHa ** 2 / pot.facet_values(x) ** 3))

@@ -1,7 +1,10 @@
 """Quantum basis, norms along the ray, and their infinite-time limits.
 
 The basis is indexed by the lattice points m of the (already half-integrally
-shifted) polytope.  All integrals use the boundary-safe density
+shifted) polytope.  One integrand serves every norm: at time s on the whole
+polytope, and at s = 0 for the limit constant c_m, where it is the norm of
+m_{>p} for the potential restricted to the level x_{<=p} = m_{<=p}.  All
+integrals use the boundary-safe density
 
     prod_r l_r(x)^{l_r(m)} * exp(l_r(m) - l_r(x)),
 
@@ -33,9 +36,11 @@ class QuantumBasisElement:
     index: int
 
 
-def hamiltonian_value(m, p: int) -> float:
-    """Ray energy H(m) = 1/2 sum_{j<=p} m_j^2 of a lattice point."""
-    return 0.5 * sum(float(c) ** 2 for c in tuple(m)[:p])
+def hamiltonian_value(m, p: int):
+    """Ray energy H(m) = 1/2 sum_{j<=p} m_j^2, broadcast over the leading
+    axes of m; a float for a single point."""
+    h = 0.5 * np.sum(np.asarray(m, dtype=float)[..., :p] ** 2, axis=-1)
+    return h if h.ndim else float(h)
 
 
 def quantum_basis(poly, p: int):
@@ -48,18 +53,13 @@ def quantum_basis(poly, p: int):
             for i, m in enumerate(poly.lattice_points())]
 
 
-def _facet_powers(pot: SymplecticPotential, m):
+def stable_density(pot: SymplecticPotential, m):
+    """Vectorized x -> prod_r l_r(x)^{l_r(m)} e^{l_r(m) - l_r(x)}."""
     lm = pot.facet_values(np.asarray(m, dtype=float))
     if np.any(lm < 0.5 - 1e-12):
         raise PolytopeError(
             f"lattice point {m} has a facet value below 1/2; "
             "the polytope is not half-form shifted")
-    return lm
-
-
-def stable_density(pot: SymplecticPotential, m):
-    """Vectorized x -> prod_r l_r(x)^{l_r(m)} e^{l_r(m) - l_r(x)}."""
-    lm = _facet_powers(pot, m)
 
     def density(x):
         l = pot.facet_values(x)
@@ -68,23 +68,27 @@ def stable_density(pot: SymplecticPotential, m):
     return density
 
 
-def tilde_norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
-                       budget=None) -> IntegralResult:
-    """Rescaled squared norm: the x-integral of
-    e^{-s sum_{j<=p}(x_j - m_j)^2} * stable density * sqrt(det G_s)."""
-    pot = guillemin_potential(poly)
+def norm_integrand(pot: SymplecticPotential, p: int, m, s: float):
+    """Vectorized x -> e^{-s sum_{j<=p}(x_j - m_j)^2} * stable density
+    * sqrt(det G_s), with G_s the Hessian of g plus s on the first p axes."""
     density = stable_density(pot, m)
     mm = np.asarray(m, dtype=float)[:p]
     idx = np.arange(p)
 
     def f(x):
         gauss = np.exp(-s * np.sum((x[..., :p] - mm) ** 2, axis=-1))
-        G = pot.hess(x)  # Hess g_s: s added on the first p axes
+        G = pot.hess(x)
         G[..., idx, idx] += s
         return gauss * density(x) * np.sqrt(np.linalg.det(G))
 
-    region = triangulate(poly)
-    return integrate(f, region, tol, budget=budget)
+    return f
+
+
+def tilde_norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
+                       budget=None) -> IntegralResult:
+    """Rescaled squared norm: the x-integral of the norm integrand."""
+    f = norm_integrand(guillemin_potential(poly), p, m, s)
+    return integrate(f, triangulate(poly), tol, budget=budget)
 
 
 def norm_from_tilde(p: int, m, s: float, tilde: float) -> float:
@@ -108,24 +112,16 @@ def norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
 
 
 def limit_constant(poly, p: int, m, tol: float = 1e-10) -> float:
-    """c_m: the stable density integrated over the slice x_{1..p} = m_{1..p}
-    against the sqrt(det D) half-form factor of the trailing block.
+    """c_m: the s = 0 squared norm of m_{>p} for the potential restricted to
+    the level x_{<=p} = m_{<=p}, i.e. the stable density against the
+    sqrt(det D) half-form factor of the trailing block, over the slice.
 
     For p = n the slice is the point m and c_m = prod_r l_r(m)^{l_r(m)}.
     """
-    pot = guillemin_potential(poly)
-    density = stable_density(pot, m)
     c = tuple(m)[:p]
-    cf = np.asarray([float(v) for v in c], dtype=float)
-
-    def f(y):
-        x = np.concatenate(
-            [np.broadcast_to(cf, y.shape[:-1] + (p,)), y], axis=-1)
-        D = pot.hess(x)[..., p:, p:]
-        return density(x) * np.sqrt(np.linalg.det(D))
-
-    res = integrate_slice(f, poly, p, c, tol)
-    return res.value
+    pot = guillemin_potential(poly).restrict(p, c)
+    f = norm_integrand(pot, 0, tuple(m)[p:], 0.0)
+    return integrate_slice(f, poly, p, c, tol).value
 
 
 def norm_limit(poly, p: int, m, tol: float = 1e-10) -> float:
@@ -205,10 +201,11 @@ def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
     """Extrapolate the rescaled norms along s_values and compare with the
     slice-integral limit pi^{p/2} c_m.  It passes when the extrapolation is
     within max(tol, rel_tol * limit) and every norm integral converged."""
-    c_m = limit_constant(poly, p, m, tol=tol)
-    target = math.pi ** (p / 2.0) * c_m
+    # norms first: c_m sees only m_{>p}, and a bad shift should name all of m
     results = tuple(tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
                     for s in s_values)
+    c_m = limit_constant(poly, p, m, tol=tol)
+    target = math.pi ** (p / 2.0) * c_m
     extrap = richardson_extrapolate(s_values, [r.value for r in results])
     passed = (abs(extrap - target) <= max(tol, rel_tol * abs(target))
               and all(r.converged for r in results))

@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .polytope import HPolytope, PolytopeError, _det, axis_slice
-from .potential import SymplecticPotential, abreu_scalar_curvature
+from .potential import (SymplecticPotential, abreu_scalar_curvature,
+                        guillemin_potential)
 from .quantization import decomposition
 
 CLASS_DELZANT = "delzant"
@@ -73,18 +74,13 @@ def reduced_potential(poly, p: int, c) -> SymplecticPotential:
     """Restriction of the ambient potential to x_{1..p} = c, as a potential
     in the trailing coordinates; affine facets are kept."""
     c = [Fraction(v) for v in c]
-    normals = []
-    offsets = []
     for f in poly.facets:
-        a, b = f.normal[:p], f.normal[p:]
-        lam = sum(ci * ai for ci, ai in zip(c, a)) + f.offset
-        if all(e == 0 for e in b) and lam <= 0:
+        if (all(e == 0 for e in f.normal[p:])
+                and sum(ci * ai for ci, ai in zip(c, f.normal)) + f.offset <= 0):
             raise PolytopeError("level outside the moment polytope projection")
-        normals.append([float(e) for e in b])
-        offsets.append(float(lam))
     sl = axis_slice(poly, p, c)
     bary = None if sl.is_empty else [float(v) for v in sl.barycenter]
-    return SymplecticPotential(normals, offsets, barycenter=bary)
+    return guillemin_potential(poly).restrict(p, c, barycenter=bary)
 
 
 def reduce(poly, p: int, c) -> ReducedStructure:

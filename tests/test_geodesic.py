@@ -23,6 +23,7 @@ from toricq.geodesic import (
     schur_complement,
 )
 from toricq.potential import DomainError, guillemin_potential
+from toricq.quantization import hamiltonian_value
 
 
 def square_ray(p=1):
@@ -67,6 +68,15 @@ class TestRayPotential:
         assert ray.hamiltonian(np.array([1.0, 2.0])) == pytest.approx(2.5)
         assert square_ray(p=1).hamiltonian(
             np.array([1.0, 2.0])) == pytest.approx(0.5)
+
+    def test_hamiltonian_batch(self):
+        x = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 4.0]])
+        h = square_ray(p=1).hamiltonian(x)
+        assert h.shape == (3,)
+        assert np.array_equal(h, [0.5, 4.5, 0.0])
+        assert np.array_equal(square_ray(p=2).hamiltonian(x),
+                              [2.5, 4.625, 8.0])
+        assert np.array_equal(hamiltonian_value(x, 1), h)
 
 
 class TestSchurInverse:

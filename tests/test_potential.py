@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toricq import library
+from toricq.polytope import HPolytope
 from toricq.potential import (
     DomainError,
     QuadraticCorrection,
@@ -209,6 +210,25 @@ class TestAbreuCurvature:
         # the calibrated convention gives 2/lam on [0, lam]
         assert vals[2] == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n, lam, S", [(3, 1, 12.0), (3, 3, 4.0),
+                                           (4, 5, 4.0)])
+    def test_closed_form_on_projective_space(self, n, lam, S):
+        # the simplex of size lam is CP^n with constant S = n(n+1)/lam
+        facets = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+        facets.append((tuple(-1 for _ in range(n)), lam))
+        pot = guillemin_potential(HPolytope.from_data(n, facets))
+        for x in (pot.barycenter, lam * np.linspace(0.15, 0.3, n)):
+            assert abreu_scalar_curvature(pot, x) == pytest.approx(
+                S, rel=1e-13, abs=0.0)
+
+    def test_closed_form_on_box(self):
+        # [0,2] x [0,5] is a product of round spheres: S = 2/2 + 2/5
+        pot = guillemin_potential(HPolytope.from_data(
+            2, [((1, 0), 0), ((-1, 0), 2), ((0, 1), 0), ((0, -1), 5)]))
+        for x in ([1.0, 2.5], [0.5, 1.0], [1.6, 4.0]):
+            assert abreu_scalar_curvature(pot, np.array(x)) == pytest.approx(
+                1.4, rel=1e-13, abs=0.0)
+
     def test_boundary_rejected(self):
         pot = guillemin_potential(library.segment(0, 1))
         with pytest.raises(DomainError):
@@ -230,3 +250,16 @@ class TestCorrection:
         x = np.array([0.25])
         assert pot.hess(x)[0, 0] == pytest.approx(base.hess(x)[0, 0] + 3.0)
         assert pot.grad(x)[0] == pytest.approx(base.grad(x)[0] + 0.75)
+
+    def test_quadratic_on_a_batch(self):
+        poly = library.corrected_square()
+        base = guillemin_potential(poly)
+        pot = guillemin_potential(
+            poly, correction=QuadraticCorrection((3.0, 0.5)))
+        x = np.array([[0.25, 0.5], [-0.3, 1.2], [1.0, 0.0], [0.7, -0.4]])
+        G = pot.hess(x)
+        assert G.shape == (4, 2, 2)
+        for i in range(len(x)):
+            assert np.allclose(G[i], base.hess(x[i]) + np.diag([3.0, 0.5]),
+                               rtol=1e-15, atol=0.0)
+        assert np.array_equal(pot.third(x), base.third(x))
