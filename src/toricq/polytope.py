@@ -3,8 +3,11 @@
 Polytopes are kept in H-description l_r(x) = <x, nu_r> + lambda_r >= 0 with
 integer normals and rational offsets.  Every combinatorial predicate
 (vertex enumeration, boundedness, redundancy, the Delzant determinant
-condition) is evaluated in exact rational arithmetic; floats only appear
-downstream in the analytic modules.
+condition) is evaluated exactly, in rational arithmetic or, where only
+signs matter, in integers on the normals scaled to integer vectors.
+Lattice points are enumerated in integer arithmetic alone, each facet
+scaled to integer data once.  Floats only appear downstream in the
+analytic modules.
 """
 
 from __future__ import annotations
@@ -71,6 +74,21 @@ def _affine_rank(points, dim):
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def _integer_normal(normal):
+    """(s, s * normal) for the LCM s of the entries' denominators: the
+    integer vector pointing along normal."""
+    s = math.lcm(*(c.denominator for c in normal))
+    return s, [int(c * s) for c in normal]
+
+
+def _int_det(rows):
+    """Determinant of a small integer matrix by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * c * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, c in enumerate(rows[0]) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +159,22 @@ class HPolytope:
 
     @cached_property
     def is_bounded(self):
-        """Exact recession-cone test: bounded iff {d : N d >= 0} = {0}."""
+        """Exact recession-cone test: bounded iff {d : N d >= 0} = {0}.
+
+        Once N has rank n the cone is pointed, so it is {0} unless it has
+        an extreme ray, the kernel of n - 1 independent rows of N: up to
+        sign, the vector of their signed maximal minors.  Minors and sign
+        tests run in integers on the normals scaled to integer vectors.
+        """
         n = self.dim
-        normals = [f.normal for f in self.facets]
-        if len(_eliminate(normals, n)[1]) < n:
+        if len(_eliminate([f.normal for f in self.facets], n)[1]) < n:
             return False
-        candidates = []
-        for i in range(n):
-            e = tuple(Fraction(int(j == i)) for j in range(n))
-            candidates.append(e)
-        if n >= 2:
-            for idxs in itertools.combinations(range(len(normals)), n - 1):
-                M, pivots, _ = _eliminate([normals[r] for r in idxs], n)
-                free = [c for c in range(n) if c not in pivots]
-                if free:
-                    # the kernel vector with a 1 in the first free column
-                    d = [Fraction(int(c == free[0])) for c in range(n)]
-                    for row, pc in zip(M, pivots):
-                        d[pc] = -row[free[0]]
-                    candidates.append(tuple(d))
-        for d in candidates:
+        N = [_integer_normal(f.normal)[1] for f in self.facets]
+        for rows in itertools.combinations(N, n - 1):
+            d = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows])
+                 for j in range(n)]
             for sign in (1, -1):
-                ds = tuple(sign * c for c in d)
-                if all(_dot(f.normal, ds) >= 0 for f in self.facets):
+                if any(d) and all(sign * _dot(nu, d) >= 0 for nu in N):
                     return False
         return True
 
@@ -194,14 +205,52 @@ class HPolytope:
         return lo, hi
 
     def lattice_points(self):
-        """Integer points l_r(m) >= 0 for all r, in lexicographic order."""
+        """Integer points l_r(m) >= 0 for all r, in lexicographic order.
+
+        Each facet is scaled by the LCM s of its normal's denominators, so
+        on integer points l_r(m) >= 0 exactly when
+        <s nu_r, m> + floor(s lambda_r) >= 0, and the enumeration runs on
+        Python ints alone.  Coordinates are fixed in order, carrying each
+        facet's partial sum; with m_{<k} fixed, the facets whose last
+        nonzero normal entry is at k bound m_k by one floor division each,
+        so every fibre is a range of the bounding box and no point is
+        tested on its own.
+        """
         if not self.is_bounded:
             raise PolytopeError("lattice enumeration needs a bounded polytope")
         if not self.vertices:
             return []
+        n = self.dim
         lo, hi = self.bounding_box()
-        ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
-        return [m for m in itertools.product(*ranges) if self.contains(m)]
+        box = [(math.ceil(a), math.floor(b)) for a, b in zip(lo, hi)]
+        normals, offsets, ends_at = [], [], [[] for _ in range(n)]
+        for f in self.facets:
+            s, nu = _integer_normal(f.normal)
+            if not any(nu):
+                continue  # a constant, satisfied because there are vertices
+            ends_at[max(i for i, c in enumerate(nu) if c)].append(len(normals))
+            normals.append(nu)
+            offsets.append(math.floor(f.offset * s))
+        columns = list(zip(*normals))
+        out = []
+
+        def walk(k, prefix, partial):
+            a, b = box[k]
+            for r in ends_at[k]:
+                c = normals[r][k]
+                if c > 0:
+                    a = max(a, -(partial[r] // c))
+                else:
+                    b = min(b, partial[r] // -c)
+            if k == n - 1:
+                out.extend(prefix + (x,) for x in range(a, b + 1))
+                return
+            for x in range(a, b + 1):
+                walk(k + 1, prefix + (x,),
+                     [v + c * x for v, c in zip(partial, columns[k])])
+
+        walk(0, (), offsets)
+        return out
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,11 @@ def quantum_basis(poly, p: int):
     """Basis elements for the lattice points of poly, lexicographic order."""
     if not 1 <= p <= poly.dim:
         raise ValueError("p out of range")
-    return [QuantumBasisElement(m=tuple(int(c) for c in m),
-                                hamiltonian_value=hamiltonian_value(m, p),
-                                index=i)
-            for i, m in enumerate(poly.lattice_points())]
+    points = poly.lattice_points()
+    energies = hamiltonian_value(
+        np.array(points, dtype=float).reshape(len(points), poly.dim), p)
+    return [QuantumBasisElement(m=m, hamiltonian_value=h, index=i)
+            for i, (m, h) in enumerate(zip(points, energies.tolist()))]
 
 
 def stable_density(pot: SymplecticPotential, m):

@@ -1,12 +1,18 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from toricq import library
 from toricq.polytope import (
     DelzantPolytope,
+    Facet,
     FrameChange,
     HPolytope,
     PolytopeError,
@@ -23,6 +29,63 @@ from toricq.polytope import (
 def standard_simplex():
     return DelzantPolytope.from_data(
         2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
+
+
+def unit(n, i, sign=1):
+    return tuple(sign * int(j == i) for j in range(n))
+
+
+@st.composite
+def unimodular(draw, n):
+    """An SL(n, Z) matrix: the identity under up to two row shears."""
+    B = [list(unit(n, i)) for i in range(n)]
+    if n > 1:
+        for i, j, k in draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1),
+                st.sampled_from([-1, 1])).filter(lambda t: t[0] != t[1]),
+                max_size=2)):
+            B[i] = [a + k * b for a, b in zip(B[i], B[j])]
+    return tuple(map(tuple, B))
+
+
+BOX_OFFSETS = st.sampled_from(
+    [Fraction(k, d) for d in (1, 2, 3) for k in range(2 * d + 1)])
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """A box around the origin with rational offsets, cut by up to three
+    random integer facets, in dimension 1-4; then either left as it is,
+    given a non-integer rational normal, given a satisfied constant facet,
+    sliced by axis_slice (possibly to an empty slice) or moved by an
+    SL(n, Z) frame change."""
+    n = draw(st.integers(1, 4))
+    facets = [(unit(n, i, sign), draw(BOX_OFFSETS))
+              for i in range(n) for sign in (1, -1)]
+    facets += draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-3, 3)] * n).filter(any),
+        st.fractions(-2, 3, max_denominator=4)), max_size=3))
+    poly = DelzantPolytope.from_data(n, facets)
+    variant = draw(st.sampled_from(
+        ["as drawn", "rational normal", "constant facet", "slice", "frame"]))
+    if variant == "rational normal":
+        r = draw(st.integers(0, len(facets) - 1))
+        k = draw(st.integers(2, 3))
+        normal, offset = facets[r]
+        facets[r] = (tuple(Fraction(c, k) for c in normal), offset)
+        return HPolytope.from_data(n, facets)
+    if variant == "constant facet":
+        return HPolytope(dim=n, facets=poly.facets + (
+            Facet((Fraction(0),) * n, draw(st.fractions(0, 2))),))
+    if variant == "slice" and n > 1:
+        p = draw(st.integers(1, n - 1))
+        level = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=2)
+        c = draw(st.lists(level, min_size=p, max_size=p))
+        return axis_slice(poly, p, c)
+    if variant == "frame":
+        fc = FrameChange(B=draw(unimodular(n)), p=1)
+        return apply_frame_change(poly, fc)
+    return poly
 
 
 class TestValidate:
@@ -74,6 +137,25 @@ class TestValidate:
         assert report.verdict == "bad normals"
 
 
+class TestBoundedness:
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.fractions(-2, 2, max_denominator=4)] * n),
+        min_size=1, max_size=7)))
+    def test_matches_a_linear_program(self, normals):
+        # with N of rank n, {d : N d >= 0} is {0} iff sum(N d) has maximum
+        # 0 on that cone cut by the unit cube; floats are exact enough for
+        # entries this small
+        n = len(normals[0])
+        poly = HPolytope.from_data(n, [(nu, 1) for nu in normals])
+        N = np.array(normals, dtype=float)
+        res = linprog(-N.sum(axis=0), A_ub=-N, b_ub=np.zeros(len(N)),
+                      bounds=[(-1, 1)] * n, method="highs")
+        pointed = np.linalg.matrix_rank(N) == n and -res.fun < 1e-9
+        assert poly.is_bounded == pointed
+
+
 class TestLatticePoints:
     def test_segment(self):
         assert lattice_points(library.segment(0, 3)) == [(0,), (1,), (2,), (3,)]
@@ -90,6 +172,34 @@ class TestLatticePoints:
     def test_corrected_square(self):
         pts = lattice_points(library.corrected_square())
         assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("n, k", [(4, 30), (3, 40)])
+    def test_dilated_simplex_count(self, n, k):
+        # k times the standard n-simplex has C(n + k, n) lattice points
+        poly = HPolytope.from_data(
+            n, [(unit(n, i), 0) for i in range(n)] + [((-1,) * n, k)])
+        assert len(lattice_points(poly)) == math.comb(n + k, n)
+
+    def test_unbounded_is_rejected(self):
+        poly = DelzantPolytope.from_data(2, [((1, 0), 0), ((0, 1), 0)])
+        with pytest.raises(PolytopeError, match="bounded"):
+            poly.lattice_points()
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_matches_bounding_box_scan(self, data):
+        poly = data.draw(bounded_polytopes())
+        expected = []
+        if poly.vertices:
+            lo, hi = poly.bounding_box()
+            box = [range(math.ceil(a), math.floor(b) + 1)
+                   for a, b in zip(lo, hi)]
+            expected = [m for m in itertools.product(*box)
+                        if poly.contains(m)]
+        pts = poly.lattice_points()
+        assert pts == expected
+        assert all(type(c) is int for m in pts for c in m)
 
 
 class TestCorrectedPolytope:

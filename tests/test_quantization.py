@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from toricq import library
+from toricq.polytope import DelzantPolytope
 from toricq.potential import guillemin_potential
 from toricq.quantization import (
     GcstMap,
     decomposition,
     gcst_factor,
+    hamiltonian_value,
     hermitian_limit_table,
     limit_constant,
     norm_limit,
@@ -44,6 +46,22 @@ class TestBasis:
         # p=1 energy ignores the second coordinate
         assert basis[1].hamiltonian_value == 0.0
         assert basis[2].hamiltonian_value == 0.5
+
+    def test_energies_match_pointwise_h(self):
+        # one batched H(m) call gives the bits of one call per point
+        poly = library.simplex(7)
+        for p in (1, 2):
+            basis = quantum_basis(poly, p)
+            assert len(basis) == 36
+            for el in basis:
+                assert type(el.hamiltonian_value) is float
+                assert el.hamiltonian_value == hamiltonian_value(el.m, p)
+
+    def test_empty_polytope_has_empty_basis(self):
+        empty = DelzantPolytope.from_data(
+            2, [((1, 0), 0), ((-1, 0), Fraction(-1, 2)), ((0, 1), 0),
+                ((0, -1), 1)])
+        assert quantum_basis(empty, 1) == []
 
     def test_p_validation(self):
         with pytest.raises(ValueError):
