@@ -3,9 +3,12 @@
 Polytopes of any dimension are triangulated by a recursive face fan from
 exact barycenters; each simplex carries an open (interior-node) rule of
 degree 5, so integrands that are only continuous up to the boundary are
-never sampled on it.  Refinement bisects the cell with the largest
-two-level error estimate; accumulation is done in fixed cell-insertion
-order with compensated summation, which makes repeated runs bit-identical.
+never sampled on it.  Refinement is greedy: it bisects the cell with the
+largest two-level error estimate.  The splits it is certain to make before
+the estimates sum to the tolerance are evaluated ahead, up to 64 cells at
+a time with one integrand call, which changes neither the splits nor
+their order.  Accumulation is done in fixed cell-insertion order with
+compensated summation, which makes repeated runs bit-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -24,6 +28,10 @@ from .polytope import PolytopeError, _affine_rank, _det, axis_slice
 
 DEFAULT_CELL_BUDGET = 200_000
 _BUDGET_ENV = "TORICQ_CELL_BUDGET"
+# most cells whose splits one integrand call evaluates
+_BATCH = 64
+
+logger = logging.getLogger(__name__)
 
 
 def cell_budget():
@@ -174,85 +182,153 @@ class IntegralResult:
     error_estimate: float
     cells_used: int
     converged: bool
+    # the cell budget stopped refinement above tol
+    hit_budget: bool = False
 
 
-def _apply_rules(f, jobs):
-    """volume * (rule on verts) for each (verts, volume, rule) job, with
-    the nodes of all jobs passed to f in one array."""
-    nodes = [bary @ verts for verts, _, (bary, _) in jobs]
+@functools.cache
+def _edges(k):
+    """The vertex pairs (i, j) of a k-vertex simplex in combinations order,
+    as two index arrays."""
+    return tuple(np.array(list(itertools.combinations(range(k), 2))).T)
+
+
+def _bisect_many(verts):
+    """Split each cell of the (C, k, d) stack at the midpoint of its
+    longest edge, into the cell with vertex i moved there and the one with
+    vertex j moved there.
+
+    The edge is the first in combinations order that is longer than every
+    earlier edge by more than 1e-15.  Lengths are rounded as
+    sqrt(sum((a - b) ** 2)) in Python floats, term by term: float_power
+    is the C pow that ** calls, and squaring by x * x can differ from it
+    in the last bit.
+    """
+    i, j = _edges(verts.shape[1])
+    lengths = np.sqrt(sum(np.float_power(verts[:, i] - verts[:, j], 2.0).T))
+    best, edge = lengths[0], np.zeros(len(verts), dtype=int)
+    for e in range(1, len(lengths)):
+        longer = lengths[e] > best + 1e-15
+        best = np.where(longer, lengths[e], best)
+        edge[longer] = e
+    at_i = np.arange(verts.shape[1]) == i[edge, None]
+    at_j = np.arange(verts.shape[1]) == j[edge, None]
+    mid = (0.5 * (verts[at_i] + verts[at_j]))[:, None]
+    return (np.where(at_i[..., None], mid, verts),
+            np.where(at_j[..., None], mid, verts))
+
+
+def _evaluate(f, verts, volumes, coarse=None):
+    """Errors and half values of the (K, k, d) cells of the given volumes,
+    with the nodes of all of them passed to f in one array.
+
+    A cell's coarse value is its high rule, which its parent computed as
+    one of its half values; for roots (coarse None) it is computed here.
+    """
+    high, low = _rules(verts.shape[2])
+    jobs = [(low, verts, volumes)]
+    jobs += [(high, half, volumes / 2) for half in _bisect_many(verts)]
+    if coarse is None:
+        jobs.append((high, verts, volumes))
+    nodes = [np.matmul(bary, v).reshape(-1, v.shape[2])
+             for (bary, _), v, _ in jobs]
     vals = np.asarray(f(np.concatenate(nodes)), dtype=float)
-    out, start = [], 0
-    for (_, volume, (_, weights)), x in zip(jobs, nodes):
-        out.append(volume * float(weights @ vals[start:start + len(x)]))
+    sums, start = [], 0
+    for ((_, weights), _, vol), x in zip(jobs, nodes):
+        rows = vals[start:start + len(x)].reshape(len(vol), len(weights))
+        sums.append([v * float(row_sum) for v, row_sum
+                     in zip(vol.tolist(), map(weights.dot, rows))])
         start += len(x)
-    return out
+    if coarse is None:
+        coarse = sums[3]
+    halves = list(zip(sums[1], sums[2]))
+    errs = [abs(c - sum(h)) + 0.05 * abs(c - low_val)
+            for c, h, low_val in zip(coarse, halves, sums[0])]
+    return errs, halves
 
 
-def _bisect(verts):
-    """Split along the longest edge; deterministic tie-breaking."""
-    rows = verts.tolist()
-    best = None
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(rows[i], rows[j])))
-        if best is None or d > best[0] + 1e-15:
-            best = (d, i, j)
-    _, i, j = best
-    mid = 0.5 * (verts[i] + verts[j])
-    c1 = verts.copy()
-    c1[i] = mid
-    c2 = verts.copy()
-    c2[j] = mid
-    return c1, c2
+def _split(f, cells):
+    """The two children (verts, err, half values) of each heap entry, from
+    one call of f."""
+    parents = np.stack([cell[3] for cell in cells])
+    children = np.stack(_bisect_many(parents), axis=1).reshape(
+        -1, *parents.shape[1:])
+    errs, halves = _evaluate(
+        f, children, np.repeat([cell[2] / 2 for cell in cells], 2),
+        [h for cell in cells for h in cell[4]])
+    # copies, so that a cell's vertices do not keep its whole batch alive
+    out = list(zip([c.copy() for c in children], errs, halves))
+    return [out[2 * k:2 * k + 2] for k in range(len(cells))]
 
 
 def integrate(f, region: IntegrationRegion, tol: float,
               budget: int | None = None) -> IntegralResult:
     """Adaptively integrate the vectorized evaluator f over the region.
 
-    f maps an (N, dim) array of strictly interior points to (N,) values and
-    must be pointwise: one call receives the nodes of several cells and
-    rules stacked in one array, all new nodes of a refinement step at once.
+    Refinement is greedy: it splits the cell of largest error estimate
+    until the estimates sum to at most tol or the cells reach the budget.
+    Splits that greedy is certain to make are evaluated ahead in batches,
+    which changes neither the splits nor their order.  f maps an (N, dim)
+    array of strictly interior points to (N,) values and must be
+    pointwise: it is called once per batch, with the nodes of all its
+    cells and rules stacked in one array.
     """
     if budget is None:
         budget = cell_budget()
-    high, low = _rules(region.dim)
     # a cell is the heap entry (-err, id, volume, verts, half values); its
     # coarse value is the half value its parent computed, so only the
     # companion rule and the two halves are new.  The volume is the exact
     # volume of its root simplex, halved at each bisection.
     heap = []
     ids = itertools.count()
-
-    def push(cells):
-        """Push (verts, volume, coarse) cells; returns their errors."""
-        jobs = []
-        for verts, volume, _ in cells:
-            jobs.append((verts, volume, low))
-            jobs += [(h, volume / 2, high) for h in _bisect(verts)]
-        vals = iter(_apply_rules(f, jobs))
-        errs = []
-        for (verts, volume, coarse), low_val in zip(cells, vals):
-            halves = (next(vals), next(vals))
-            err = abs(coarse - sum(halves)) + 0.05 * abs(coarse - low_val)
-            heapq.heappush(heap, (-err, next(ids), volume, verts, halves))
-            errs.append(err)
-        return errs
-
-    roots = list(zip(region.float_simplices, map(float, region.volumes)))
-    coarse = _apply_rules(f, [(verts, volume, high) for verts, volume in roots])
-    err = math.fsum(push([root + (c,) for root, c in zip(roots, coarse)]))
-    while err > tol and len(heap) < budget and heap:
-        neg_err, _, volume, verts, halves = heapq.heappop(heap)
+    roots = np.array(region.float_simplices)
+    volumes = np.array([float(v) for v in region.volumes])
+    errs, halves = _evaluate(f, roots, volumes)
+    for e, volume, verts, h in zip(errs, volumes.tolist(), roots, halves):
+        heapq.heappush(heap, (-e, next(ids), volume, verts, h))
+    err = math.fsum(errs)
+    # cells whose split is already evaluated, each entry extended by its
+    # two children (verts, err, half values), and their summed error.
+    # Greedy pops the smaller of the two tops, the top of the union.
+    ahead, ahead_err = [], 0.0
+    while err > tol and len(heap) + len(ahead) < budget:
+        if not ahead or heap and heap[0] < ahead[0]:
+            # Greedy splits cells until the errors of all cells sum to
+            # tol.  A split removes the cell's error and adds its
+            # children's, which are never negative.  So while the errors
+            # of the cells ahead and of those taken so far sum to less
+            # than err - tol, the next cell is split before refinement
+            # stops on tol.  It stops on the budget after budget - cells
+            # splits, which the cells ahead take first.
+            batch = [heapq.heappop(heap)]
+            walked = ahead_err - batch[0][0]
+            limit = min(_BATCH, budget - len(heap) - 2 * len(ahead) - 1)
+            while heap and len(batch) < limit and walked < err - tol:
+                batch.append(heapq.heappop(heap))
+                walked -= batch[-1][0]
+            for cell, children in zip(batch, _split(f, batch)):
+                heapq.heappush(ahead, cell + (children,))
+                ahead_err -= cell[0]
+        neg_err, _, volume, _, _, children = heapq.heappop(ahead)
+        # an empty ahead leaves no rounding residue behind
+        ahead_err = ahead_err + neg_err if ahead else 0.0
         err += neg_err
-        for child_err in push([(half, volume / 2, c) for half, c
-                               in zip(_bisect(verts), halves)]):
+        for verts, child_err, child_halves in children:
+            heapq.heappush(heap, (-child_err, next(ids), volume / 2, verts,
+                                  child_halves))
             err += child_err
 
-    cells = sorted(heap, key=lambda cell: cell[1])
+    cells = sorted(heap + [cell[:5] for cell in ahead],
+                   key=lambda cell: cell[1])
     err = math.fsum(-cell[0] for cell in cells)
     value = math.fsum(sum(cell[4]) for cell in cells)
+    hit_budget = err > tol and len(cells) >= budget
+    if hit_budget:
+        logger.warning("cell budget %d reached with error estimate %.3g "
+                       "above tol %.3g", budget, err, tol)
     return IntegralResult(value=value, error_estimate=err,
-                          cells_used=len(cells), converged=err <= tol)
+                          cells_used=len(cells), converged=err <= tol,
+                          hit_budget=hit_budget)
 
 
 def integrate_slice(f, poly, p: int, c, tol: float,

@@ -18,7 +18,7 @@ boundary regularization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,23 +106,25 @@ def norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
     """Squared norm of the monomial section at time s; differs from the
     rescaled norm by the factor e^{2 s H(m)}."""
     res = tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
-    return IntegralResult(value=norm_from_tilde(p, m, s, res.value),
-                          error_estimate=norm_from_tilde(
-                              p, m, s, res.error_estimate),
-                          cells_used=res.cells_used, converged=res.converged)
+    return replace(res, value=norm_from_tilde(p, m, s, res.value),
+                   error_estimate=norm_from_tilde(p, m, s, res.error_estimate))
 
 
-def limit_constant(poly, p: int, m, tol: float = 1e-10) -> float:
+def limit_constant(poly, p: int, m, tol: float = 1e-10, *,
+                   as_result: bool = False):
     """c_m: the s = 0 squared norm of m_{>p} for the potential restricted to
     the level x_{<=p} = m_{<=p}, i.e. the stable density against the
     sqrt(det D) half-form factor of the trailing block, over the slice.
 
     For p = n the slice is the point m and c_m = prod_r l_r(m)^{l_r(m)}.
+    With as_result, the slice IntegralResult whose value is c_m, which
+    also tells whether it converged.
     """
     c = tuple(m)[:p]
     pot = guillemin_potential(poly).restrict(p, c)
     f = norm_integrand(pot, 0, tuple(m)[p:], 0.0)
-    return integrate_slice(f, poly, p, c, tol).value
+    res = integrate_slice(f, poly, p, c, tol)
+    return res if as_result else res.value
 
 
 def norm_limit(poly, p: int, m, tol: float = 1e-10) -> float:
@@ -167,10 +169,14 @@ class ConvergenceReport:
     p: int
     s_values: tuple
     results: tuple        # IntegralResult of the rescaled norm at each s
-    c_m: float
+    c_m_result: IntegralResult
     target: float
     extrapolated: float
     passed: bool
+
+    @property
+    def c_m(self):
+        return self.c_m_result.value
 
     @property
     def norm_values(self):
@@ -201,17 +207,18 @@ def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
                       rel_tol: float = 0.02, budget=None) -> ConvergenceReport:
     """Extrapolate the rescaled norms along s_values and compare with the
     slice-integral limit pi^{p/2} c_m.  It passes when the extrapolation is
-    within max(tol, rel_tol * limit) and every norm integral converged."""
+    within max(tol, rel_tol * limit) and every integral, the norms and c_m,
+    converged."""
     # norms first: c_m sees only m_{>p}, and a bad shift should name all of m
     results = tuple(tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
                     for s in s_values)
-    c_m = limit_constant(poly, p, m, tol=tol)
-    target = math.pi ** (p / 2.0) * c_m
+    c_m = limit_constant(poly, p, m, tol=tol, as_result=True)
+    target = math.pi ** (p / 2.0) * c_m.value
     extrap = richardson_extrapolate(s_values, [r.value for r in results])
     passed = (abs(extrap - target) <= max(tol, rel_tol * abs(target))
-              and all(r.converged for r in results))
+              and all(r.converged for r in results + (c_m,)))
     return ConvergenceReport(m=tuple(m), p=p, s_values=tuple(s_values),
-                             results=results, c_m=c_m, target=target,
+                             results=results, c_m_result=c_m, target=target,
                              extrapolated=extrap, passed=passed)
 
 

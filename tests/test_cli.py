@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,21 @@ class TestNorms:
                                  "--s-grid", "10,20,40", "--tol", "1e-13"])
         assert code == 0
         assert [r[6] for r in rows_of(out)[1:]] == ["False"] * 4
+
+
+    def test_budget_warning_stays_off_stderr(self, tmp_path):
+        # the library logs a warning when the budget stops an integral;
+        # with no logging configured the CLI's stderr stays empty
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), TORICQ_CELL_BUDGET="20")
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricq.cli", "--input",
+             write(tmp_path, SEGMENT), "--command", "norms", "--m", "0",
+             "--s-grid", "10,20,40", "--tol", "1e-13"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert [r[6] for r in rows_of(proc.stdout)[1:]] == ["False"] * 4
+        assert proc.stderr == ""
 
 
 class TestFlow:

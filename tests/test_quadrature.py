@@ -1,3 +1,6 @@
+import heapq
+import itertools
+import logging
 import math
 from fractions import Fraction
 
@@ -8,6 +11,8 @@ from toricq import library
 from toricq.polytope import DelzantPolytope, PolytopeError
 from toricq.quadrature import (
     IntegrationRegion,
+    _bisect_many,
+    _rules,
     integrate,
     integrate_slice,
     triangulate,
@@ -153,8 +158,181 @@ class TestIntegrate:
         assert r1.value == r2.value
         assert r1.error_estimate == r2.error_estimate
         assert r1.cells_used == r2.cells_used
-        # two calls for the roots, then one per split
-        assert len(calls) == r1.cells_used - len(region.simplices) + 2
+        # one call for the roots, then one per batch of splits
+        assert len(calls) <= (r1.cells_used - len(region.simplices) + 2) // 2
+
+
+def bisect_one(verts):
+    """Split one cell along its longest edge: the first pair in
+    combinations order longer than every earlier one by more than 1e-15."""
+    rows = verts.tolist()
+    best = None
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(rows[i], rows[j])))
+        if best is None or d > best[0] + 1e-15:
+            best = (d, i, j)
+    _, i, j = best
+    halves = verts.copy(), verts.copy()
+    halves[0][i] = halves[1][j] = 0.5 * (verts[i] + verts[j])
+    return halves
+
+
+def greedy_reference(f, region, tol, budget):
+    """Greedy refinement one cell at a time, as `integrate` defines it:
+    split the cell of largest error (lowest id on ties) along its longest
+    edge until the errors sum to tol or the cells reach the budget.
+    Returns (value, error estimate, cells, converged)."""
+    high, low = _rules(region.dim)
+    ids = itertools.count()
+
+    def rule(verts, volume, r):
+        bary, weights = r
+        return volume * float(weights @ f(bary @ verts))
+
+    def cell(verts, volume, coarse):
+        halves = tuple(rule(h, volume / 2, high) for h in bisect_one(verts))
+        err = (abs(coarse - sum(halves))
+               + 0.05 * abs(coarse - rule(verts, volume, low)))
+        return (-err, next(ids), volume, verts, halves)
+
+    heap = [cell(v, vol, rule(v, vol, high)) for v, vol in
+            zip(region.float_simplices, map(float, region.volumes))]
+    err = math.fsum(-c[0] for c in heap)
+    heapq.heapify(heap)
+    while err > tol and len(heap) < budget:
+        neg_err, _, volume, verts, halves = heapq.heappop(heap)
+        err += neg_err
+        for h, coarse in zip(bisect_one(verts), halves):
+            child = cell(h, volume / 2, coarse)
+            heapq.heappush(heap, child)
+            err -= child[0]
+    heap.sort(key=lambda c: c[1])
+    err = math.fsum(-c[0] for c in heap)
+    return math.fsum(sum(c[4]) for c in heap), err, len(heap), err <= tol
+
+
+def box(n):
+    return DelzantPolytope.from_data(
+        n, [(tuple(int(i == j) * sign for j in range(n)), int(sign < 0))
+            for i in range(n) for sign in (1, -1)])
+
+
+def counting(g):
+    nodes = []
+
+    def f(x):
+        nodes.append(len(x))
+        return g(x)
+
+    return f, nodes
+
+
+def peaked(x):
+    return np.exp(-10 * np.sum((x - 0.3) ** 2, axis=-1)) * (1 + x[:, 0])
+
+
+def first_coordinate(x):
+    # translates along the other axes see the same values: exact error ties
+    return np.exp(-5 * x[:, 0])
+
+
+class TestBisectMany:
+    def check(self, cells):
+        halves = _bisect_many(cells)
+        for k, cell in enumerate(cells):
+            for half, ref in zip(halves, bisect_one(cell)):
+                assert np.array_equal(half[k], ref)
+        return halves
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_one_cell_at_a_time(self, dim):
+        # random cells, and their halves, which have exactly equal edges
+        cells = np.random.default_rng(dim).random((50, dim + 1, dim))
+        for _ in range(3):
+            cells = np.concatenate(self.check(cells))
+
+    def test_near_ties_keep_the_first_edge(self):
+        # |v2 - v0| runs from 1 ulp below |v1 - v0| = 1 to 9 ulp above;
+        # edge (0, 2) takes over from edge (0, 1) only past 1e-15
+        x, h = 0.6807646791238382, 0.7325021854284245
+        cells = np.array([[[0.0, 0.0], [1.0, 0.0], [x, h + k * 2.0 ** -53]]
+                          for k in range(-4, 24)])
+        c1, c2 = self.check(cells)
+        moved = {(int(np.flatnonzero((a != c).any(axis=1))[0]),
+                  int(np.flatnonzero((b != c).any(axis=1))[0]))
+                 for a, b, c in zip(c1, c2, cells)}
+        assert moved == {(0, 1), (0, 2)}
+
+    def test_lengths_round_like_python_floats(self):
+        # |v2 - v0| lands on either side of 1 + 1e-15 depending on whether
+        # the squares round as pow, which ** calls, or as x * x
+        self.check(np.array([[[0.0, 0.0], [1.0, 0.0], v] for v in (
+            (0.5761919585227188, 0.8173143990740381),
+            (0.7533547420114981, 0.6576143495155741),
+            (0.5658527308473188, 0.8245063292617191))]))
+
+
+class TestGreedyOracle:
+    """`integrate` evaluates splits in batches; it must make the same
+    splits as greedy refinement one cell at a time, bit for bit, and
+    without a budget evaluate no node more."""
+
+    def check(self, g, region, tol, budget):
+        f, nodes = counting(g)
+        res = integrate(f, region, tol, budget=budget)
+        f_ref, ref_nodes = counting(g)
+        value, err, cells, converged = greedy_reference(f_ref, region, tol,
+                                                        budget)
+        assert (res.value, res.error_estimate, res.cells_used,
+                res.converged) == (value, err, cells, converged)
+        assert res.hit_budget == (cells >= budget and not converged)
+        if not res.hit_budget:
+            assert sum(nodes) == sum(ref_nodes)
+        return res, len(nodes), len(ref_nodes)
+
+    @pytest.mark.parametrize("poly, tols", [
+        (library.segment(0, 1), (1e-3, 1e-6, 1e-9)),
+        (library.simplex(1), (1e-3, 1e-6, 1e-9)),
+        (library.corrected_square(), (1e-4, 1e-7)),
+        (box(3), (1e-4, 1e-6)),
+        (box(4), (1e-4, 1e-5)),
+    ], ids=["1d", "2d-simplex", "2d-square", "3d", "4d"])
+    def test_matches_one_cell_at_a_time(self, poly, tols):
+        region = triangulate(poly)
+        for tol in tols:
+            res, calls, ref_calls = self.check(peaked, region, tol, 10 ** 6)
+            assert res.converged and res.cells_used > len(region.simplices)
+            assert calls < ref_calls
+
+    @pytest.mark.parametrize("poly, tol", [
+        (library.square(1), 1e-7), (library.corrected_square(), 1e-7),
+        (box(3), 1e-6)], ids=["2d", "2d-corrected", "3d"])
+    def test_exact_error_ties(self, poly, tol):
+        res, _, _ = self.check(first_coordinate, triangulate(poly), tol,
+                               10 ** 6)
+        assert res.converged and res.cells_used > 100
+
+    @pytest.mark.parametrize("budget", [5, 64, 300, 1000])
+    def test_stopped_by_budget(self, budget):
+        region = triangulate(library.corrected_square())
+        res, _, _ = self.check(peaked, region, 1e-12, budget)
+        assert res.hit_budget and res.cells_used == budget
+
+    def test_rounding_level_errors_under_budget(self):
+        # a linear integrand is exact for both rules: every error is
+        # rounding noise, many of them equal
+        region = triangulate(library.square(1))
+        res, _, _ = self.check(lambda x: 1 + x[:, 0] - 2 * x[:, 1], region,
+                               0.0, 400)
+        assert res.hit_budget
+
+    def test_budget_warning(self, caplog):
+        region = triangulate(library.square(1))
+        with caplog.at_level(logging.WARNING, logger="toricq.quadrature"):
+            integrate(peaked, region, tol=1e-12, budget=8)
+            integrate(peaked, region, tol=1e-3)
+        assert [r.name for r in caplog.records] == ["toricq.quadrature"]
+        assert "budget 8" in caplog.records[0].getMessage()
 
 
 class TestIntegrateSlice:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from toricq import library
 from toricq.polytope import DelzantPolytope
 from toricq.potential import guillemin_potential
+from toricq.quadrature import integrate_slice
 from toricq.quantization import (
     GcstMap,
     decomposition,
@@ -195,6 +197,23 @@ class TestConvergence:
                                    (10.0, 20.0, 40.0), tol=1e-13, budget=20)
         assert not any(r.converged for r in report.results)
         assert not report.passed
+
+    def test_unconverged_limit_constant_does_not_pass(self, monkeypatch):
+        from toricq import quantization
+
+        def unconverged(*args, **kwargs):
+            return replace(integrate_slice(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(quantization, "integrate_slice", unconverged)
+        for p, m in ((1, (0,)), (1, (0, 0))):
+            poly = (library.corrected_segment() if len(m) == 1
+                    else library.corrected_square())
+            report = verify_norm_limit(poly, p, m, (10.0, 20.0, 40.0, 80.0),
+                                       tol=1e-6)
+            assert all(r.converged for r in report.results)
+            assert report.relative_error <= 0.02
+            assert report.c_m_result.converged is False
+            assert report.passed is False
 
     def test_squared_norm_past_the_float_range_is_inf(self):
         # e^{2 s H(5)} = e^{1000}

@@ -46,9 +46,9 @@ def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
     # every segment rule has 3 nodes.  A segment integral has one root
     # cell, which takes 4 rule applications (12 nodes), and each split
     # replaces a cell by 2 new ones at 3 applications each (18 nodes), so
-    # nodes = 12 + 18 (cells - 1) per integral.  The nodes of one split go
-    # to the integrand in one call and those of the root in two, so
-    # calls = 2 + (cells - 1) per integral.
+    # nodes = 12 + 18 (cells - 1) per integral.  Evaluating one split per
+    # call, and the root in two, would take 2 + (cells - 1) calls per
+    # integral; the splits are evaluated in batches, in far fewer calls.
     poly = tmp_path / "segment.json"
     poly.write_text(json.dumps(SEGMENT))
     proc = subprocess.run(
@@ -58,4 +58,4 @@ def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
     cells = metrics["quadrature.cells"]
     integrals = metrics["quadrature.integrate.calls"]
     assert metrics["quadrature.nodes"] == 18 * cells - 6 * integrals
-    assert metrics["quadrature.integrand_calls"] == cells + integrals
+    assert metrics["quadrature.integrand_calls"] <= (cells + integrals) // 2
