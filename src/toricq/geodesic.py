@@ -155,29 +155,34 @@ class PolarizationFrame:
         return self.vectors.shape[0]
 
 
+def _inverse_hessian(ray: MabuchiRay, x, s):
+    """(potential, x, G_s^(-1)) at the interior point x; for s None the
+    base potential and the s -> oo limit diag(0, D^(-1))."""
+    pot = ray.base if s is None else ray.potential(s)
+    pot._require_interior(x)
+    x = np.asarray(x, dtype=float)
+    G = pot.hess(x)
+    if s is None:
+        return pot, x, inverse_hessian_limit(hessian_blocks(G, ray.p))
+    return pot, x, np.linalg.inv(G)
+
+
+def _frame(ray: MabuchiRay, x, s) -> PolarizationFrame:
+    _, x, Ginv = _inverse_hessian(ray, x, s)
+    return PolarizationFrame(basepoint=x,
+                             vectors=np.hstack([Ginv, 1j * np.eye(len(x))]))
+
+
 def polarization_frame_s(ray: MabuchiRay, x, s: float) -> PolarizationFrame:
     """Frame rows [G_s^(-1) | i I], spanning the antiholomorphic directions
     of the s-deformed complex structure."""
-    pot = ray.potential(s)
-    pot._require_interior(x)
-    G = pot.hess(np.asarray(x, dtype=float))
-    n = ray.base.dim
-    vectors = np.hstack([np.linalg.inv(G), 1j * np.eye(n)])
-    return PolarizationFrame(basepoint=np.asarray(x, dtype=float),
-                             vectors=vectors)
+    return _frame(ray, x, s)
 
 
 def polarization_frame_limit(ray: MabuchiRay, x) -> PolarizationFrame:
     """Limit frame [diag(0, D^(-1)) | i I]: p vertical directions plus n-p
     holomorphic directions built from the trailing Hessian block."""
-    ray.base._require_interior(x)
-    G = ray.base.hess(np.asarray(x, dtype=float))
-    blocks = hessian_blocks(G, ray.p)
-    n = ray.base.dim
-    vectors = np.hstack([inverse_hessian_limit(blocks).astype(complex),
-                         1j * np.eye(n)])
-    return PolarizationFrame(basepoint=np.asarray(x, dtype=float),
-                             vectors=vectors)
+    return _frame(ray, x, None)
 
 
 def grassmann_distance(f1: PolarizationFrame, f2: PolarizationFrame) -> float:
@@ -217,32 +222,23 @@ class ConnectionFormValue:
     coeffs: np.ndarray  # (n,) complex
 
 
+def _connection_form(ray: MabuchiRay, x, s) -> ConnectionFormValue:
+    pot, x, Ginv = _inverse_hessian(ray, x, s)
+    u = np.einsum('jkl,kl->j', pot.third(x), Ginv)
+    return ConnectionFormValue(basepoint=x,
+                               coeffs=-1j * x + 0.25j * (u @ Ginv))
+
+
 def connection_form_s(ray: MabuchiRay, x, s: float) -> ConnectionFormValue:
     """Theta_0^s = -i x . dtheta + (i/4)(d log det G_s) . G_s^(-1) dtheta."""
-    pot = ray.potential(s)
-    pot._require_interior(x)
-    x = np.asarray(x, dtype=float)
-    G = pot.hess(x)
-    Ginv = np.linalg.inv(G)
-    u = np.einsum('jkl,kl->j', pot.third(x), Ginv)
-    coeffs = -1j * x + 0.25j * (u @ Ginv)
-    return ConnectionFormValue(basepoint=x, coeffs=coeffs)
+    return _connection_form(ray, x, s)
 
 
 def connection_form_limit(ray: MabuchiRay, x) -> ConnectionFormValue:
-    """s -> oo limit: the first p coefficients are exactly -i x_k; the rest
-    pick up (i/4) sum_{j>p} (d_j log det D) D^(-1) corrections."""
-    ray.base._require_interior(x)
-    x = np.asarray(x, dtype=float)
-    n, p = ray.base.dim, ray.p
-    coeffs = (-1j * x).astype(complex)
-    if p < n:
-        blocks = hessian_blocks(ray.base.hess(x), p)
-        dinv = np.linalg.inv(blocks.d)
-        T = ray.base.third(x)
-        u = np.einsum('jkl,kl->j', T[:, p:, p:], dinv)  # d_j log det D, all j
-        coeffs[p:] += 0.25j * (u[p:] @ dinv)
-    return ConnectionFormValue(basepoint=x, coeffs=coeffs)
+    """s -> oo limit, the same formula with diag(0, D^(-1)) in place of
+    G_s^(-1): the first p coefficients are exactly -i x_k; the rest pick up
+    (i/4) sum_{j>p} (d_j log det D) D^(-1) corrections."""
+    return _connection_form(ray, x, None)
 
 
 def connection_form_gap(a: ConnectionFormValue, b: ConnectionFormValue) -> float:

@@ -4,7 +4,9 @@ Polytopes are kept in H-description l_r(x) = <x, nu_r> + lambda_r >= 0 with
 integer normals and rational offsets.  Every combinatorial predicate
 (vertex enumeration, boundedness, redundancy, the Delzant determinant
 condition) is evaluated exactly, in rational arithmetic or, where only
-signs matter, in integers on the normals scaled to integer vectors.
+signs matter, in integers on the normals scaled to integer vectors.  The
+vertex enumeration records the facets through each vertex, and everything
+read off the vertex cones uses that one incidence.
 Lattice points are enumerated in integer arithmetic alone, each facet
 scaled to integer data once.  Floats only appear downstream in the
 analytic modules.
@@ -30,23 +32,18 @@ class PolytopeError(ValueError):
 def _eliminate(rows, ncols):
     """Exact Gauss-Jordan elimination on the first ncols columns.
 
-    Returns (reduced rows, pivot columns, determinant); columns past ncols
-    are carried along, so an augmented [A | B] comes back as [I | A^-1 B]
-    when A is invertible.  The determinant is det A when the rows are
-    square in their first ncols columns, and 0 when a column has no pivot.
+    Returns (reduced rows, pivot columns); columns past ncols are carried
+    along, so an augmented [A | B] comes back as [I | A^-1 B] when A is
+    invertible.
     """
     M = [[Fraction(e) for e in row] for row in rows]
     pivots = []
-    scales = []
-    sign = 1
     for col in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            sign = -sign
+        M[r], M[piv] = M[piv], M[r]
         pivot = M[r][col]
         M[r] = [e / pivot for e in M[r]]
         for i in range(len(M)):
@@ -54,14 +51,16 @@ def _eliminate(rows, ncols):
                 f = M[i][col]
                 M[i] = [a - f * b for a, b in zip(M[i], M[r])]
         pivots.append(col)
-        scales.append(pivot)
-    det = sign * math.prod(scales) if len(pivots) == ncols else Fraction(0)
-    return M, pivots, det
+    return M, pivots
 
 
 def _det(rows):
-    """Exact determinant of a square matrix."""
-    return _eliminate(rows, len(rows))[2]
+    """Exact determinant of a small square matrix of ints or Fractions, by
+    cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, c in enumerate(rows[0]) if c)
 
 
 def _affine_rank(points, dim):
@@ -83,12 +82,13 @@ def _integer_normal(normal):
     return s, [int(c * s) for c in normal]
 
 
-def _int_det(rows):
-    """Determinant of a small integer matrix by cofactor expansion."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * c * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, c in enumerate(rows[0]) if c)
+def _primitive(normal):
+    """The primitive integer vector pointing along a rational normal."""
+    nu = _integer_normal(normal)[1]
+    g = math.gcd(*nu)
+    if g == 0:
+        raise PolytopeError("zero normal has no primitive form")
+    return tuple(c // g for c in nu)
 
 
 # ---------------------------------------------------------------------------
@@ -125,37 +125,35 @@ class HPolytope:
         )
         return cls(dim=dim, facets=facets, **fields)
 
-    def facet_value(self, r, x):
-        return self.facets[r].value(x)
-
-    def contains(self, x, strict=False):
-        if strict:
-            return all(f.value(x) > 0 for f in self.facets)
+    def contains(self, x):
         return all(f.value(x) >= 0 for f in self.facets)
+
+    @cached_property
+    def incidence(self):
+        """{vertex: indices of the facets through it}, vertices as tuples of
+        Fractions in lexicographic order."""
+        n = self.dim
+        tried = set()
+        out = {}
+        for idxs in itertools.combinations(range(len(self.facets)), n):
+            M, pivots = _eliminate(
+                [self.facets[r].normal + (-self.facets[r].offset,)
+                 for r in idxs], n)
+            if len(pivots) < n:
+                continue
+            x = tuple(row[n] for row in M)
+            if x in tried:
+                continue
+            tried.add(x)
+            values = [f.value(x) for f in self.facets]
+            if all(v >= 0 for v in values):
+                out[x] = tuple(r for r, v in enumerate(values) if v == 0)
+        return {x: out[x] for x in sorted(out)}
 
     @cached_property
     def vertices(self):
         """All vertices, lexicographically sorted, as tuples of Fractions."""
-        n = self.dim
-        seen = set()
-        out = []
-        for idxs in itertools.combinations(range(len(self.facets)), n):
-            M, _, det = _eliminate(
-                [self.facets[r].normal + (-self.facets[r].offset,)
-                 for r in idxs], n)
-            if det == 0:
-                continue
-            x = tuple(row[n] for row in M)
-            if x in seen:
-                continue
-            if self.contains(x):
-                seen.add(x)
-                out.append(x)
-        out.sort()
-        return tuple(out)
-
-    def active_facets(self, x):
-        return tuple(r for r, f in enumerate(self.facets) if f.value(x) == 0)
+        return tuple(self.incidence)
 
     @cached_property
     def is_bounded(self):
@@ -171,7 +169,7 @@ class HPolytope:
             return False
         N = [_integer_normal(f.normal)[1] for f in self.facets]
         for rows in itertools.combinations(N, n - 1):
-            d = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows])
+            d = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
                  for j in range(n)]
             for sign in (1, -1):
                 if any(d) and all(sign * _dot(nu, d) >= 0 for nu in N):
@@ -267,9 +265,6 @@ class DelzantPolytope(HPolytope):
             if all(c == 0 for c in f.normal):
                 raise PolytopeError("zero normal vector")
 
-    def normal_int(self, r):
-        return tuple(int(c) for c in self.facets[r].normal)
-
 
 @dataclass(frozen=True)
 class VertexChart:
@@ -316,12 +311,12 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
     """Check boundedness, full dimension, facet essentiality and the
     unimodular vertex condition; returns a report instead of raising."""
     report = ValidationReport(ok=True, verdict="ok")
-    for r in range(len(poly.facets)):
-        nu = poly.normal_int(r)
-        if math.gcd(*(abs(c) for c in nu)) != 1:
+    for r, f in enumerate(poly.facets):
+        if _primitive(f.normal) != f.normal:
             report.ok = False
             report.verdict = "bad normals"
-            report.messages.append(f"facet {r}: normal {nu} is not primitive")
+            report.messages.append(
+                f"facet {r}: normal {tuple(map(int, f.normal))} is not primitive")
     if not report.ok:
         return report
 
@@ -332,9 +327,8 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
         return ValidationReport(ok=False, verdict="empty",
                                 messages=["interior is empty"])
 
-    verts = poly.vertices
     for r in range(len(poly.facets)):
-        on_facet = [v for v in verts if poly.facet_value(r, v) == 0]
+        on_facet = [v for v, active in poly.incidence.items() if r in active]
         if _affine_rank(on_facet, poly.dim) < poly.dim - 1:
             report.redundant_facets.append(r)
     if report.redundant_facets:
@@ -342,8 +336,7 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
         report.verdict = "redundant"
         report.messages.append(f"redundant facets: {report.redundant_facets}")
 
-    for v in verts:
-        active = poly.active_facets(v)
+    for v, active in poly.incidence.items():
         if len(active) != poly.dim:
             det = None
         else:
@@ -389,7 +382,7 @@ def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytop
     if len(fc.B) != n:
         raise PolytopeError("frame change dimension mismatch")
     # solve B^T nu' = nu for every normal at once
-    M, _, _ = _eliminate(
+    M, _ = _eliminate(
         [[int(fc.B[j][i]) for j in range(n)]
          + [f.normal[i] for f in poly.facets] for i in range(n)], n)
     facets = []
@@ -403,9 +396,8 @@ def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytop
 
 def vertex_chart(poly: DelzantPolytope, vertex_index: int) -> VertexChart:
     """Chart at the given vertex (vertices in lexicographic order)."""
-    verts = poly.vertices
-    v = verts[vertex_index]
-    active = poly.active_facets(v)
+    v = poly.vertices[vertex_index]
+    active = poly.incidence[v]
     if len(active) != poly.dim:
         raise PolytopeError(
             f"vertex {v} has {len(active)} active facets, expected {poly.dim}")

@@ -7,8 +7,8 @@ never sampled on it.  Refinement is greedy: it bisects the cell with the
 largest two-level error estimate.  The splits it is certain to make before
 the estimates sum to the tolerance are evaluated ahead, up to 64 cells at
 a time with one integrand call, which changes neither the splits nor
-their order.  Accumulation is done in fixed cell-insertion order with
-compensated summation, which makes repeated runs bit-identical.
+their order.  The cell values and errors are summed with math.fsum,
+which is correctly rounded, so the totals do not depend on cell order.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def _face_fan(poly, verts, rank):
     if rank == 1:
         return [verts]
     faces = []
-    for f in poly.facets:
-        sub = tuple(v for v in verts if f.value(v) == 0)
+    for r in range(len(poly.facets)):
+        sub = tuple(v for v in verts if r in poly.incidence[v])
         if sub not in faces and _affine_rank(sub, poly.dim) == rank - 1:
             faces.append(sub)
     apex = tuple(sum(c) / len(verts) for c in zip(*verts))
@@ -318,8 +318,7 @@ def integrate(f, region: IntegrationRegion, tol: float,
                                   child_halves))
             err += child_err
 
-    cells = sorted(heap + [cell[:5] for cell in ahead],
-                   key=lambda cell: cell[1])
+    cells = heap + ahead
     err = math.fsum(-cell[0] for cell in cells)
     value = math.fsum(sum(cell[4]) for cell in cells)
     hit_budget = err > tol and len(cells) >= budget

@@ -26,6 +26,9 @@ from .polytope import PolytopeError
 from .potential import SymplecticPotential, guillemin_potential
 from .quadrature import IntegralResult, integrate, integrate_slice, triangulate
 
+# relative distance from the limit within which the extrapolated norms pass
+LIMIT_REL_TOL = 0.02
+
 
 @dataclass(frozen=True)
 class QuantumBasisElement:
@@ -110,7 +113,7 @@ def norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
                    error_estimate=norm_from_tilde(p, m, s, res.error_estimate))
 
 
-def limit_constant(poly, p: int, m, tol: float = 1e-10, *,
+def limit_constant(poly, p: int, m, tol: float = 1e-10, budget=None, *,
                    as_result: bool = False):
     """c_m: the s = 0 squared norm of m_{>p} for the potential restricted to
     the level x_{<=p} = m_{<=p}, i.e. the stable density against the
@@ -123,7 +126,7 @@ def limit_constant(poly, p: int, m, tol: float = 1e-10, *,
     c = tuple(m)[:p]
     pot = guillemin_potential(poly).restrict(p, c)
     f = norm_integrand(pot, 0, tuple(m)[p:], 0.0)
-    res = integrate_slice(f, poly, p, c, tol)
+    res = integrate_slice(f, poly, p, c, tol, budget=budget)
     return res if as_result else res.value
 
 
@@ -204,18 +207,18 @@ def richardson_extrapolate(s_values, values) -> float:
 
 
 def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
-                      rel_tol: float = 0.02, budget=None) -> ConvergenceReport:
+                      budget=None) -> ConvergenceReport:
     """Extrapolate the rescaled norms along s_values and compare with the
     slice-integral limit pi^{p/2} c_m.  It passes when the extrapolation is
-    within max(tol, rel_tol * limit) and every integral, the norms and c_m,
-    converged."""
+    within max(tol, 2 % of the limit) and every integral, the norms and
+    c_m, converged; budget caps the cells of each integral."""
     # norms first: c_m sees only m_{>p}, and a bad shift should name all of m
     results = tuple(tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
                     for s in s_values)
-    c_m = limit_constant(poly, p, m, tol=tol, as_result=True)
+    c_m = limit_constant(poly, p, m, tol=tol, budget=budget, as_result=True)
     target = math.pi ** (p / 2.0) * c_m.value
     extrap = richardson_extrapolate(s_values, [r.value for r in results])
-    passed = (abs(extrap - target) <= max(tol, rel_tol * abs(target))
+    passed = (abs(extrap - target) <= max(tol, LIMIT_REL_TOL * abs(target))
               and all(r.converged for r in results + (c_m,)))
     return ConvergenceReport(m=tuple(m), p=p, s_values=tuple(s_values),
                              results=results, c_m_result=c_m, target=target,

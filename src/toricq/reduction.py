@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import HPolytope, PolytopeError, _det, axis_slice
+from .polytope import (HPolytope, PolytopeError, _det, _primitive,
+                       axis_slice)
 from .potential import (SymplecticPotential, abreu_scalar_curvature,
                         guillemin_potential)
 from .quantization import decomposition
@@ -25,17 +26,6 @@ from .quantization import decomposition
 CLASS_DELZANT = "delzant"
 CLASS_ORBIFOLD = "orbifold"
 CLASS_WORSE = "worse"
-
-
-def _primitive(vec):
-    """Scale a rational vector to a primitive integer vector."""
-    fracs = [Fraction(v) for v in vec]
-    if all(f == 0 for f in fracs):
-        raise PolytopeError("zero normal has no primitive form")
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*(abs(i) for i in ints))
-    return tuple(i // g for i in ints)
 
 
 def classify_polytope(poly: HPolytope) -> str:
@@ -47,14 +37,11 @@ def classify_polytope(poly: HPolytope) -> str:
     """
     d = poly.dim
     worst = CLASS_DELZANT
-    for v in poly.vertices:
-        active = [r for r in range(len(poly.facets))
-                  if poly.facet_value(r, v) == 0]
+    for active in poly.incidence.values():
         normals = {_primitive(poly.facets[r].normal) for r in active}
         if len(normals) > d:
             return CLASS_WORSE
-        det = abs(_det(sorted(normals)))
-        if det != 1:
+        if abs(_det(sorted(normals))) != 1:
             worst = CLASS_ORBIFOLD
     return worst
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy import integrate as sci
 
-from toricq.polytope import DelzantPolytope, _det, _eliminate, axis_slice
+from toricq.polytope import (DelzantPolytope, _det, _eliminate, axis_slice,
+                             validate_delzant)
 from toricq.quadrature import integrate, triangulate
 from toricq.quantization import limit_constant
+from toricq.reduction import CLASS_WORSE, classify_polytope
 
 H = Fraction(1, 2)
 FIVE_HALVES = Fraction(5, 2)
@@ -90,15 +92,63 @@ class TestEliminate:
         A = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
         rows = [row + [int(i == j) for j in range(3)]
                 for i, row in enumerate(A)]
-        M, pivots, det = _eliminate(rows, 3)
+        M, pivots = _eliminate(rows, 3)
         assert pivots == [0, 1, 2]
-        assert det == 18
+        assert _det(A) == 18
         inv = [row[3:] for row in M]
         for i in range(3):
             for j in range(3):
                 assert sum(A[i][k] * inv[k][j] for k in range(3)) == (i == j)
 
     def test_rank_deficient(self):
-        M, pivots, det = _eliminate([[1, 2, 3], [2, 4, 6]], 3)
+        _, pivots = _eliminate([[1, 2, 3], [2, 4, 6]], 3)
         assert pivots == [0]
-        assert det == 0
+        assert _det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
+
+
+class TestDet:
+    def test_integer_matrix(self):
+        A = [[2, -1, 0, 3], [1, 3, 1, 0], [0, 1, 4, -2], [5, 0, 2, 1]]
+        det = _det(A)
+        assert type(det) is int
+        assert det == round(np.linalg.det(np.array(A, dtype=float)))
+        assert _det([]) == 1
+
+    def test_fraction_matrix(self):
+        A = [[Fraction(1, 2), Fraction(1, 3), 0],
+             [Fraction(1, 4), 1, Fraction(-2, 5)],
+             [0, Fraction(3, 7), 2]]
+        # 1/2 (2 + 6/35) - 1/3 (1/2)
+        assert _det(A) == Fraction(1, 2) * Fraction(76, 35) - Fraction(1, 6)
+
+
+def square_pyramid():
+    """Base [0, 2]^2 at height 0 and apex (1, 1, 1): four slanted facets
+    meet at the apex, so it is not simple there."""
+    return DelzantPolytope.from_data(3, [
+        ((0, 0, 1), 0), ((1, 0, -1), 0), ((-1, 0, -1), 2),
+        ((0, 1, -1), 0), ((0, -1, -1), 2)])
+
+
+class TestSquarePyramid:
+    APEX = (1, 1, 1)
+
+    def test_incidence(self):
+        poly = square_pyramid()
+        assert poly.vertices == tuple(poly.incidence)
+        assert poly.vertices == ((0, 0, 0), (0, 2, 0), (1, 1, 1),
+                                 (2, 0, 0), (2, 2, 0))
+        assert poly.incidence[self.APEX] == (1, 2, 3, 4)
+        for v, active in poly.incidence.items():
+            if v != self.APEX:
+                assert len(active) == 3 and active[0] == 0
+                assert all(poly.facets[r].value(v) == 0 for r in active)
+
+    def test_class_report_and_volume(self):
+        poly = square_pyramid()
+        assert classify_polytope(poly) == CLASS_WORSE
+        report = validate_delzant(poly)
+        assert report.verdict == "not delzant"
+        assert report.violations == [(self.APEX, None)]
+        assert dict(report.vertex_determinants)[self.APEX] is None
+        assert triangulate(poly).exact_volume == Fraction(4, 3)

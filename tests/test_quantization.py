@@ -198,6 +198,18 @@ class TestConvergence:
         assert not any(r.converged for r in report.results)
         assert not report.passed
 
+    def test_budget_bounds_the_limit_constant(self):
+        # the corrected Hirzebruch trapezoid 0 <= y <= 1, x + y <= 2
+        h = Fraction(1, 2)
+        poly = DelzantPolytope.from_data(2, [
+            ((1, 0), h), ((0, 1), h), ((0, -1), 1 + h), ((-1, -1), 2 + h)])
+        report = verify_norm_limit(poly, 1, (0, 0), (10.0, 20.0),
+                                   tol=1e-13, budget=20)
+        assert all(r.cells_used == 20 for r in report.results)
+        assert report.c_m_result.cells_used == 20
+        assert report.c_m_result.hit_budget
+        assert not report.passed
+
     def test_unconverged_limit_constant_does_not_pass(self, monkeypatch):
         from toricq import quantization
 
