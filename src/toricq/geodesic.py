@@ -14,7 +14,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .potential import QuadraticCorrection, SymplecticPotential
 from .quantization import hamiltonian_value
@@ -185,14 +184,23 @@ def polarization_frame_limit(ray: MabuchiRay, x) -> PolarizationFrame:
     return _frame(ray, x, None)
 
 
+def _orth(A):
+    """Orthonormal basis of the column space of A, as scipy.linalg.orth
+    defines it: the left singular vectors whose singular values exceed
+    max(sv) * eps * max(A.shape)."""
+    u, sv, _ = np.linalg.svd(A, full_matrices=False)
+    tol = sv.max(initial=0.0) * np.finfo(sv.dtype).eps * max(A.shape)
+    return u[:, sv > tol]
+
+
 def grassmann_distance(f1: PolarizationFrame, f2: PolarizationFrame) -> float:
     """Largest principal angle between the spanned complex subspaces."""
     if f1.vectors.shape != f2.vectors.shape:
         raise ValueError("frames live in different ambient spaces")
     if not np.allclose(f1.basepoint, f2.basepoint, atol=1e-12):
         raise ValueError("frames have different basepoints")
-    Q1 = scipy.linalg.orth(f1.vectors.conj().T)
-    Q2 = scipy.linalg.orth(f2.vectors.conj().T)
+    Q1 = _orth(f1.vectors.conj().T)
+    Q2 = _orth(f2.vectors.conj().T)
     if Q1.shape[1] < f1.n or Q2.shape[1] < f2.n:
         raise ValueError("rank-deficient frame")
     sigma = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)

@@ -184,6 +184,8 @@ class IntegralResult:
     converged: bool
     # the cell budget stopped refinement above tol
     hit_budget: bool = False
+    # integrand nodes evaluated
+    nodes: int = 0
 
 
 @functools.cache
@@ -224,15 +226,20 @@ def _evaluate(f, verts, volumes, coarse=None):
 
     A cell's coarse value is its high rule, which its parent computed as
     one of its half values; for roots (coarse None) it is computed here.
+    Also returns each cell's two halves as one (2, k, d) array, copied so
+    that a cell does not keep its whole batch alive, and the number of
+    nodes passed to f.
     """
     high, low = _rules(verts.shape[2])
+    split = _bisect_many(verts)
     jobs = [(low, verts, volumes)]
-    jobs += [(high, half, volumes / 2) for half in _bisect_many(verts)]
+    jobs += [(high, half, volumes / 2) for half in split]
     if coarse is None:
         jobs.append((high, verts, volumes))
     nodes = [np.matmul(bary, v).reshape(-1, v.shape[2])
              for (bary, _), v, _ in jobs]
-    vals = np.asarray(f(np.concatenate(nodes)), dtype=float)
+    points = np.concatenate(nodes)
+    vals = np.asarray(f(points), dtype=float)
     sums, start = [], 0
     for ((_, weights), _, vol), x in zip(jobs, nodes):
         rows = vals[start:start + len(x)].reshape(len(vol), len(weights))
@@ -244,21 +251,19 @@ def _evaluate(f, verts, volumes, coarse=None):
     halves = list(zip(sums[1], sums[2]))
     errs = [abs(c - sum(h)) + 0.05 * abs(c - low_val)
             for c, h, low_val in zip(coarse, halves, sums[0])]
-    return errs, halves
+    pairs = [pair.copy() for pair in np.stack(split, axis=1)]
+    return errs, halves, pairs, len(points)
 
 
 def _split(f, cells):
-    """The two children (verts, err, half values) of each heap entry, from
-    one call of f."""
-    parents = np.stack([cell[3] for cell in cells])
-    children = np.stack(_bisect_many(parents), axis=1).reshape(
-        -1, *parents.shape[1:])
-    errs, halves = _evaluate(
+    """The two children (pair, err, half values) of each heap entry, and
+    the number of nodes passed to f, from one call of f."""
+    children = np.concatenate([cell[3] for cell in cells])
+    errs, halves, pairs, nodes = _evaluate(
         f, children, np.repeat([cell[2] / 2 for cell in cells], 2),
         [h for cell in cells for h in cell[4]])
-    # copies, so that a cell's vertices do not keep its whole batch alive
-    out = list(zip([c.copy() for c in children], errs, halves))
-    return [out[2 * k:2 * k + 2] for k in range(len(cells))]
+    out = list(zip(pairs, errs, halves))
+    return [out[2 * k:2 * k + 2] for k in range(len(cells))], nodes
 
 
 def integrate(f, region: IntegrationRegion, tol: float,
@@ -275,20 +280,22 @@ def integrate(f, region: IntegrationRegion, tol: float,
     """
     if budget is None:
         budget = cell_budget()
-    # a cell is the heap entry (-err, id, volume, verts, half values); its
-    # coarse value is the half value its parent computed, so only the
-    # companion rule and the two halves are new.  The volume is the exact
-    # volume of its root simplex, halved at each bisection.
+    # a cell is the heap entry (-err, id, volume, pair, half values), where
+    # pair is the (2, k, d) stack of the two cells its bisection gives,
+    # which become its children when it is split.  Its coarse value is
+    # the half value its parent computed, so only the companion rule and
+    # the two halves are new.  The volume is the exact volume of its root
+    # simplex, halved at each bisection.
     heap = []
     ids = itertools.count()
     roots = np.array(region.float_simplices)
     volumes = np.array([float(v) for v in region.volumes])
-    errs, halves = _evaluate(f, roots, volumes)
-    for e, volume, verts, h in zip(errs, volumes.tolist(), roots, halves):
-        heapq.heappush(heap, (-e, next(ids), volume, verts, h))
+    errs, halves, pairs, nodes = _evaluate(f, roots, volumes)
+    for e, volume, pair, h in zip(errs, volumes.tolist(), pairs, halves):
+        heapq.heappush(heap, (-e, next(ids), volume, pair, h))
     err = math.fsum(errs)
     # cells whose split is already evaluated, each entry extended by its
-    # two children (verts, err, half values), and their summed error.
+    # two children (pair, err, half values), and their summed error.
     # Greedy pops the smaller of the two tops, the top of the union.
     ahead, ahead_err = [], 0.0
     while err > tol and len(heap) + len(ahead) < budget:
@@ -306,15 +313,17 @@ def integrate(f, region: IntegrationRegion, tol: float,
             while heap and len(batch) < limit and walked < err - tol:
                 batch.append(heapq.heappop(heap))
                 walked -= batch[-1][0]
-            for cell, children in zip(batch, _split(f, batch)):
+            split, batch_nodes = _split(f, batch)
+            nodes += batch_nodes
+            for cell, children in zip(batch, split):
                 heapq.heappush(ahead, cell + (children,))
                 ahead_err -= cell[0]
         neg_err, _, volume, _, _, children = heapq.heappop(ahead)
         # an empty ahead leaves no rounding residue behind
         ahead_err = ahead_err + neg_err if ahead else 0.0
         err += neg_err
-        for verts, child_err, child_halves in children:
-            heapq.heappush(heap, (-child_err, next(ids), volume / 2, verts,
+        for pair, child_err, child_halves in children:
+            heapq.heappush(heap, (-child_err, next(ids), volume / 2, pair,
                                   child_halves))
             err += child_err
 
@@ -327,7 +336,7 @@ def integrate(f, region: IntegrationRegion, tol: float,
                        "above tol %.3g", budget, err, tol)
     return IntegralResult(value=value, error_estimate=err,
                           cells_used=len(cells), converged=err <= tol,
-                          hit_budget=hit_budget)
+                          hit_budget=hit_budget, nodes=nodes)
 
 
 def integrate_slice(f, poly, p: int, c, tol: float,
@@ -339,7 +348,7 @@ def integrate_slice(f, poly, p: int, c, tol: float,
     if p == n:
         val = float(np.asarray(f(np.zeros((1, 0))))[0])
         return IntegralResult(value=val, error_estimate=0.0, cells_used=0,
-                              converged=True)
+                              converged=True, nodes=1)
     sl = axis_slice(poly, p, c)
     if sl.is_empty:
         return IntegralResult(value=0.0, error_estimate=0.0, cells_used=0,

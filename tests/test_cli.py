@@ -253,6 +253,30 @@ class TestCurvature:
         assert err.count("\n") == 1
 
 
+COLD_START = """
+import contextlib, io, sys
+from toricq.cli import main
+codes = []
+for argv in (["validate"], ["points"],
+             ["norms", "--m", "0;0", "--s-grid", "10,20", "--tol", "1e-3"],
+             ["flow"], ["reduce"], ["curvature"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(["--input", sys.argv[1], "--command"] + argv))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # every toricq invocation is a fresh process that pays for its imports;
+    # scipy is a test oracle only, so no command may load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, write(tmp_path, SQUARE)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+
+
 class TestContracts:
     def test_bad_s_grid(self, tmp_path, capsys):
         code, _ = run(capsys, ["--input", write(tmp_path, SEGMENT),

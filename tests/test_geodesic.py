@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from toricq import library
 from toricq.geodesic import (
@@ -9,6 +13,7 @@ from toricq.geodesic import (
     ConnectionFormValue,
     MabuchiRay,
     PolarizationFrame,
+    _orth,
     connection_form_gap,
     connection_form_limit,
     connection_form_s,
@@ -22,6 +27,7 @@ from toricq.geodesic import (
     polarization_frame_s,
     schur_complement,
 )
+from toricq.polytope import DelzantPolytope
 from toricq.potential import DomainError, guillemin_potential
 from toricq.quantization import hamiltonian_value
 
@@ -209,6 +215,94 @@ class TestFrames:
         f2 = polarization_frame_s(ray, np.array([0.4, 0.3]), 1.0)
         with pytest.raises(ValueError):
             grassmann_distance(f1, f2)
+
+
+def scipy_distance(f1, f2):
+    """grassmann_distance with scipy.linalg.orth as the oracle basis."""
+    Q1 = scipy.linalg.orth(f1.vectors.conj().T)
+    Q2 = scipy.linalg.orth(f2.vectors.conj().T)
+    sigma = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
+    return float(np.arccos(np.clip(sigma, -1.0, 1.0).min()))
+
+
+def corrected_box(n):
+    return DelzantPolytope.from_data(
+        n, [(tuple(int(i == j) * sign for j in range(n)),
+             "1/2" if sign > 0 else "3/2")
+            for i in range(n) for sign in (1, -1)])
+
+
+def complex_matrices(rows, cols):
+    return arrays(np.complex128, (rows, cols), elements=st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False))
+
+
+class TestOrth:
+    """The numpy basis must span what scipy.linalg.orth spans."""
+
+    def check(self, A):
+        Q, ref = _orth(A), scipy.linalg.orth(A)
+        assert Q.shape == ref.shape
+        assert np.allclose(Q @ Q.conj().T, ref @ ref.conj().T,
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_frames(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            self.check(rng.standard_normal((2 * n, n))
+                       + 1j * rng.standard_normal((2 * n, n)))
+
+    @pytest.mark.parametrize("n, rank", [(2, 1), (3, 1), (3, 2), (4, 2),
+                                         (4, 3), (3, 0)])
+    def test_rank_deficient(self, n, rank):
+        rng = np.random.default_rng(10 * n + rank)
+        B = rng.standard_normal((2 * n, rank)) + 1j * rng.standard_normal(
+            (2 * n, rank))
+        C = rng.standard_normal((rank, n)) + 1j * rng.standard_normal(
+            (rank, n))
+        A = B @ C
+        assert _orth(A).shape[1] == rank
+        self.check(A)
+
+    @pytest.mark.parametrize("poly", [
+        library.corrected_segment(), library.corrected_square(),
+        library.simplex(1), corrected_box(3)],
+        ids=["segment", "square", "simplex", "box3"])
+    def test_distance_matches_scipy(self, poly):
+        rng = np.random.default_rng(poly.dim)
+        verts = np.array([[float(c) for c in v] for v in poly.vertices])
+        base = guillemin_potential(poly)
+        for p in range(1, poly.dim + 1):
+            ray = MabuchiRay(base, p)
+            # positive weights on every vertex give an interior point
+            for x in rng.dirichlet(np.ones(len(verts)), size=3) @ verts:
+                limit = polarization_frame_limit(ray, x)
+                for s in (1.0, 10.0, 100.0):
+                    frame = polarization_frame_s(ray, x, s)
+                    assert grassmann_distance(frame, limit) == pytest.approx(
+                        scipy_distance(frame, limit), rel=0.0, abs=1e-12)
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        complex_matrices(n, n), complex_matrices(n, n),
+        complex_matrices(n, n))))
+    def test_distance_depends_only_on_the_spans(self, mats):
+        # frames [A | i I] have full rank; A + 2n I is diagonally dominant,
+        # hence invertible and well conditioned, and combines the rows of
+        # a frame into another frame of the same span
+        A1, A2, M = mats
+        n = len(A1)
+        x0 = np.zeros(n)
+        f1, f2 = (PolarizationFrame(x0, np.hstack([A, 1j * np.eye(n)]))
+                  for A in (A1, A2))
+        d = grassmann_distance(f1, f2)
+        # arccos is ill conditioned near zero angle
+        assume(d > 1e-3)
+        moved = PolarizationFrame(x0, (M + 2 * n * np.eye(n)) @ f1.vectors)
+        assert grassmann_distance(moved, f2) == pytest.approx(
+            d, rel=0.0, abs=1e-9)
 
 
 class TestConnectionForm:

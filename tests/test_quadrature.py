@@ -335,6 +335,31 @@ class TestGreedyOracle:
         assert "budget 8" in caplog.records[0].getMessage()
 
 
+class TestNodeCount:
+    def test_one_root_segment(self):
+        # the root takes 4 rule applications of 3 nodes, and each split 2
+        # new cells at 3 applications each: nodes = 12 + 18 (cells - 1)
+        res = integrate(peaked, triangulate(library.segment(0, 1)), 1e-9)
+        assert res.cells_used > 1
+        assert res.nodes == 18 * res.cells_used - 6
+
+    @pytest.mark.parametrize("poly, budget", [
+        (library.corrected_square(), 10 ** 6),
+        (library.corrected_square(), 64),
+        (box(3), 10 ** 6)], ids=["2d", "2d-budget", "3d"])
+    def test_counts_what_f_is_given(self, poly, budget):
+        f, nodes = counting(peaked)
+        res = integrate(f, triangulate(poly), 1e-6, budget=budget)
+        assert res.nodes == sum(nodes) > 0
+
+    def test_slices(self):
+        one = lambda y: np.ones(len(y))
+        point = integrate_slice(one, library.corrected_segment(), 1, (0,),
+                                tol=1e-10)
+        empty = integrate_slice(one, library.simplex(2), 1, (3,), tol=1e-10)
+        assert (point.nodes, empty.nodes) == (1, 0)
+
+
 class TestIntegrateSlice:
     def test_square_slice_length(self):
         res = integrate_slice(lambda y: np.ones(len(y)),
