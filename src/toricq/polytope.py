@@ -1,25 +1,26 @@
 """Exact half-space geometry for Delzant polytopes.
 
 Polytopes are kept in H-description l_r(x) = <x, nu_r> + lambda_r >= 0 with
-integer normals and rational offsets.  Every combinatorial predicate
-(vertex enumeration, boundedness, redundancy, the Delzant determinant
-condition) is evaluated exactly, in rational arithmetic or, where only
-signs matter, in integers on the normals scaled to integer vectors.  The
+integer normals and rational offsets.  Every exact predicate reads one
+integer facet form, each facet scaled by the LCM of its denominators:
+vertices are solved from n facets by fraction-free elimination and tested
+by integer dot products, and only the survivors become Fractions.  The
 vertex enumeration records the facets through each vertex, and everything
-read off the vertex cones uses that one incidence.
-Lattice points are enumerated in integer arithmetic alone, each facet
-scaled to integer data once.  Floats only appear downstream in the
-analytic modules.
+read off the vertex cones uses that one incidence.  Floats only appear
+downstream in the analytic modules.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+
+logger = logging.getLogger(__name__)
 
 
 class PolytopeError(ValueError):
@@ -27,31 +28,40 @@ class PolytopeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction (dimensions are tiny, <= ~4)
+# exact linear algebra (dimensions are tiny, <= ~4)
+
+def _fraction_free(rows, ncols):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows on
+    their first ncols columns: (rows, pivot columns).  Every division is
+    exact; the pivot rows of [A | B] come back as d [I | A^-1 B] for the
+    last pivot d, which is +-det A when A is square and invertible."""
+    M = [list(r) for r in rows]
+    d, pivots = 1, []
+    for col in range(ncols):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[k], M[piv] = M[piv], M[k]
+        top, prev, d = M[k], d, M[k][col]
+        for i, row in enumerate(M):
+            if i != k:
+                f = row[col]
+                M[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
+        pivots.append(col)
+    return M, pivots
+
 
 def _eliminate(rows, ncols):
     """Exact Gauss-Jordan elimination on the first ncols columns.
 
     Returns (reduced rows, pivot columns); columns past ncols are carried
     along, so an augmented [A | B] comes back as [I | A^-1 B] when A is
-    invertible.
+    invertible.  Runs `_fraction_free` on the rows scaled to integers.
     """
-    M = [[Fraction(e) for e in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        pivot = M[r][col]
-        M[r] = [e / pivot for e in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(col)
-    return M, pivots
+    M, pivots = _fraction_free([_scaled(r) for r in rows], ncols)
+    d = M[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [[Fraction(e, d) for e in row] for row in M], pivots
 
 
 def _det(rows):
@@ -67,24 +77,23 @@ def _affine_rank(points, dim):
     """Exact dimension of the affine hull of the points (-1 if none)."""
     if not points:
         return -1
-    rows = [[a - b for a, b in zip(v, points[0])] for v in points[1:]]
-    return len(_eliminate(rows, dim)[1])
+    rows = [_scaled([a - b for a, b in zip(v, points[0])]) for v in points[1:]]
+    return len(_fraction_free(rows, dim)[1])
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _integer_normal(normal):
-    """(s, s * normal) for the LCM s of the entries' denominators: the
-    integer vector pointing along normal."""
-    s = math.lcm(*(c.denominator for c in normal))
-    return s, [int(c * s) for c in normal]
+def _scaled(values):
+    """The rationals times the LCM of their denominators: the integer
+    vector with the same ratios and signs."""
+    s = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (s // v.denominator) for v in values)
 
 
-def _primitive(normal):
-    """The primitive integer vector pointing along a rational normal."""
-    nu = _integer_normal(normal)[1]
+def _primitive(nu):
+    """The primitive integer vector pointing along an integer vector."""
     g = math.gcd(*nu)
     if g == 0:
         raise PolytopeError("zero normal has no primitive form")
@@ -125,30 +134,37 @@ class HPolytope:
         )
         return cls(dim=dim, facets=facets, **fields)
 
+    @cached_property
+    def integer_facets(self):
+        """The integer facet form: facet r as the ints (a_r, b_r), its normal
+        and offset times the LCM of their denominators, so l_r >= 0 as
+        <a_r, x> + b_r >= 0."""
+        return tuple(_scaled(f.normal + (f.offset,)) for f in self.facets)
+
     def contains(self, x):
-        return all(f.value(x) >= 0 for f in self.facets)
+        return all(_dot(r, x) + r[-1] >= 0 for r in self.integer_facets)
 
     @cached_property
     def incidence(self):
         """{vertex: indices of the facets through it}, vertices as tuples of
-        Fractions in lexicographic order."""
-        n = self.dim
-        tried = set()
-        out = {}
-        for idxs in itertools.combinations(range(len(self.facets)), n):
-            M, pivots = _eliminate(
-                [self.facets[r].normal + (-self.facets[r].offset,)
-                 for r in idxs], n)
+        Fractions in lexicographic order.  n facets with independent normals
+        meet in one point X / D, in lowest terms with D > 0; it is a vertex
+        when <a_r, X> + b_r D >= 0 for every facet r."""
+        n, form = self.dim, self.integer_facets
+        seen = {}
+        for rows in itertools.combinations(form, n):
+            M, pivots = _fraction_free([r[:n] + (-r[n],) for r in rows], n)
             if len(pivots) < n:
                 continue
-            x = tuple(row[n] for row in M)
-            if x in tried:
-                continue
-            tried.add(x)
-            values = [f.value(x) for f in self.facets]
-            if all(v >= 0 for v in values):
-                out[x] = tuple(r for r, v in enumerate(values) if v == 0)
-        return {x: out[x] for x in sorted(out)}
+            D = M[0][0]
+            g = math.gcd(D, *(row[n] for row in M)) * (1 if D > 0 else -1)
+            D, X = D // g, tuple(row[n] // g for row in M)
+            if (D, X) not in seen:
+                values = [_dot(r, X) + r[n] * D for r in form]
+                seen[D, X] = (None if min(values) < 0 else
+                              tuple(i for i, v in enumerate(values) if v == 0))
+        return dict(sorted((tuple(Fraction(c, D) for c in X), active)
+                           for (D, X), active in seen.items() if active))
 
     @cached_property
     def vertices(self):
@@ -161,13 +177,12 @@ class HPolytope:
 
         Once N has rank n the cone is pointed, so it is {0} unless it has
         an extreme ray, the kernel of n - 1 independent rows of N: up to
-        sign, the vector of their signed maximal minors.  Minors and sign
-        tests run in integers on the normals scaled to integer vectors.
+        sign, the vector of their signed maximal minors, in integers.
         """
         n = self.dim
-        if len(_eliminate([f.normal for f in self.facets], n)[1]) < n:
+        N = [r[:n] for r in self.integer_facets]
+        if len(_fraction_free(N, n)[1]) < n:
             return False
-        N = [_integer_normal(f.normal)[1] for f in self.facets]
         for rows in itertools.combinations(N, n - 1):
             d = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
                  for j in range(n)]
@@ -188,31 +203,24 @@ class HPolytope:
 
     @cached_property
     def barycenter(self):
-        verts = self.vertices
-        if not verts:
+        if not self.vertices:
             raise PolytopeError("empty polytope has no barycenter")
-        k = Fraction(len(verts))
-        return tuple(sum(v[i] for v in verts) / k for i in range(self.dim))
+        return tuple(sum(c) / Fraction(len(c)) for c in zip(*self.vertices))
 
     def bounding_box(self):
-        verts = self.vertices
-        if not verts:
+        if not self.vertices:
             raise PolytopeError("empty polytope has no bounding box")
-        lo = tuple(min(v[i] for v in verts) for i in range(self.dim))
-        hi = tuple(max(v[i] for v in verts) for i in range(self.dim))
-        return lo, hi
+        coords = list(zip(*self.vertices))
+        return tuple(map(min, coords)), tuple(map(max, coords))
 
     def lattice_points(self):
         """Integer points l_r(m) >= 0 for all r, in lexicographic order.
 
-        Each facet is scaled by the LCM s of its normal's denominators, so
-        on integer points l_r(m) >= 0 exactly when
-        <s nu_r, m> + floor(s lambda_r) >= 0, and the enumeration runs on
-        Python ints alone.  Coordinates are fixed in order, carrying each
-        facet's partial sum; with m_{<k} fixed, the facets whose last
-        nonzero normal entry is at k bound m_k by one floor division each,
-        so every fibre is a range of the bounding box and no point is
-        tested on its own.
+        It runs on the ints of the facet form alone.  Coordinates are fixed
+        in order, carrying each facet's partial sum; with m_{<k} fixed, the
+        facets whose last nonzero normal entry is at k bound m_k by one
+        floor division each, so every fibre is a range of the bounding box
+        and no point is tested on its own.
         """
         if not self.is_bounded:
             raise PolytopeError("lattice enumeration needs a bounded polytope")
@@ -221,21 +229,18 @@ class HPolytope:
         n = self.dim
         lo, hi = self.bounding_box()
         box = [(math.ceil(a), math.floor(b)) for a, b in zip(lo, hi)]
-        normals, offsets, ends_at = [], [], [[] for _ in range(n)]
-        for f in self.facets:
-            s, nu = _integer_normal(f.normal)
-            if not any(nu):
-                continue  # a constant, satisfied because there are vertices
-            ends_at[max(i for i, c in enumerate(nu) if c)].append(len(normals))
-            normals.append(nu)
-            offsets.append(math.floor(f.offset * s))
-        columns = list(zip(*normals))
+        # constant facets are satisfied, because there are vertices
+        rows = [r for r in self.integer_facets if any(r[:n])]
+        ends_at = [[] for _ in range(n)]
+        for i, r in enumerate(rows):
+            ends_at[max(k for k in range(n) if r[k])].append(i)
+        columns = list(zip(*rows))
         out = []
 
         def walk(k, prefix, partial):
             a, b = box[k]
             for r in ends_at[k]:
-                c = normals[r][k]
+                c = rows[r][k]
                 if c > 0:
                     a = max(a, -(partial[r] // c))
                 else:
@@ -247,7 +252,7 @@ class HPolytope:
                 walk(k + 1, prefix + (x,),
                      [v + c * x for v, c in zip(partial, columns[k])])
 
-        walk(0, (), offsets)
+        walk(0, (), columns[n])
         return out
 
 
@@ -310,15 +315,14 @@ class ValidationReport:
 def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
     """Check boundedness, full dimension, facet essentiality and the
     unimodular vertex condition; returns a report instead of raising."""
-    report = ValidationReport(ok=True, verdict="ok")
-    for r, f in enumerate(poly.facets):
-        if _primitive(f.normal) != f.normal:
-            report.ok = False
-            report.verdict = "bad normals"
-            report.messages.append(
-                f"facet {r}: normal {tuple(map(int, f.normal))} is not primitive")
-    if not report.ok:
-        return report
+    n = poly.dim
+    normals = [_primitive(r[:n]) for r in poly.integer_facets]
+    bad = [(r, f.normal) for r, f in enumerate(poly.facets)
+           if normals[r] != f.normal]
+    if bad:
+        return ValidationReport(ok=False, verdict="bad normals", messages=[
+            f"facet {r}: normal {tuple(map(int, nu))} is not primitive"
+            for r, nu in bad])
 
     if not poly.is_bounded:
         return ValidationReport(ok=False, verdict="unbounded",
@@ -327,9 +331,10 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
         return ValidationReport(ok=False, verdict="empty",
                                 messages=["interior is empty"])
 
+    report = ValidationReport(ok=True, verdict="ok")
     for r in range(len(poly.facets)):
         on_facet = [v for v, active in poly.incidence.items() if r in active]
-        if _affine_rank(on_facet, poly.dim) < poly.dim - 1:
+        if _affine_rank(on_facet, n) < n - 1:
             report.redundant_facets.append(r)
     if report.redundant_facets:
         report.ok = False
@@ -337,10 +342,7 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
         report.messages.append(f"redundant facets: {report.redundant_facets}")
 
     for v, active in poly.incidence.items():
-        if len(active) != poly.dim:
-            det = None
-        else:
-            det = _det([poly.facets[r].normal for r in active])
+        det = _det([normals[r] for r in active]) if len(active) == n else None
         report.vertex_determinants.append((v, det))
         if det is None or abs(det) != 1:
             report.violations.append((v, det))
@@ -355,9 +357,7 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
     return report
 
 
-def lattice_points(poly: HPolytope):
-    """Lattice points of a bounded polytope, lexicographically ordered."""
-    return poly.lattice_points()
+lattice_points = HPolytope.lattice_points
 
 
 def corrected_polytope(poly_L: DelzantPolytope) -> DelzantPolytope:
@@ -366,9 +366,8 @@ def corrected_polytope(poly_L: DelzantPolytope) -> DelzantPolytope:
     report = validate_delzant(poly_L)
     if not report.ok:
         raise PolytopeError(f"input polytope is not Delzant: {report.verdict}")
-    for v in poly_L.vertices:
-        if any(c.denominator != 1 for c in v):
-            raise PolytopeError("line-bundle polytope must have integral vertices")
+    if any(c.denominator != 1 for v in poly_L.vertices for c in v):
+        raise PolytopeError("line-bundle polytope must have integral vertices")
     facets = tuple(
         Facet(f.normal, f.offset + Fraction(1, 2)) for f in poly_L.facets
     )
@@ -385,13 +384,10 @@ def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytop
     M, _ = _eliminate(
         [[int(fc.B[j][i]) for j in range(n)]
          + [f.normal[i] for f in poly.facets] for i in range(n)], n)
-    facets = []
-    for k, f in enumerate(poly.facets):
-        nu = tuple(row[n + k] for row in M)
-        if any(c.denominator != 1 for c in nu):
-            raise PolytopeError("frame change produced non-integer normal")
-        facets.append(Facet(nu, f.offset))
-    return DelzantPolytope(dim=n, facets=tuple(facets), name=poly.name)
+    # B is in SL(n, Z), so the new normals are integer
+    facets = tuple(Facet(tuple(row[n + k] for row in M), f.offset)
+                   for k, f in enumerate(poly.facets))
+    return DelzantPolytope(dim=n, facets=facets, name=poly.name)
 
 
 def vertex_chart(poly: DelzantPolytope, vertex_index: int) -> VertexChart:
@@ -414,7 +410,7 @@ def axis_slice(poly: HPolytope, p: int, c) -> HPolytope:
 
     A facet with vanishing trailing normal is dropped if satisfied and kept
     as a negative constant otherwise, which leaves the slice without
-    vertices, i.e. empty.
+    vertices, i.e. empty.  Offsets come from the integer facet form.
     """
     n = poly.dim
     if not 1 <= p < n:
@@ -422,13 +418,14 @@ def axis_slice(poly: HPolytope, p: int, c) -> HPolytope:
     c = tuple(Fraction(v) for v in c)
     if len(c) != p:
         raise PolytopeError("fixed-value vector has wrong length")
+    q, C = math.lcm(*(v.denominator for v in c)), _scaled(c)
     facets = []
-    for f in poly.facets:
-        a, b = f.normal[:p], f.normal[p:]
-        lam = _dot(c, a) + f.offset
-        if lam >= 0 and all(e == 0 for e in b):
+    for f, r in zip(poly.facets, poly.integer_facets):
+        lam = _dot(C, r) + q * r[n]   # q s (lambda + <c, nu_{<=p}>)
+        if lam >= 0 and not any(r[p:n]):
             continue
-        facets.append(Facet(b, lam))
+        s = math.lcm(f.offset.denominator, *(v.denominator for v in f.normal))
+        facets.append(Facet(f.normal[p:], Fraction(lam, q * s)))
     return HPolytope(dim=n - p, facets=tuple(facets))
 
 
@@ -440,7 +437,10 @@ def _parse_offset(v):
     if isinstance(v, str):
         return Fraction(v)
     if isinstance(v, (int, float)):
-        return Fraction(v).limit_denominator(10**9)
+        q = Fraction(v).limit_denominator(10**9)
+        if q != v:
+            logger.warning("offset %r rationalised to %s", v, q)
+        return q
     raise PolytopeError(f"cannot parse offset {v!r}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from .polytope import (HPolytope, PolytopeError, _det, _primitive,
                        axis_slice)
 from .potential import (SymplecticPotential, abreu_scalar_curvature,
                         guillemin_potential)
-from .quantization import decomposition
 
 CLASS_DELZANT = "delzant"
 CLASS_ORBIFOLD = "orbifold"
@@ -38,7 +38,7 @@ def classify_polytope(poly: HPolytope) -> str:
     d = poly.dim
     worst = CLASS_DELZANT
     for active in poly.incidence.values():
-        normals = {_primitive(poly.facets[r].normal) for r in active}
+        normals = {_primitive(poly.integer_facets[r][:d]) for r in active}
         if len(normals) > d:
             return CLASS_WORSE
         if abs(_det(sorted(normals))) != 1:
@@ -118,13 +118,13 @@ def reduction_level_report(poly, p: int):
     """Per-integral-level rows {c, dim, class}; levels span the integer
     range of the projected bounding box, so empty fibers appear with
     dimension 0 and class "trivial"."""
-    groups = dict(decomposition(poly, p))
+    counts = Counter(m[:p] for m in poly.lattice_points())
     lo, hi = poly.bounding_box()
     ranges = [range(math.ceil(a), math.floor(b) + 1)
               for a, b in zip(lo[:p], hi[:p])]
     rows = []
     for c in itertools.product(*ranges):
-        dim = len(groups.get(c, []))
+        dim = counts[c]
         if dim == 0:
             cls = "trivial"
         elif p == poly.dim:
@@ -138,7 +138,7 @@ def reduction_level_report(poly, p: int):
                 cls = "degenerate"
         rows.append({"c": list(c), "dim": dim, "class": cls})
     total = sum(r["dim"] for r in rows)
-    return rows, total, total == sum(len(g) for g in groups.values())
+    return rows, total, total == sum(counts.values())
 
 
 def reduction_dimension_audit(poly, p: int):
@@ -147,5 +147,5 @@ def reduction_dimension_audit(poly, p: int):
     Returns (levels, dims) with levels sorted lexicographically; the dims
     add up to the total number of lattice points.
     """
-    groups = decomposition(poly, p)
-    return [lv for lv, _ in groups], [len(g) for _, g in groups]
+    levels = sorted(Counter(m[:p] for m in poly.lattice_points()).items())
+    return [lv for lv, _ in levels], [n for _, n in levels]

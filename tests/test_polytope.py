@@ -1,11 +1,13 @@
 import itertools
+import logging
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -16,6 +18,9 @@ from toricq.polytope import (
     FrameChange,
     HPolytope,
     PolytopeError,
+    ValidationReport,
+    _det,
+    _eliminate,
     apply_frame_change,
     axis_slice,
     corrected_polytope,
@@ -385,3 +390,261 @@ class TestJson:
         with pytest.raises(PolytopeError, match="must be an integer"):
             polytope_from_json({"dim": dim, "facets": [
                 {"normal": [1], "offset": 0}, {"normal": [-1], "offset": 1}]})
+
+
+class TestRationalisedOffsets:
+    def test_float_offset_that_changes_warns(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="toricq.polytope"):
+            poly = polytope_from_json({"dim": 1, "facets": [
+                {"normal": [1], "offset": 0.1},
+                {"normal": [-1], "offset": 1}]})
+        assert poly.facets[0].offset == Fraction(1, 10)
+        assert [r.name for r in caplog.records] == ["toricq.polytope"]
+        assert "0.1" in caplog.records[0].getMessage()
+
+    def test_exact_float_offset_is_silent(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="toricq.polytope"):
+            poly = polytope_from_json({"dim": 1, "facets": [
+                {"normal": [1], "offset": 0.5},
+                {"normal": [-1], "offset": 1}]})
+        assert poly.facets[0].offset == Fraction(1, 2)
+        assert caplog.records == []
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle: the exact geometry as computed before the integer facet
+# form, by Fraction Gauss-Jordan elimination and Fraction facet values.
+
+
+def gauss_jordan(rows, ncols):
+    M = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        M[r] = [e / M[r][col] for e in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(col)
+    return M, pivots
+
+
+def oracle_incidence(poly):
+    n = poly.dim
+    tried, out = set(), {}
+    for idxs in itertools.combinations(range(len(poly.facets)), n):
+        rows = [poly.facets[r].normal + (-poly.facets[r].offset,)
+                for r in idxs]
+        M, pivots = gauss_jordan(rows, n)
+        if len(pivots) < n:
+            continue
+        x = tuple(row[n] for row in M)
+        if x in tried:
+            continue
+        tried.add(x)
+        values = [f.value(x) for f in poly.facets]
+        if all(v >= 0 for v in values):
+            out[x] = tuple(r for r, v in enumerate(values) if v == 0)
+    return {x: out[x] for x in sorted(out)}
+
+
+def oracle_affine_rank(points, dim):
+    if not points:
+        return -1
+    return len(gauss_jordan([[a - b for a, b in zip(v, points[0])]
+                             for v in points[1:]], dim)[1])
+
+
+def oracle_is_bounded(poly):
+    n = poly.dim
+    N = [f.normal for f in poly.facets]
+    if len(gauss_jordan(N, n)[1]) < n:
+        return False
+    for rows in itertools.combinations(N, n - 1):
+        d = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+             for j in range(n)]
+        for sign in (1, -1):
+            if any(d) and all(sign * sum(a * b for a, b in zip(nu, d)) >= 0
+                              for nu in N):
+                return False
+    return True
+
+
+def oracle_lattice_points(poly, incidence):
+    if not incidence:
+        return []
+    box = [range(math.ceil(min(c)), math.floor(max(c)) + 1)
+           for c in zip(*incidence)]
+    return [m for m in itertools.product(*box)
+            if all(f.value(m) >= 0 for f in poly.facets)]
+
+
+def oracle_primitive(normal):
+    s = math.lcm(*(c.denominator for c in normal))
+    nu = [int(c * s) for c in normal]
+    return tuple(c // math.gcd(*nu) for c in nu)
+
+
+def oracle_validate(poly):
+    """validate_delzant, step by step, on the oracle's geometry."""
+    incidence = oracle_incidence(poly)
+    bad = [r for r, f in enumerate(poly.facets)
+           if oracle_primitive(f.normal) != f.normal]
+    if bad:
+        return ValidationReport(ok=False, verdict="bad normals", messages=[
+            f"facet {r}: normal {tuple(map(int, poly.facets[r].normal))} "
+            "is not primitive" for r in bad])
+    if not oracle_is_bounded(poly):
+        return ValidationReport(ok=False, verdict="unbounded",
+                                messages=["recession cone is nontrivial"])
+    if oracle_affine_rank(list(incidence), poly.dim) < poly.dim:
+        return ValidationReport(ok=False, verdict="empty",
+                                messages=["interior is empty"])
+    report = ValidationReport(ok=True, verdict="ok")
+    report.redundant_facets = [
+        r for r in range(len(poly.facets))
+        if oracle_affine_rank([v for v, a in incidence.items() if r in a],
+                              poly.dim) < poly.dim - 1]
+    if report.redundant_facets:
+        report.ok, report.verdict = False, "redundant"
+        report.messages.append(f"redundant facets: {report.redundant_facets}")
+    for v, active in incidence.items():
+        det = (_det([poly.facets[r].normal for r in active])
+               if len(active) == poly.dim else None)
+        report.vertex_determinants.append((v, det))
+        if det is None or abs(det) != 1:
+            report.violations.append((v, det))
+    if report.violations:
+        report.ok = False
+        if report.verdict == "ok":
+            report.verdict = "not delzant"
+        report.messages.append("non-unimodular vertices: " + ", ".join(
+            f"{v} det={d}" for v, d in report.violations))
+    return report
+
+
+# normal entries with denominators, so the facet scale is not the offset's
+ENTRIES = [Fraction(k, 2) for k in range(-4, 5)]
+# box normals of length >= 1 keep the bounding box, and the oracle's scan
+# of it, small
+BOX_SCALES = [Fraction(1), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+
+@st.composite
+def rational_polytopes(draw, integer_normals=False):
+    """A box with rational normals and offsets in dimension 1-4, a facet
+    dropped now and then (so it may be unbounded) and offsets possibly
+    negative (so it may be empty), cut by up to three more facets."""
+    n = draw(st.integers(1, 4))
+    scales = [1] if integer_normals else BOX_SCALES
+    entries = [-1, 0, 1] if integer_normals else ENTRIES
+    facets = []
+    for i in range(n):
+        for sign in (1, -1):
+            if draw(st.sampled_from([True] * 15 + [False])):
+                k = draw(st.sampled_from(scales))
+                facets.append((unit(n, i, sign * k), draw(
+                    st.fractions(Fraction(-1, 2), 2, max_denominator=3))))
+    facets += draw(st.lists(st.tuples(
+        st.tuples(*[st.sampled_from(entries)] * n).filter(any),
+        st.fractions(-1, 3, max_denominator=4)), max_size=3))
+    cls = DelzantPolytope if integer_normals else HPolytope
+    return cls.from_data(n, facets)
+
+
+SQUARE_PYRAMID = DelzantPolytope.from_data(  # four facets through the apex
+    3, [((0, 0, 1), 0), ((1, 0, -1), 0), ((0, 1, -1), 0),
+        ((-1, 0, -1), 2), ((0, -1, -1), 2)])
+EMPTY_SQUARE = DelzantPolytope.from_data(
+    2, [((1, 0), -1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)])
+CUT_QUADRANT = DelzantPolytope.from_data(
+    2, [((1, 0), 0), ((0, 1), 0), ((1, 1), -1)])
+NOT_DELZANT = DelzantPolytope.from_data(
+    2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)])
+
+
+class TestIntegerFacetForm:
+    @settings(max_examples=120, derandomize=True, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(SQUARE_PYRAMID)
+    @example(EMPTY_SQUARE)
+    @example(CUT_QUADRANT)
+    @example(NOT_DELZANT)
+    @given(st.booleans().flatmap(
+        lambda integer: rational_polytopes(integer_normals=integer)))
+    def test_matches_the_fraction_oracle(self, poly):
+        for f, row in zip(poly.facets, poly.integer_facets):
+            data = f.normal + (f.offset,)
+            s = math.lcm(*(c.denominator for c in data))
+            assert row == tuple(c * s for c in data)
+            assert all(type(c) is int for c in row)
+        incidence = oracle_incidence(poly)
+        assert poly.incidence == incidence
+        assert list(poly.incidence) == list(incidence)
+        assert poly.vertices == tuple(incidence)
+        assert poly.is_bounded == oracle_is_bounded(poly)
+        if poly.is_bounded:
+            assert poly.lattice_points() == oracle_lattice_points(
+                poly, incidence)
+        else:
+            with pytest.raises(PolytopeError, match="bounded"):
+                poly.lattice_points()
+        assert validate_delzant(poly) == oracle_validate(poly)
+
+    def test_named_cases(self):
+        apex = (Fraction(1), Fraction(1), Fraction(1))
+        assert SQUARE_PYRAMID.incidence[apex] == (1, 2, 3, 4)
+        assert len(SQUARE_PYRAMID.lattice_points()) == 10
+        assert validate_delzant(SQUARE_PYRAMID).verdict == "not delzant"
+        assert validate_delzant(EMPTY_SQUARE).verdict == "empty"
+        assert not CUT_QUADRANT.is_bounded
+        assert validate_delzant(CUT_QUADRANT).verdict == "unbounded"
+        assert validate_delzant(NOT_DELZANT).verdict == "not delzant"
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_frame_change_keeps_the_vertex_structure(self, data):
+        poly = data.draw(rational_polytopes(integer_normals=True))
+        B = data.draw(unimodular(poly.dim))
+        moved = apply_frame_change(poly, FrameChange(B=B, p=1))
+        assert len(moved.vertices) == len(poly.vertices)
+        assert (Counter(map(len, moved.incidence.values()))
+                == Counter(map(len, poly.incidence.values())))
+        assert moved.is_bounded == poly.is_bounded
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_slice_matches_the_fraction_definition(self, data):
+        poly = data.draw(rational_polytopes().filter(lambda P: P.dim > 1))
+        p = data.draw(st.integers(1, poly.dim - 1))
+        c = data.draw(st.lists(st.fractions(-2, 2, max_denominator=6),
+                               min_size=p, max_size=p))
+        expected = []
+        for f in poly.facets:
+            lam = f.offset + sum(a * b for a, b in zip(c, f.normal))
+            if lam < 0 or any(f.normal[p:]):
+                expected.append(Facet(f.normal[p:], lam))
+        assert axis_slice(poly, p, c).facets == tuple(expected)
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+        st.integers(1, k),
+        st.lists(st.lists(st.fractions(-3, 3, max_denominator=3),
+                          min_size=k, max_size=k), min_size=1, max_size=5))))
+    def test_eliminate_matches_gauss_jordan(self, case):
+        # columns past ncols are carried along, as in an augmented [A | B]
+        ncols, rows = case
+        # repeat a combination of rows, so some inputs are rank deficient
+        rows = rows + [[a + 2 * b for a, b in zip(rows[0], rows[-1])]]
+        M, pivots = _eliminate(rows, ncols)
+        M0, pivots0 = gauss_jordan(rows, ncols)
+        assert pivots == pivots0
+        assert M[:len(pivots)] == M0[:len(pivots)]

@@ -59,3 +59,42 @@ def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
     integrals = metrics["quadrature.integrate.calls"]
     assert metrics["quadrature.nodes"] == 18 * cells - 6 * integrals
     assert metrics["quadrature.integrand_calls"] <= (cells + integrals) // 2
+
+
+REDUCE_SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+import tracing
+tr = tracing.install()
+from toricq import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["--input", sys.argv[2], "--command", "reduce",
+                     "--p", "1"])
+metrics = tracing.layer_metrics(tr, len(out.getvalue().encode()))
+print(json.dumps({"code": code, "metrics": metrics}))
+"""
+
+SIMPLEX = {"dim": 2, "facets": [
+    {"normal": [1, 0], "offset": 0},
+    {"normal": [0, 1], "offset": 0},
+    {"normal": [-1, -1], "offset": 3}]}
+
+
+def test_traced_reduce_command_attributes_exact_geometry(tmp_path):
+    # vertex enumeration must stay inside the span of HPolytope.vertices,
+    # and each level's slice inside axis_slice
+    poly = tmp_path / "simplex.json"
+    poly.write_text(json.dumps(SIMPLEX))
+    proc = subprocess.run(
+        [sys.executable, "-c", REDUCE_SCRIPT, str(ROOT), str(poly)],
+        capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    metrics = result["metrics"]
+    assert metrics["polytope.vertices.s"] > 0
+    # each of the levels 0..3 has lattice points, so each is sliced; the
+    # slice at 3 is a point, and only the three segments are classified
+    assert metrics["polytope.axis_slice.calls"] == 4
+    assert metrics["reduction.classify_polytope.calls"] == 3
+    assert metrics["polytope.lattice_points.hits"] == 10
