@@ -1,14 +1,18 @@
 """Deterministic adaptive quadrature over polytopes and their slices.
 
 Polytopes of any dimension are triangulated by a recursive face fan from
-exact barycenters; each simplex carries an open (interior-node) rule of
-degree 5, so integrands that are only continuous up to the boundary are
-never sampled on it.  Refinement is greedy: it bisects the cell with the
-largest two-level error estimate.  The splits it is certain to make before
-the estimates sum to the tolerance are evaluated ahead, up to 64 cells at
-a time with one integrand call, which changes neither the splits nor
-their order.  The cell values and errors are summed with math.fsum,
-which is correctly rounded, so the totals do not depend on cell order.
+exact barycenters.  Every simplex, in every dimension, carries the open
+(interior-node) Grundmann-Moller rule of degree 9 and its degree-7
+companion, so integrands that are only continuous up to the boundary are
+never sampled on it.  A cell's value is the degree-9 rule on its two
+halves, and its error estimate bounds that value: the distance to the
+degree-7 rule on the same halves plus the distance to the degree-9 rule
+on the whole cell.  Refinement is greedy: it bisects the cell with the
+largest error estimate.  The splits it is certain to make before the
+estimates sum to the tolerance are evaluated ahead, up to 64 cells at a
+time with one integrand call, which changes neither the splits nor their
+order.  The cell values and errors are summed with math.fsum, which is
+correctly rounded, so the totals do not depend on cell order.
 """
 
 from __future__ import annotations
@@ -50,30 +54,11 @@ def cell_budget():
 
 
 # ---------------------------------------------------------------------------
-# degree-5 rules with strictly interior nodes, in barycentric coordinates
+# Grundmann-Moller rules with strictly interior nodes, in barycentric
+# coordinates
 
 
-def _rule_1d():
-    t, w = np.polynomial.legendre.leggauss(3)
-    t = 0.5 * (t + 1.0)
-    bary = np.stack([1.0 - t, t], axis=1)
-    return bary, 0.5 * w  # weights normalized to sum 1
-
-
-def _rule_triangle():
-    s15 = math.sqrt(15.0)
-    a = (6.0 - s15) / 21.0
-    b = (6.0 + s15) / 21.0
-    wa = (155.0 - s15) / 1200.0
-    wb = (155.0 + s15) / 1200.0
-    pts = [(1 / 3, 1 / 3, 1 / 3, 9.0 / 40.0)]
-    for u, w in ((a, wa), (b, wb)):
-        pts += [(u, u, 1 - 2 * u, w), (u, 1 - 2 * u, u, w), (1 - 2 * u, u, u, w)]
-    arr = np.array(pts)
-    return arr[:, :3], arr[:, 3]
-
-
-def _rule_grundmann_moller(dim, s=2):
+def _rule_grundmann_moller(dim, s):
     """Grundmann-Moller rule of degree 2s+1; all nodes strictly interior."""
     d = dim
     pts = []
@@ -99,19 +84,15 @@ def _rule_grundmann_moller(dim, s=2):
 
 @functools.cache
 def _rules(dim):
-    """The degree-5 rule of the dim-simplex and its degree-3 companion.
+    """The degree-9 Grundmann-Moller rule of the dim-simplex and its
+    degree-7 companion, built on first use.
 
-    The companion is used only for error estimation: comparing two
-    different-degree rules on the same cell catches boundary-singular
-    cells whose two-level difference is accidentally tiny.
+    A cell's value is the high rule on its two halves.  The companion on
+    the same halves estimates the error of that value, and the high rule
+    on the whole cell catches the cells where the two rules agree by
+    accident.
     """
-    if dim == 1:
-        high = _rule_1d()
-    elif dim == 2:
-        high = _rule_triangle()
-    else:
-        high = _rule_grundmann_moller(dim, s=2)
-    return high, _rule_grundmann_moller(dim, s=1)
+    return _rule_grundmann_moller(dim, 4), _rule_grundmann_moller(dim, 3)
 
 
 def _exact_simplex_volume(verts):
@@ -224,7 +205,10 @@ def _evaluate(f, verts, volumes, coarse=None):
     """Errors and half values of the (K, k, d) cells of the given volumes,
     with the nodes of all of them passed to f in one array.
 
-    A cell's coarse value is its high rule, which its parent computed as
+    A cell's value is the sum of its two half values, the high rule on
+    each half.  Its error estimate bounds that sum: the distance to the
+    companion rule on the same halves, plus the distance to the coarse
+    value, the high rule on the whole cell, which its parent computed as
     one of its half values; for roots (coarse None) it is computed here.
     Also returns each cell's two halves as one (2, k, d) array, copied so
     that a cell does not keep its whole batch alive, and the number of
@@ -232,8 +216,8 @@ def _evaluate(f, verts, volumes, coarse=None):
     """
     high, low = _rules(verts.shape[2])
     split = _bisect_many(verts)
-    jobs = [(low, verts, volumes)]
-    jobs += [(high, half, volumes / 2) for half in split]
+    jobs = [(rule, half, volumes / 2) for rule in (low, high)
+            for half in split]
     if coarse is None:
         jobs.append((high, verts, volumes))
     nodes = [np.matmul(bary, v).reshape(-1, v.shape[2])
@@ -247,10 +231,10 @@ def _evaluate(f, verts, volumes, coarse=None):
                      in zip(vol.tolist(), map(weights.dot, rows))])
         start += len(x)
     if coarse is None:
-        coarse = sums[3]
-    halves = list(zip(sums[1], sums[2]))
-    errs = [abs(c - sum(h)) + 0.05 * abs(c - low_val)
-            for c, h, low_val in zip(coarse, halves, sums[0])]
+        coarse = sums[4]
+    halves = list(zip(sums[2], sums[3]))
+    errs = [abs(c - sum(h)) + abs(sum(h) - sum(low_halves))
+            for c, h, low_halves in zip(coarse, halves, zip(sums[0], sums[1]))]
     pairs = [pair.copy() for pair in np.stack(split, axis=1)]
     return errs, halves, pairs, len(points)
 
@@ -283,8 +267,8 @@ def integrate(f, region: IntegrationRegion, tol: float,
     # a cell is the heap entry (-err, id, volume, pair, half values), where
     # pair is the (2, k, d) stack of the two cells its bisection gives,
     # which become its children when it is split.  Its coarse value is
-    # the half value its parent computed, so only the companion rule and
-    # the two halves are new.  The volume is the exact volume of its root
+    # the half value its parent computed, so only its two halves, under
+    # both rules, are new.  The volume is the exact volume of its root
     # simplex, halved at each bisection.
     heap = []
     ids = itertools.count()

@@ -41,6 +41,24 @@ def polytope_json(draw):
     return {"dim": dim, "facets": facets}
 
 
+@st.composite
+def shifted_polytope_json(draw):
+    """A box around the origin in dimension 1-3, cut by up to two more
+    facets, with half-integral offsets: often half-form shifted, so that
+    norms reaches its integrals."""
+    dim = draw(st.integers(1, 3))
+    half = st.sampled_from(["1/2", "3/2"])
+    facets = [{"normal": [sign * int(j == i) for j in range(dim)],
+               "offset": draw(half)}
+              for i in range(dim) for sign in (1, -1)]
+    for normal in draw(st.lists(st.lists(
+            st.integers(-1, 1), min_size=dim, max_size=dim).filter(any),
+            max_size=2)):
+        facets.append({"normal": normal,
+                       "offset": draw(half | st.sampled_from([1, 2]))})
+    return {"dim": dim, "facets": facets}
+
+
 FRAMES = st.sampled_from([
     "1", "1,0;0,1", "0,1;-1,0", "1,1;0,1", "1,0,0;0,1,0;0,0,1",
     "1,0,0;1,1,0;0,0,1", "1,0;0", "2,0;0,1", "1,x", ";"])
@@ -64,10 +82,31 @@ def argv_options(draw):
     return argv
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(polytope_json(), argv_options())
-def test_exit_code_contract(data, options):
+@st.composite
+def norms_case(draw):
+    """A polytope and norms options, mostly valid for its dimension, so
+    that most commands reach the integrals."""
+    data = draw(polytope_json() | shifted_polytope_json())
+    dim = max(data["dim"], 1)
+    argv = ["--command", "norms", "--tol=1e-2", "--s-grid=" + draw(
+        st.sampled_from(["10", "5,10", "1,40", "20", "0,10"]))]
+    if draw(st.booleans()):
+        argv.append(f"--p={draw(st.sampled_from([1, 1, 2, 3, 0]))}")
+    if draw(st.booleans()):
+        m = [str(draw(st.integers(-1, 2))) for _ in range(dim)]
+        argv.append("--m=" + ";".join(draw(st.sampled_from([m, m, ["x"]]))))
+    if draw(st.booleans()):
+        # the identity frame, or a shear of its first two axes
+        rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        if dim > 1 and draw(st.booleans()):
+            rows[0][1] = 1
+        argv.append("--B=" + ";".join(",".join(map(str, r)) for r in rows))
+    if draw(st.booleans()):
+        argv.append("--format=" + draw(st.sampled_from(["csv", "json"])))
+    return data, argv
+
+
+def check_exit_code_contract(data, options):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "poly.json")
         with open(path, "w") as fh:
@@ -82,3 +121,21 @@ def test_exit_code_contract(data, options):
         json.loads(text)
     elif text:
         list(csv.reader(io.StringIO(text), strict=True))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(polytope_json(), argv_options())
+def test_exit_code_contract(data, options):
+    check_exit_code_contract(data, options)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(norms_case())
+def test_norms_exit_code_contract(monkeypatch, case):
+    # a small cell budget keeps each integral short; it stops most of them
+    # above --tol, which norms must report, not raise
+    monkeypatch.setenv("TORICQ_CELL_BUDGET", "16")
+    check_exit_code_contract(*case)

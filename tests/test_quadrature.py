@@ -66,6 +66,43 @@ class TestTriangulate:
             triangulate(sl)
 
 
+def compositions(total, parts):
+    """Every tuple of `parts` nonnegative ints that sum to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+class TestRules:
+    """_rules(d) is the Grundmann-Moller pair of degrees 9 and 7: on the
+    unit d-simplex it integrates the barycentric monomial lambda^alpha to
+    alpha! / (d + |alpha|)! for every |alpha| up to its degree, and misses
+    some monomial of the next degree."""
+
+    @staticmethod
+    def worst_relative_error(rule, dim, total):
+        bary, weights = rule
+        worst = 0.0
+        for alpha in compositions(total, dim + 1):
+            exact = Fraction(math.prod(map(math.factorial, alpha)),
+                             math.factorial(dim + total))
+            value = (float(weights @ np.prod(bary ** np.array(alpha), axis=1))
+                     / math.factorial(dim))
+            worst = max(worst, float(abs(Fraction(value) - exact) / exact))
+        return worst
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_degrees(self, dim):
+        for rule, degree in zip(_rules(dim), (9, 7)):
+            assert np.all(rule[0] > 0)
+            for total in range(degree + 1):
+                assert self.worst_relative_error(rule, dim, total) < 1e-12
+            assert self.worst_relative_error(rule, dim, degree + 1) > 1e-8
+
+
 class TestIntegrate:
     def test_constant_on_square(self):
         region = triangulate(library.square(1))
@@ -131,10 +168,10 @@ class TestIntegrate:
         assert r1.cells_used == r2.cells_used
 
     @pytest.mark.parametrize("poly, tol", [
-        (library.simplex(2), 1e-6),
+        (library.simplex(2), 1e-9),
         (DelzantPolytope.from_data(
             3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
-                ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)]), 1e-4),
+                ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)]), 1e-7),
     ], ids=["2d", "3d"])
     def test_batching_is_invisible(self, poly, tol):
         # f gets the nodes of many cells and rules in one array; a pointwise
@@ -190,9 +227,11 @@ def greedy_reference(f, region, tol, budget):
         return volume * float(weights @ f(bary @ verts))
 
     def cell(verts, volume, coarse):
-        halves = tuple(rule(h, volume / 2, high) for h in bisect_one(verts))
+        split = bisect_one(verts)
+        halves = tuple(rule(h, volume / 2, high) for h in split)
+        low_halves = tuple(rule(h, volume / 2, low) for h in split)
         err = (abs(coarse - sum(halves))
-               + 0.05 * abs(coarse - rule(verts, volume, low)))
+               + abs(sum(halves) - sum(low_halves)))
         return (-err, next(ids), volume, verts, halves)
 
     heap = [cell(v, vol, rule(v, vol, high)) for v, vol in
@@ -292,10 +331,10 @@ class TestGreedyOracle:
 
     @pytest.mark.parametrize("poly, tols", [
         (library.segment(0, 1), (1e-3, 1e-6, 1e-9)),
-        (library.simplex(1), (1e-3, 1e-6, 1e-9)),
+        (library.simplex(1), (1e-4, 1e-6, 1e-9)),
         (library.corrected_square(), (1e-4, 1e-7)),
-        (box(3), (1e-4, 1e-6)),
-        (box(4), (1e-4, 1e-5)),
+        (box(3), (1e-5, 1e-6)),
+        (box(4), (1e-5, 1e-6)),
     ], ids=["1d", "2d-simplex", "2d-square", "3d", "4d"])
     def test_matches_one_cell_at_a_time(self, poly, tols):
         region = triangulate(poly)
@@ -305,8 +344,8 @@ class TestGreedyOracle:
             assert calls < ref_calls
 
     @pytest.mark.parametrize("poly, tol", [
-        (library.square(1), 1e-7), (library.corrected_square(), 1e-7),
-        (box(3), 1e-6)], ids=["2d", "2d-corrected", "3d"])
+        (library.square(1), 1e-13), (library.corrected_square(), 1e-10),
+        (box(3), 1e-10)], ids=["2d", "2d-corrected", "3d"])
     def test_exact_error_ties(self, poly, tol):
         res, _, _ = self.check(first_coordinate, triangulate(poly), tol,
                                10 ** 6)
@@ -337,11 +376,13 @@ class TestGreedyOracle:
 
 class TestNodeCount:
     def test_one_root_segment(self):
-        # the root takes 4 rule applications of 3 nodes, and each split 2
-        # new cells at 3 applications each: nodes = 12 + 18 (cells - 1)
+        # the segment rules have 15 (degree 9) and 10 (degree 7) nodes.
+        # The root takes both rules on its two halves and the high rule on
+        # itself, 65 nodes, and each split 2 new cells at 50 nodes each:
+        # nodes = 65 + 100 (cells - 1)
         res = integrate(peaked, triangulate(library.segment(0, 1)), 1e-9)
         assert res.cells_used > 1
-        assert res.nodes == 18 * res.cells_used - 6
+        assert res.nodes == 100 * res.cells_used - 35
 
     @pytest.mark.parametrize("poly, budget", [
         (library.corrected_square(), 10 ** 6),

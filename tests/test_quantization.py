@@ -204,9 +204,9 @@ class TestConvergence:
         poly = DelzantPolytope.from_data(2, [
             ((1, 0), h), ((0, 1), h), ((0, -1), 1 + h), ((-1, -1), 2 + h)])
         report = verify_norm_limit(poly, 1, (0, 0), (10.0, 20.0),
-                                   tol=1e-13, budget=20)
-        assert all(r.cells_used == 20 for r in report.results)
-        assert report.c_m_result.cells_used == 20
+                                   tol=1e-13, budget=8)
+        assert all(r.cells_used == 8 for r in report.results)
+        assert report.c_m_result.cells_used == 8
         assert report.c_m_result.hit_budget
         assert not report.passed
 

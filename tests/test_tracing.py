@@ -17,7 +17,7 @@ from toricq import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["--input", sys.argv[2], "--command", "norms", "--p", "1",
-                     "--m", "0", "--s-grid", "10,20", "--tol", "1e-6"])
+                     "--m", "0", "--s-grid", "10,20", "--tol", sys.argv[3]])
 metrics = tracing.layer_metrics(tr, len(out.getvalue().encode()))
 print(json.dumps({"code": code, "metrics": metrics}))
 """
@@ -31,7 +31,7 @@ def test_traced_norms_command_counts_cells(tmp_path):
     poly = tmp_path / "segment.json"
     poly.write_text(json.dumps(SEGMENT))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT), str(poly)],
+        [sys.executable, "-c", SCRIPT, str(ROOT), str(poly), "1e-6"],
         capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
@@ -43,21 +43,23 @@ def test_traced_norms_command_counts_cells(tmp_path):
 
 
 def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
-    # every segment rule has 3 nodes.  A segment integral has one root
-    # cell, which takes 4 rule applications (12 nodes), and each split
-    # replaces a cell by 2 new ones at 3 applications each (18 nodes), so
-    # nodes = 12 + 18 (cells - 1) per integral.  Evaluating one split per
+    # the segment rules have 15 (degree 9) and 10 (degree 7) nodes.  A
+    # segment integral has one root cell, which takes both rules on its two
+    # halves and the high rule on itself (65 nodes), and each split
+    # replaces a cell by 2 new ones at 50 nodes each, so
+    # nodes = 65 + 100 (cells - 1) per integral.  Evaluating one split per
     # call, and the root in two, would take 2 + (cells - 1) calls per
     # integral; the splits are evaluated in batches, in far fewer calls.
+    # The tolerance is tight enough for the integrals to need batches.
     poly = tmp_path / "segment.json"
     poly.write_text(json.dumps(SEGMENT))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT), str(poly)],
+        [sys.executable, "-c", SCRIPT, str(ROOT), str(poly), "1e-10"],
         capture_output=True, text=True, timeout=120, check=True)
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
     cells = metrics["quadrature.cells"]
     integrals = metrics["quadrature.integrate.calls"]
-    assert metrics["quadrature.nodes"] == 18 * cells - 6 * integrals
+    assert metrics["quadrature.nodes"] == 100 * cells - 35 * integrals
     assert metrics["quadrature.integrand_calls"] <= (cells + integrals) // 2
 
 
