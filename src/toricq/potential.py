@@ -101,8 +101,10 @@ class SymplecticPotential:
             y = y + self.correction.grad(x)
         return y
 
-    def hess(self, x):
-        l = self.facet_values(x)
+    def hess(self, x, l=None):
+        """Hess g at x; l, if given, is facet_values(x)."""
+        if l is None:
+            l = self.facet_values(x)
         G = 0.5 * np.einsum('...r,rj,rk->...jk', 1.0 / l, self.A, self.A)
         if self.correction is not None:
             idx = np.arange(self.dim)

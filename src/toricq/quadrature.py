@@ -7,12 +7,17 @@ companion, so integrands that are only continuous up to the boundary are
 never sampled on it.  A cell's value is the degree-9 rule on its two
 halves, and its error estimate bounds that value: the distance to the
 degree-7 rule on the same halves plus the distance to the degree-9 rule
-on the whole cell.  Refinement is greedy: it bisects the cell with the
-largest error estimate.  The splits it is certain to make before the
-estimates sum to the tolerance are evaluated ahead, up to 64 cells at a
-time with one integrand call, which changes neither the splits nor their
-order.  The cell values and errors are summed with math.fsum, which is
-correctly rounded, so the totals do not depend on cell order.
+on the whole cell.  The rules are nested (Grundmann and Moller, 1978), so
+their distinct nodes form one set per dimension.  Each half, and each
+root cell as a whole, passes that set to the integrand once, and each
+rule's sum gathers the values at its own nodes, in its own order; the
+`nodes` of a result counts these distinct nodes.  Refinement is greedy:
+it bisects the cell with the largest error estimate.  The splits it is
+certain to make before the estimates sum to the tolerance are evaluated
+ahead, up to 64 cells at a time with one integrand call, which changes
+neither the splits nor their order.  The cell values and errors are
+summed with math.fsum, which is correctly rounded, so the totals do not
+depend on cell order.
 """
 
 from __future__ import annotations
@@ -93,6 +98,23 @@ def _rules(dim):
     accident.
     """
     return _rule_grundmann_moller(dim, 4), _rule_grundmann_moller(dim, 3)
+
+
+@functools.cache
+def _nodes(dim):
+    """The distinct barycentric nodes of the two rules of _rules(dim), and
+    for each rule the row of each of its nodes in that set.
+
+    The rules are nested: every node of the degree-7 companion is, as a
+    float, a node of the degree-9 rule, which also repeats its
+    centroid-type nodes.  The set has 13, 34, 69 and 126 nodes in
+    dimensions 1 to 4.
+    """
+    rules = _rules(dim)
+    bary, index = np.unique(np.concatenate([b for b, _ in rules]), axis=0,
+                            return_inverse=True)
+    cut = len(rules[0][0])
+    return bary, (index[:cut], index[cut:])
 
 
 def _exact_simplex_volume(verts):
@@ -201,6 +223,18 @@ def _bisect_many(verts):
             np.where(at_j[..., None], mid, verts))
 
 
+def _rule_sums(vals, idx, weights):
+    """weights . vals[..., idx] for every row of vals.
+
+    `take` gathers each row's values at the rule's nodes, in the rule's
+    order, into C-contiguous rows, so that the dot products add them in the
+    same order as on the rule's own nodes.
+    """
+    rows = vals.take(idx, axis=-1)
+    sums = map(weights.dot, rows.reshape(-1, len(idx)))
+    return np.fromiter(sums, float).reshape(rows.shape[:-1])
+
+
 def _evaluate(f, verts, volumes, coarse=None):
     """Errors and half values of the (K, k, d) cells of the given volumes,
     with the nodes of all of them passed to f in one array.
@@ -210,33 +244,28 @@ def _evaluate(f, verts, volumes, coarse=None):
     companion rule on the same halves, plus the distance to the coarse
     value, the high rule on the whole cell, which its parent computed as
     one of its half values; for roots (coarse None) it is computed here.
-    Also returns each cell's two halves as one (2, k, d) array, copied so
-    that a cell does not keep its whole batch alive, and the number of
+    Each block (the two halves, and for roots the whole cell) takes the
+    shared node set of the two rules, so f sees each node once.  Also
+    returns each cell's two halves as one (2, k, d) array, copied so that
+    a cell does not keep its whole batch alive, and the number of distinct
     nodes passed to f.
     """
-    high, low = _rules(verts.shape[2])
+    dim = verts.shape[2]
+    bary, (idx_high, idx_low) = _nodes(dim)
+    (_, w_high), (_, w_low) = _rules(dim)
     split = _bisect_many(verts)
-    jobs = [(rule, half, volumes / 2) for rule in (low, high)
-            for half in split]
-    if coarse is None:
-        jobs.append((high, verts, volumes))
-    nodes = [np.matmul(bary, v).reshape(-1, v.shape[2])
-             for (bary, _), v, _ in jobs]
-    points = np.concatenate(nodes)
-    vals = np.asarray(f(points), dtype=float)
-    sums, start = [], 0
-    for ((_, weights), _, vol), x in zip(jobs, nodes):
-        rows = vals[start:start + len(x)].reshape(len(vol), len(weights))
-        sums.append([v * float(row_sum) for v, row_sum
-                     in zip(vol.tolist(), map(weights.dot, rows))])
-        start += len(x)
-    if coarse is None:
-        coarse = sums[4]
-    halves = list(zip(sums[2], sums[3]))
-    errs = [abs(c - sum(h)) + abs(sum(h) - sum(low_halves))
-            for c, h, low_halves in zip(coarse, halves, zip(sums[0], sums[1]))]
+    blocks = np.stack(split if coarse is not None else split + (verts,))
+    points = np.matmul(bary, blocks).reshape(-1, dim)
+    vals = np.asarray(f(points), dtype=float).reshape(len(blocks), -1,
+                                                      len(bary))
+    high = _rule_sums(vals, idx_high, w_high)
+    halves = high[:2] * (volumes / 2)
+    low = _rule_sums(vals[:2], idx_low, w_low) * (volumes / 2)
+    value = halves[0] + halves[1]
+    coarse = high[2] * volumes if coarse is None else np.asarray(coarse)
+    errs = abs(coarse - value) + abs(value - (low[0] + low[1]))
     pairs = [pair.copy() for pair in np.stack(split, axis=1)]
-    return errs, halves, pairs, len(points)
+    return errs.tolist(), list(zip(*halves.tolist())), pairs, len(points)
 
 
 def _split(f, cells):
@@ -259,8 +288,8 @@ def integrate(f, region: IntegrationRegion, tol: float,
     Splits that greedy is certain to make are evaluated ahead in batches,
     which changes neither the splits nor their order.  f maps an (N, dim)
     array of strictly interior points to (N,) values and must be
-    pointwise: it is called once per batch, with the nodes of all its
-    cells and rules stacked in one array.
+    pointwise: it is called once per batch, with the distinct nodes of
+    the rules on all its cells stacked in one array.
     """
     if budget is None:
         budget = cell_budget()

@@ -65,8 +65,10 @@ def stable_density(pot: SymplecticPotential, m):
             f"lattice point {m} has a facet value below 1/2; "
             "the polytope is not half-form shifted")
 
-    def density(x):
-        l = pot.facet_values(x)
+    def density(x, l=None):
+        """The density at x; l, if given, is pot.facet_values(x)."""
+        if l is None:
+            l = pot.facet_values(x)
         return np.exp(np.sum(lm * np.log(l) + (lm - l), axis=-1))
 
     return density
@@ -80,10 +82,11 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s: float):
     idx = np.arange(p)
 
     def f(x):
+        l = pot.facet_values(x)
         gauss = np.exp(-s * np.sum((x[..., :p] - mm) ** 2, axis=-1))
-        G = pot.hess(x)
+        G = pot.hess(x, l)
         G[..., idx, idx] += s
-        return gauss * density(x) * np.sqrt(np.linalg.det(G))
+        return gauss * density(x, l) * np.sqrt(np.linalg.det(G))
 
     return f
 

@@ -44,6 +44,23 @@ SQUARE = {"dim": 2, "facets": [
     {"normal": [0, -1], "offset": "3/2"}]}
 
 
+CORRECTED_BOX3 = {"dim": 3, "facets": [
+    {"normal": [1, 0, 0], "offset": "1/2"},
+    {"normal": [0, 1, 0], "offset": "1/2"},
+    {"normal": [0, 0, 1], "offset": "1/2"},
+    {"normal": [-1, 0, 0], "offset": "3/2"},
+    {"normal": [0, -1, 0], "offset": "3/2"},
+    {"normal": [0, 0, -1], "offset": "3/2"}]}
+
+# norms stdout captured byte for byte in golden/norms_<name>.csv
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PINNED_NORMS = {
+    "segment": (SEGMENT, []),
+    "square": (SQUARE, ["--s-grid", "10,20,40", "--tol", "1e-6"]),
+    "box3": (CORRECTED_BOX3, ["--tol", "1e-4"]),
+}
+
+
 def write(tmp_path, data, name="poly.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -160,6 +177,19 @@ class TestNorms:
         assert proc.returncode == 0
         assert [r[6] for r in rows_of(proc.stdout)[1:]] == ["False"] * 4
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("name", list(PINNED_NORMS))
+    def test_stdout_is_pinned(self, tmp_path, capsys, name):
+        # README promises bit-identical output from run to run; this pins
+        # it across changes to the integrator that must not move a digit.
+        # A change that knowingly moves the printed digits (ROADMAP items
+        # 3-5) re-captures tests/golden/norms_<name>.csv and says so in
+        # CHANGES.md.
+        poly, flags = PINNED_NORMS[name]
+        code, out = run(capsys, ["--input", write(tmp_path, poly),
+                                 "--command", "norms", "--p", "1"] + flags)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"norms_{name}.csv").read_bytes()
 
 
 class TestFlow:

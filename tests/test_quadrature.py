@@ -12,11 +12,16 @@ from toricq.polytope import DelzantPolytope, PolytopeError
 from toricq.quadrature import (
     IntegrationRegion,
     _bisect_many,
+    _nodes,
     _rules,
     integrate,
     integrate_slice,
     triangulate,
 )
+
+# distinct nodes of the degree-9 rule and its degree-7 companion, by
+# dimension: the node set that every block of cells passes to f
+SHARED_NODES = {1: 13, 2: 34, 3: 69, 4: 126}
 
 # e^(2 g_P) on the unit segment is x^x (1-x)^(1-x); reference computed once
 # with 30-digit adaptive quadrature (cross-checked by 10^6-interval Simpson)
@@ -101,6 +106,20 @@ class TestRules:
             for total in range(degree + 1):
                 assert self.worst_relative_error(rule, dim, total) < 1e-12
             assert self.worst_relative_error(rule, dim, degree + 1) > 1e-8
+
+
+class TestSharedNodes:
+    """_nodes(d) is the distinct nodes of the two rules of _rules(d): each
+    rule's nodes are rows of it, bit for bit, at the recorded indices."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_every_rule_node_is_a_shared_row(self, dim):
+        bary, indices = _nodes(dim)
+        for (rule_bary, _), idx in zip(_rules(dim), indices):
+            assert len(idx) == len(rule_bary)
+            assert np.array_equal(bary[idx], rule_bary)
+        assert len({row.tobytes() for row in bary}) == len(bary)
+        assert len(bary) == SHARED_NODES[dim]
 
 
 class TestIntegrate:
@@ -313,8 +332,10 @@ class TestBisectMany:
 
 class TestGreedyOracle:
     """`integrate` evaluates splits in batches; it must make the same
-    splits as greedy refinement one cell at a time, bit for bit, and
-    without a budget evaluate no node more."""
+    splits as greedy refinement one cell at a time, bit for bit.  Without
+    a budget stop it passes each root's two halves and the root itself,
+    and each split's two new cells' halves, the shared node set once:
+    nodes = 4 q cells - q roots, with q = SHARED_NODES[dim]."""
 
     def check(self, g, region, tol, budget):
         f, nodes = counting(g)
@@ -326,7 +347,8 @@ class TestGreedyOracle:
                 res.converged) == (value, err, cells, converged)
         assert res.hit_budget == (cells >= budget and not converged)
         if not res.hit_budget:
-            assert sum(nodes) == sum(ref_nodes)
+            q = SHARED_NODES[region.dim]
+            assert sum(nodes) == 4 * q * cells - q * len(region.simplices)
         return res, len(nodes), len(ref_nodes)
 
     @pytest.mark.parametrize("poly, tols", [
@@ -376,13 +398,12 @@ class TestGreedyOracle:
 
 class TestNodeCount:
     def test_one_root_segment(self):
-        # the segment rules have 15 (degree 9) and 10 (degree 7) nodes.
-        # The root takes both rules on its two halves and the high rule on
-        # itself, 65 nodes, and each split 2 new cells at 50 nodes each:
-        # nodes = 65 + 100 (cells - 1)
+        # the segment rules share 13 distinct nodes.  The root passes them
+        # on its two halves and on itself, 39 nodes, and each split 2 new
+        # cells at 26 nodes each: nodes = 39 + 52 (cells - 1)
         res = integrate(peaked, triangulate(library.segment(0, 1)), 1e-9)
         assert res.cells_used > 1
-        assert res.nodes == 100 * res.cells_used - 35
+        assert res.nodes == 52 * res.cells_used - 13
 
     @pytest.mark.parametrize("poly, budget", [
         (library.corrected_square(), 10 ** 6),

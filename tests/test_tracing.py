@@ -43,13 +43,12 @@ def test_traced_norms_command_counts_cells(tmp_path):
 
 
 def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
-    # the segment rules have 15 (degree 9) and 10 (degree 7) nodes.  A
-    # segment integral has one root cell, which takes both rules on its two
-    # halves and the high rule on itself (65 nodes), and each split
-    # replaces a cell by 2 new ones at 50 nodes each, so
-    # nodes = 65 + 100 (cells - 1) per integral.  Evaluating one split per
-    # call, and the root in two, would take 2 + (cells - 1) calls per
-    # integral; the splits are evaluated in batches, in far fewer calls.
+    # the segment rules share 13 distinct nodes.  A segment integral has
+    # one root cell, which passes them on its two halves and on itself
+    # (39 nodes), and each split replaces a cell by 2 new ones at 26 nodes
+    # each, so nodes = 39 + 52 (cells - 1) per integral.  Evaluating one
+    # split per call, and the root in two, would take 2 + (cells - 1) calls
+    # per integral; the splits are evaluated in batches, in far fewer calls.
     # The tolerance is tight enough for the integrals to need batches.
     poly = tmp_path / "segment.json"
     poly.write_text(json.dumps(SEGMENT))
@@ -59,7 +58,7 @@ def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
     cells = metrics["quadrature.cells"]
     integrals = metrics["quadrature.integrate.calls"]
-    assert metrics["quadrature.nodes"] == 100 * cells - 35 * integrals
+    assert metrics["quadrature.nodes"] == 52 * cells - 13 * integrals
     assert metrics["quadrature.integrand_calls"] <= (cells + integrals) // 2
 
 
