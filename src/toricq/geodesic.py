@@ -2,10 +2,12 @@
 
 H = 1/2 sum_{j<=p} x_j^2 deforms only the leading p x p Hessian block, so the
 deformed inverse Hessian has a Schur-complement closed form whose s -> oo
-limit is block-diagonal in the trailing (n-p) x (n-p) block D.  Polarization
-frames are generator matrices of complex n-dimensional subspaces of
-C^(2n) in the coordinate order (d/dx^1..d/dx^n, d/dtheta^1..d/dtheta^n) and
-are only ever compared through principal angles.
+limit is block-diagonal in the trailing (n-p) x (n-p) block D.  Frames and
+connection forms take G_s^(-1) and its limit from the blocks of the base
+Hessian, the one path for every s.  Polarization frames are generator
+matrices of complex n-dimensional subspaces of C^(2n) in the coordinate
+order (d/dx^1..d/dx^n, d/dtheta^1..d/dtheta^n) and are only ever compared
+through principal angles.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import QuadraticCorrection, SymplecticPotential
-from .quantization import hamiltonian_value
 
 
 class BlockError(ValueError):
@@ -34,9 +35,6 @@ class MabuchiRay:
         if not 1 <= self.p <= self.base.dim:
             raise ValueError("p must satisfy 1 <= p <= n")
 
-    def hamiltonian(self, x):
-        return hamiltonian_value(x, self.p)
-
     def potential(self, s: float) -> SymplecticPotential:
         """g_0 + s H: the base potential with s added to the quadratic
         correction on the first p axes."""
@@ -52,11 +50,11 @@ class MabuchiRay:
 
 @dataclass(frozen=True)
 class HessianBlocks:
-    """Blocks of a symmetric Hessian split after the first p rows."""
+    """Blocks [[a1, a2], [a2^T, d]] of a symmetric positive-definite Hessian
+    split after the first p rows."""
 
     a1: np.ndarray
     a2: np.ndarray
-    a3: np.ndarray
     d: np.ndarray
     p: int
 
@@ -69,53 +67,50 @@ class HessianBlocks:
         G = np.zeros((n, n))
         G[:p, :p] = self.a1 + s * np.eye(p)
         G[:p, p:] = self.a2
-        G[p:, :p] = self.a3
+        G[p:, :p] = self.a2.T
         G[p:, p:] = self.d
         return G
 
 
 def hessian_blocks(G, p: int) -> HessianBlocks:
-    """Split a symmetric matrix; the trailing block must be positive-definite."""
+    """Split a symmetric matrix after the first p rows.  G must be
+    positive-definite; then so are G + sT and its Schur complement S_s for
+    every s >= 0."""
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
     if not 1 <= p <= n:
         raise BlockError("p out of range")
     if not np.allclose(G, G.T, atol=1e-10):
         raise BlockError("Hessian must be symmetric")
-    blocks = HessianBlocks(a1=G[:p, :p], a2=G[:p, p:], a3=G[p:, :p],
-                           d=G[p:, p:], p=p)
-    if p < n:
-        try:
-            np.linalg.cholesky(blocks.d)
-        except np.linalg.LinAlgError:
-            raise BlockError("trailing diagonal block is not positive-definite")
-    return blocks
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise BlockError("Hessian is not positive-definite")
+    return HessianBlocks(a1=G[:p, :p], a2=G[:p, p:], d=G[p:, p:], p=p)
 
 
 def schur_complement(blocks: HessianBlocks, s: float):
     p = blocks.p
     if p == blocks.n:
         return blocks.a1 + s * np.eye(p)
-    dinv_a3 = np.linalg.solve(blocks.d, blocks.a3)
-    return blocks.a1 + s * np.eye(p) - blocks.a2 @ dinv_a3
+    return blocks.a1 + s * np.eye(p) - blocks.a2 @ np.linalg.solve(
+        blocks.d, blocks.a2.T)
 
 
 def inverse_hessian_s(blocks: HessianBlocks, s: float):
     """Inverse of G + sT by the block Schur-complement formula."""
+    if s < 0:
+        raise ValueError("geodesic parameter s must be nonnegative")
     n, p = blocks.n, blocks.p
-    S = schur_complement(blocks, s)
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise BlockError(f"Schur complement is singular (cond ~ {cond:.2e})")
-    Sinv = np.linalg.inv(S)
+    Sinv = np.linalg.inv(schur_complement(blocks, s))
     if p == n:
         return Sinv
     dinv = np.linalg.inv(blocks.d)
     out = np.zeros((n, n))
     out[:p, :p] = Sinv
     out[:p, p:] = -Sinv @ blocks.a2 @ dinv
-    out[p:, :p] = -dinv @ blocks.a3 @ Sinv
-    out[p:, p:] = dinv + dinv @ blocks.a3 @ Sinv @ blocks.a2 @ dinv
+    out[p:, :p] = -dinv @ blocks.a2.T @ Sinv
+    out[p:, p:] = dinv + dinv @ blocks.a2.T @ Sinv @ blocks.a2 @ dinv
     return out
 
 
@@ -155,19 +150,18 @@ class PolarizationFrame:
 
 
 def _inverse_hessian(ray: MabuchiRay, x, s):
-    """(potential, x, G_s^(-1)) at the interior point x; for s None the
-    base potential and the s -> oo limit diag(0, D^(-1))."""
-    pot = ray.base if s is None else ray.potential(s)
-    pot._require_interior(x)
+    """(x, G_s^(-1)) at the interior point x, from the Schur blocks of the
+    base Hessian; for s None the s -> oo limit diag(0, D^(-1))."""
+    ray.base._require_interior(x)
     x = np.asarray(x, dtype=float)
-    G = pot.hess(x)
+    blocks = hessian_blocks(ray.base.hess(x), ray.p)
     if s is None:
-        return pot, x, inverse_hessian_limit(hessian_blocks(G, ray.p))
-    return pot, x, np.linalg.inv(G)
+        return x, inverse_hessian_limit(blocks)
+    return x, inverse_hessian_s(blocks, s)
 
 
 def _frame(ray: MabuchiRay, x, s) -> PolarizationFrame:
-    _, x, Ginv = _inverse_hessian(ray, x, s)
+    x, Ginv = _inverse_hessian(ray, x, s)
     return PolarizationFrame(basepoint=x,
                              vectors=np.hstack([Ginv, 1j * np.eye(len(x))]))
 
@@ -231,8 +225,9 @@ class ConnectionFormValue:
 
 
 def _connection_form(ray: MabuchiRay, x, s) -> ConnectionFormValue:
-    pot, x, Ginv = _inverse_hessian(ray, x, s)
-    u = np.einsum('jkl,kl->j', pot.third(x), Ginv)
+    x, Ginv = _inverse_hessian(ray, x, s)
+    # a quadratic correction has no third derivatives: T_s = T_0
+    u = np.einsum('jkl,kl->j', ray.base.third(x), Ginv)
     return ConnectionFormValue(basepoint=x,
                                coeffs=-1j * x + 0.25j * (u @ Ginv))
 

@@ -212,6 +212,44 @@ class TestFlow:
         dists = [float(r[2]) for r in rows_of(out)[1:]]
         assert dists == sorted(dists, reverse=True)
 
+    @pytest.mark.parametrize("data,point", [(SEGMENT, "0.3"),
+                                            (SQUARE, "0.3,0.6")],
+                             ids=["segment", "square"])
+    def test_matches_closed_form(self, tmp_path, capsys, data, point):
+        # both Hessians are diagonal, so with p = 1 only the first axis
+        # moves: from the facets x1 + 1/2 and 3/2 - x1,
+        # g1 = (1/(x1 + 1/2) + 1/(3/2 - x1))/2 and
+        # T111 = -(1/(x1 + 1/2)^2 - 1/(3/2 - x1)^2)/2; the largest principal
+        # angle is arctan(1/(g1 + s)) and the gap |T111|/(4 (g1 + s)^2)
+        grid = [0.0, 1.0, 10.0, 100.0, 1000.0]
+        code, out = run(capsys, ["--input", write(tmp_path, data),
+                                 "--command", "flow", "--p", "1",
+                                 "--point", point, "--s-grid",
+                                 ",".join(str(s) for s in grid)])
+        assert code == 0
+        rows = rows_of(out)[1:]
+        assert [float(r[1]) for r in rows] == grid
+        x1 = 0.3
+        g1 = 0.5 * (1.0 / (x1 + 0.5) + 1.0 / (1.5 - x1))
+        t111 = -0.5 * (1.0 / (x1 + 0.5) ** 2 - 1.0 / (1.5 - x1) ** 2)
+        for s, row in zip(grid, rows):
+            assert float(row[2]) == pytest.approx(math.atan(1.0 / (g1 + s)),
+                                                  rel=1e-9, abs=0.0)
+            assert float(row[3]) == pytest.approx(
+                abs(t111) / (4.0 * (g1 + s) ** 2), rel=1e-9, abs=0.0)
+
+    def test_near_boundary_point(self, tmp_path, capsys):
+        # G is diagonal with G11 ~ 5e14 at x1 = -1/2 + 1e-15; G + sT is
+        # positive-definite for every s >= 0, so each row is printed
+        code, out = run(capsys, ["--input", write(tmp_path, CORRECTED_BOX3),
+                                 "--command", "flow", "--p", "2",
+                                 "--s-grid", "1,10",
+                                 "--point=-0.499999999999999,0.3,0.4"])
+        assert code == 0
+        rows = rows_of(out)[1:]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
+
     def test_exterior_point_marked(self, tmp_path, capsys):
         code, out = run(capsys, ["--input", write(tmp_path, SQUARE),
                                  "--command", "flow", "--point", "9,9"])

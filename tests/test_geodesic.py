@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,19 +74,15 @@ class TestRayPotential:
             MabuchiRay(guillemin_potential(library.corrected_square()), 3)
 
     def test_hamiltonian(self):
-        ray = square_ray(p=2)
-        assert ray.hamiltonian(np.array([1.0, 2.0])) == pytest.approx(2.5)
-        assert square_ray(p=1).hamiltonian(
-            np.array([1.0, 2.0])) == pytest.approx(0.5)
+        assert hamiltonian_value(np.array([1.0, 2.0]), 2) == pytest.approx(2.5)
+        assert hamiltonian_value(np.array([1.0, 2.0]), 1) == pytest.approx(0.5)
 
     def test_hamiltonian_batch(self):
         x = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 4.0]])
-        h = square_ray(p=1).hamiltonian(x)
+        h = hamiltonian_value(x, 1)
         assert h.shape == (3,)
         assert np.array_equal(h, [0.5, 4.5, 0.0])
-        assert np.array_equal(square_ray(p=2).hamiltonian(x),
-                              [2.5, 4.625, 8.0])
-        assert np.array_equal(hamiltonian_value(x, 1), h)
+        assert np.array_equal(hamiltonian_value(x, 2), [2.5, 4.625, 8.0])
 
 
 class TestSchurInverse:
@@ -134,6 +134,17 @@ class TestSchurInverse:
             hessian_blocks(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
         with pytest.raises(BlockError):
             hessian_blocks(np.array([[1.0, 0.0], [0.0, -1.0]]), 1)
+
+    def test_indefinite_hessian_rejected(self):
+        # symmetric with a positive-definite trailing block D, but G itself
+        # is indefinite, so G + sT would be singular at s = 1
+        with pytest.raises(BlockError):
+            hessian_blocks(np.array([[-1.0, 0.0], [0.0, 1.0]]), 1)
+
+    def test_negative_s_rejected(self):
+        # at s = -3/2 the Schur complement of G_REF is exactly 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            inverse_hessian_s(hessian_blocks(self.G_REF, 1), -1.5)
 
     def test_det_growth(self):
         blocks = hessian_blocks(self.G_REF, 1)
@@ -363,3 +374,27 @@ class TestRayPotentialCorrection:
         x = np.array([0.4, 0.7])
         assert pot.hess(x)[0, 0] == pytest.approx(base.hess(x)[0, 0] + 3.0)
         assert pot.hess(x)[1, 1] == pytest.approx(base.hess(x)[1, 1])
+
+    def test_frame_uses_base_correction(self):
+        from toricq.potential import QuadraticCorrection
+
+        base = guillemin_potential(library.corrected_square(),
+                                   correction=QuadraticCorrection((1.0, 2.0)))
+        ray = MabuchiRay(base, 1)
+        x = np.array([0.4, 0.7])
+        frame = polarization_frame_s(ray, x, 3.0)
+        direct = np.linalg.inv(ray.potential(3.0).hess(x))
+        assert np.allclose(frame.vectors[:, :2].real, direct,
+                           rtol=1e-14, atol=0.0)
+
+
+def test_import_loads_potential_only():
+    # geodesic needs the potential's Hessian and third derivatives and
+    # nothing of polytopes, quadrature or quantization
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, toricq.geodesic; print(sorted(m for m in sys.modules"
+            " if m.startswith('toricq.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "['toricq.geodesic', 'toricq.potential']"
