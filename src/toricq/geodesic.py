@@ -37,7 +37,10 @@ class MabuchiRay:
 
     def potential(self, s: float) -> SymplecticPotential:
         """g_0 + s H: the base potential with s added to the quadratic
-        correction on the first p axes."""
+        correction on the first p axes.  Not on the CLI path, which reads
+        G_s from `hessian_blocks` and sqrt(det G_s) from
+        `SymplecticPotential.det_terms`; it is the tests' reference for
+        G_s."""
         if s < 0:
             raise ValueError("geodesic parameter s must be nonnegative")
         coeffs = [float(s) if j < self.p else 0.0 for j in range(self.base.dim)]

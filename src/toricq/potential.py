@@ -6,10 +6,19 @@ which only shifts the Hessian diagonal.  Value, gradient, Hessian, third
 derivatives and the Abreu scalar curvature are closed-form; `restrict` fixes
 the leading coordinates to a level.  Boundary behaviour is only ever probed
 through the dedicated limit paths of the quadrature and quantization modules.
+
+Hess g + diag(d) = 1/2 A^T diag(1/l) A + diag(d), so by Cauchy-Binet its
+determinant is the sum of c_T prod_{r in T} 1/l_r over facet subsets T,
+each term nonnegative for d >= 0, with c_T built once from exact minors of
+A (`det_terms`).  The half-form factor sqrt(det G_s) and Abreu's regularity
+function are read from facet values alone, with no Hessian and no
+factorization per point.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -101,15 +110,40 @@ class SymplecticPotential:
             y = y + self.correction.grad(x)
         return y
 
-    def hess(self, x, l=None):
-        """Hess g at x; l, if given, is facet_values(x)."""
-        if l is None:
-            l = self.facet_values(x)
+    def hess(self, x):
+        """Hess g at x."""
+        l = self.facet_values(x)
         G = 0.5 * np.einsum('...r,rj,rk->...jk', 1.0 / l, self.A, self.A)
         if self.correction is not None:
             idx = np.arange(self.dim)
             G[..., idx, idx] += self.correction.coeffs
         return G
+
+    def det_terms(self, shift=None) -> "DetTerms":
+        """The Cauchy-Binet terms of det(Hess g + diag(shift)); shift has one
+        entry per axis (zeros if None) and adds to the correction's.
+
+        With d the shifted diagonal, c_T = 2^-|T| sum_C det(A[T, C])^2
+        prod_{j not in C} d_j over the column sets C with |C| = |T|.  Each
+        c_T is the correctly rounded value of that exact sum; the subsets
+        with c_T = 0 are dropped."""
+        d = np.zeros(self.dim) if shift is None else np.asarray(
+            shift, dtype=float)
+        if self.correction is not None:
+            d = d + np.asarray(self.correction.coeffs, dtype=float)
+        d, e = _dyadic(d.tolist())      # d_j = d[j] / 2^e
+        e_A, table = _squared_minors(self.A)
+        subsets, coeffs = [], []
+        for T, terms in table:
+            k = len(T)
+            c = sum(m2 * math.prod(d[j] for j in J) for J, m2 in terms)
+            if c:
+                # c_T is c / 2^bits, and int division rounds correctly
+                bits = e * (self.dim - k) + k + 2 * k * e_A
+                subsets.append(T)
+                coeffs.append(c / (1 << bits))
+        return DetTerms(tuple(subsets), np.array(coeffs),
+                        facets=self.A.shape[0])
 
     def third(self, x):
         """T[j,k,l] = d^3 g / dx_j dx_k dx_l; a quadratic correction has
@@ -127,6 +161,104 @@ class SymplecticPotential:
         return SymplecticPotential(self.A[:, p:], self.A[:, :p] @ c + self.b,
                                    correction=correction,
                                    barycenter=barycenter)
+
+
+def _dyadic(values):
+    """Ints m_i and e with values_i = m_i / 2^e, exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max([0] + [den.bit_length() - 1 for _, den in ratios])
+    return [num << (e + 1 - den.bit_length()) for num, den in ratios], e
+
+
+def _squared_minors(A):
+    """e and, for every facet subset T, its nonzero (J, det(M[T, C])^2),
+    where M = 2^e A is the integer form of the float array A, and C is the
+    set of the |T| columns not in J.  Minors of one size are expanded along
+    their first row from the smaller ones."""
+    R, n = A.shape
+    A, e = _dyadic(A.ravel().tolist())
+    minors = {((), ()): 1}
+    out = [((), [(tuple(range(n)), 1)])]
+    for k in range(1, n + 1):
+        for T in itertools.combinations(range(R), k):
+            row = A[T[0] * n:(T[0] + 1) * n]
+            terms = []
+            for C in itertools.combinations(range(n), k):
+                m = sum((-1) ** i * row[c] * minors[T[1:], C[:i] + C[i + 1:]]
+                        for i, c in enumerate(C) if row[c])
+                minors[T, C] = m
+                if m:
+                    terms.append((tuple(j for j in range(n) if j not in C),
+                                  m * m))
+            if terms:
+                out.append((T, terms))
+    return e, tuple(out)
+
+
+class DetTerms:
+    """det(Hess g + diag(d)) = sum_T c_T prod_{r in T} 1/l_r over facet
+    subsets T; see `SymplecticPotential.det_terms`.
+    With no subset (A of lower rank) the sum is the single term 0."""
+
+    def __init__(self, subsets, coeffs, facets):
+        if not subsets:
+            subsets, coeffs = ((),), np.zeros(1)
+        self.subsets = subsets
+        self.coeffs = coeffs
+        self.facets = facets
+        self._columns = _columns(subsets, facets)
+
+    def det(self, l):
+        """The determinant from facet values l, (..., R)."""
+        return _subset_sum(1.0 / l, self._columns, self.coeffs)
+
+    def det_times_facet_product(self, l):
+        """det * prod_r l_r = sum_T c_T prod_{r not in T} l_r, with no
+        division."""
+        rest = [tuple(r for r in range(self.facets) if r not in T)
+                for T in self.subsets]
+        return _subset_sum(l, _columns(rest, self.facets), self.coeffs)
+
+
+def _columns(subsets, facets):
+    """The subsets padded with the index `facets` of a row of ones to one
+    width (at least 1), as that many index arrays: the j-th facet of
+    every subset."""
+    width = max([1] + [len(T) for T in subsets])
+    index = np.array([T + (facets,) * (width - len(T)) for T in subsets],
+                     dtype=np.intp).reshape(len(subsets), width)
+    return tuple(np.ascontiguousarray(index.T))
+
+
+# nodes per block of _subset_sum, which bounds its temporaries
+_BLOCK = 2048
+
+
+def _subset_sum(w, columns, coeffs):
+    """sum_T coeffs_T prod_{r in T} w_r at every node of w (..., R);
+    `columns` index the facets of the subsets, R meaning a factor 1.
+    Blocks of nodes take one gather per column, then the rows of terms are
+    added by folding halves onto each other, so each node's sum has a fixed
+    order and a batch gives the same bits as its nodes one at a time."""
+    R = w.shape[-1]
+    flat = w.reshape(-1, R)
+    out = np.empty(len(flat))
+    for a in range(0, len(flat), _BLOCK):
+        block = flat[a:a + _BLOCK]
+        factors = np.empty((R + 1, len(block)))
+        factors[:R] = block.T
+        factors[R] = 1.0
+        terms = factors[columns[0]]
+        terms *= coeffs[:, None]
+        for c in columns[1:]:
+            terms *= factors[c]
+        k = len(terms)
+        while k > 1:
+            h = (k + 1) // 2
+            terms[:k - h] += terms[h:k]
+            k = h
+        out[a:a + _BLOCK] = terms[0]
+    return out.reshape(w.shape[:-1])
 
 
 def guillemin_potential(poly, correction=None) -> SymplecticPotential:
@@ -180,10 +312,12 @@ def kahler_potential_value(pot: SymplecticPotential, x):
 
 
 def regularity_delta(pot: SymplecticPotential, x):
-    """delta(x) = (det Hess g * prod_r l_r)^(-1), strictly positive inside."""
+    """Abreu's delta(x) = (det Hess g * prod_r l_r)^(-1), the reciprocal of
+    the positive polynomial sum_T c_T prod_{r not in T} l_r of the
+    Cauchy-Binet terms; strictly positive inside."""
     pot._require_interior(x)
-    l = pot.facet_values(x)
-    return float(1.0 / (np.linalg.det(pot.hess(x)) * np.prod(l)))
+    det_l = pot.det_terms().det_times_facet_product(pot.facet_values(x))
+    return float(1.0 / det_l)
 
 
 def complex_structure(pot: SymplecticPotential, x):

@@ -1,10 +1,16 @@
+import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toricq import library
-from toricq.polytope import HPolytope
+from toricq.geodesic import MabuchiRay
+from toricq.polytope import HPolytope, _det
 from toricq.potential import (
     DomainError,
     QuadraticCorrection,
@@ -263,3 +269,112 @@ class TestCorrection:
             assert np.allclose(G[i], base.hess(x[i]) + np.diag([3.0, 0.5]),
                                rtol=1e-15, atol=0.0)
         assert np.array_equal(pot.third(x), base.third(x))
+
+
+def mp_det_shifted(pot, l, shift):
+    """det(1/2 A^T diag(1/l) A + diag(correction + shift)) at 40 digits,
+    from the same float facet values l."""
+    with mpmath.workdps(40):
+        n = pot.dim
+        d = np.zeros(n) + np.asarray(shift, dtype=float)
+        if pot.correction is not None:
+            d = d + np.asarray(pot.correction.coeffs, dtype=float)
+        G = mpmath.diag([mpmath.mpf(v) for v in d.tolist()])
+        for a, lr in zip(pot.A.tolist(), l.tolist()):
+            for j, k in itertools.product(range(n), repeat=2):
+                G[j, k] += mpmath.mpf(a[j]) * a[k] / (2 * mpmath.mpf(lr))
+        return mpmath.det(G)
+
+
+# the corrected triangle x, y >= -1/2, x + y <= 5/2
+TRIANGLE = SymplecticPotential([[1, 0], [0, 1], [-1, -1]], [0.5, 0.5, 2.5],
+                               barycenter=[0.5, 0.5])
+
+
+class TestCauchyBinetAccuracy:
+    # near the slanted facet the LU determinant of the Hessian cancels (it
+    # is off by up to 5.6e-6 here); the sum of positive terms does not
+    @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("s", [0.0, 80.0, 1e6, 1e10])
+    def test_det_near_slanted_facet(self, d, s):
+        l = TRIANGLE.facet_values(np.array([0.3, 2.2 - d]))
+        ref = mp_det_shifted(TRIANGLE, l, [s, 0.0])
+        got = TRIANGLE.det_terms([s, 0.0]).det(l)
+        assert abs(got - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("s", [0.0, 80.0, 1e6, 1e10])
+    def test_regularity_delta_near_slanted_facet(self, d, s):
+        pot = MabuchiRay(TRIANGLE, 1).potential(s)
+        x = np.array([0.3, 2.2 - d])
+        l = pot.facet_values(x)
+        with mpmath.workdps(40):
+            ref = 1 / (mp_det_shifted(pot, l, [0.0, 0.0])
+                       * mpmath.fprod([mpmath.mpf(v) for v in l.tolist()]))
+            assert abs(regularity_delta(pot, x) - ref) <= 1e-15 * ref
+
+
+@st.composite
+def shifted_potentials(draw):
+    """A box [-1, 1]^n, n = 1..4, cut by up to two facets with integer
+    normals in [-2, 2] that keep the origin inside; p = 0..n, s in
+    {0, 1, 1e3}, with or without a quadratic correction; and an interior
+    point."""
+    n = draw(st.integers(1, 4))
+    normals = [[sign * int(i == j) for j in range(n)]
+               for i in range(n) for sign in (1, -1)]
+    offsets = [1.0] * (2 * n)
+    for normal in draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                         max_size=n).filter(any),
+                                max_size=2)):
+        normals.append(normal)
+        offsets.append(draw(st.sampled_from([0.5, 1.0, 2.5])))
+    correction = draw(st.none() | st.lists(
+        st.sampled_from([0.1, 0.5, 1.0, 3.0]), min_size=n, max_size=n).map(
+            lambda c: QuadraticCorrection(tuple(c))))
+    pot = SymplecticPotential(normals, offsets, correction=correction)
+    p = draw(st.integers(0, n))
+    s = draw(st.sampled_from([0.0, 1.0, 1e3]))
+    # scale a point of the box so that every facet keeps half its offset
+    u = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    reach = np.max(-(pot.A @ u) / pot.b)
+    x = u if reach <= 0.5 else u * (0.5 / reach)
+    return pot, p, s, x
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shifted_potentials())
+def test_cauchy_binet_terms(case):
+    pot, p, s, x = case
+    n = pot.dim
+    shift = [s] * p + [0.0] * (n - p)
+    terms = pot.det_terms(shift)
+    # c_T = 2^-|T| sum_C det(A[T, C])^2 prod_{j not in C} d_j, exactly, and
+    # correctly rounded; the zero ones are dropped
+    d = np.zeros(n) + shift
+    if pot.correction is not None:
+        d = d + np.asarray(pot.correction.coeffs)
+    A = [[int(v) for v in row] for row in pot.A.tolist()]
+    exact = {}
+    for k in range(n + 1):
+        for T in itertools.combinations(range(len(A)), k):
+            c = sum(_det([[A[t][j] for j in C] for t in T]) ** 2
+                    * math.prod(Fraction(d[j]) for j in range(n) if j not in C)
+                    for C in itertools.combinations(range(n), k))
+            if c:
+                exact[T] = float(Fraction(c, 2 ** k))
+    assert dict(zip(terms.subsets, terms.coeffs.tolist())) == exact
+    # and they sum to the determinant of the shifted Hessian
+    lu = np.linalg.det(pot.hess(x) + np.diag(shift))
+    det = terms.det(pot.facet_values(x))
+    assert det == pytest.approx(lu, rel=1e-10, abs=0.0)
+    if p:
+        # the ray potential g_0 + s H, the tests' G_s reference, has the
+        # same terms and the same determinant
+        ray_pot = MabuchiRay(pot, p).potential(s)
+        ray_terms = ray_pot.det_terms()
+        assert ray_terms.subsets == terms.subsets
+        assert np.array_equal(ray_terms.coeffs, terms.coeffs)
+        assert np.linalg.det(ray_pot.hess(x)) == pytest.approx(
+            det, rel=1e-10, abs=0.0)

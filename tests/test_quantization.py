@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toricq import library
-from toricq.polytope import DelzantPolytope
+from toricq.polytope import DelzantPolytope, HPolytope
 from toricq.potential import guillemin_potential
 from toricq.quadrature import integrate_slice
 from toricq.quantization import (
@@ -16,6 +16,7 @@ from toricq.quantization import (
     hamiltonian_value,
     hermitian_limit_table,
     limit_constant,
+    norm_integrand,
     norm_limit,
     norm_squared,
     quantum_basis,
@@ -100,6 +101,38 @@ class TestStableDensity:
         pot = guillemin_potential(library.segment(0, 1))
         with pytest.raises(ValueError):
             stable_density(pot, (0,))
+
+
+def corrected_box3():
+    h, t = Fraction(1, 2), Fraction(3, 2)
+    return HPolytope.from_data(3, [((1, 0, 0), h), ((0, 1, 0), h),
+                                   ((0, 0, 1), h), ((-1, 0, 0), t),
+                                   ((0, -1, 0), t), ((0, 0, -1), t)])
+
+
+class TestNormIntegrandPointwise:
+    # integrate stacks the nodes of many cells into one call and relies on
+    # every node's value being independent of the batch it is in.  2500
+    # nodes cross a block boundary of the determinant's sum.
+    @pytest.mark.parametrize("case", ["segment", "square", "box3", "slice"])
+    def test_batch_equals_single_nodes(self, case):
+        if case == "slice":
+            # c_m's integrand: p = 0 on the restricted potential
+            pot = guillemin_potential(library.corrected_square()).restrict(
+                1, (0,))
+            f, lo, hi = norm_integrand(pot, 0, (1,), 0.0), [-0.5], [1.5]
+        else:
+            poly = {"segment": library.corrected_segment,
+                    "square": library.corrected_square,
+                    "box3": corrected_box3}[case]()
+            f = norm_integrand(guillemin_potential(poly), 1, (0,) * poly.dim,
+                               40.0)
+            lo, hi = [-0.5] * poly.dim, [1.5] * poly.dim
+        x = np.random.default_rng(11).uniform(lo, hi, (2500, len(lo)))
+        batch = f(x)
+        assert np.all(batch > 0)
+        single = np.array([f(x[i:i + 1])[0] for i in range(len(x))])
+        assert np.array_equal(batch, single)
 
 
 class TestNorms:

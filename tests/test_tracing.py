@@ -40,6 +40,8 @@ def test_traced_norms_command_counts_cells(tmp_path):
     # p = n: two norms integrals, and c_m in closed form
     assert metrics["quadrature.integrate.calls"] == 2
     assert metrics["quantization.limit_constant.calls"] == 1
+    # the half-form factor comes from facet values, with no Hessian
+    assert metrics["potential.hess.points"] == 0
 
 
 def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
