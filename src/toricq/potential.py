@@ -66,6 +66,7 @@ class SymplecticPotential:
         self.correction = correction
         self._barycenter = None if barycenter is None else np.asarray(
             barycenter, dtype=float)
+        self._minors = None             # _squared_minors(A), on first use
 
     @property
     def barycenter(self):
@@ -132,7 +133,8 @@ class SymplecticPotential:
         if self.correction is not None:
             d = d + np.asarray(self.correction.coeffs, dtype=float)
         d, e = _dyadic(d.tolist())      # d_j = d[j] / 2^e
-        e_A, table = _squared_minors(self.A)
+        self._minors = self._minors or _squared_minors(self.A)
+        e_A, table = self._minors
         subsets, coeffs = [], []
         for T, terms in table:
             k = len(T)

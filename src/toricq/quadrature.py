@@ -9,9 +9,11 @@ halves, and its error estimate bounds that value: the distance to the
 degree-7 rule on the same halves plus the distance to the degree-9 rule
 on the whole cell.  The rules are nested (Grundmann and Moller, 1978), so
 their distinct nodes form one set per dimension.  Each half, and each
-root cell as a whole, passes that set to the integrand once, and each
-rule's sum gathers the values at its own nodes, in its own order; the
-`nodes` of a result counts these distinct nodes.  Refinement is greedy:
+root cell as a whole, passes that set to the integrand once; the `nodes`
+of a result counts these distinct nodes.  Each rule's sum gathers the
+values at its own nodes, in its own order, into one contiguous row per
+cell, which numpy adds in a fixed order after weighting, so a batch of
+cells gives the same bits as each cell alone.  Refinement is greedy:
 it bisects the cell with the largest error estimate.  The splits it is
 certain to make before the estimates sum to the tolerance are evaluated
 ahead, up to 64 cells at a time with one integrand call, which changes
@@ -201,38 +203,30 @@ def _edges(k):
 def _bisect_many(verts):
     """Split each cell of the (C, k, d) stack at the midpoint of its
     longest edge, into the cell with vertex i moved there and the one with
-    vertex j moved there.
+    vertex j moved there; returns the halves as one (2, C, k, d) array.
 
     The edge is the first in combinations order that is longer than every
     earlier edge by more than 1e-15.  Lengths are rounded as
-    sqrt(sum((a - b) ** 2)) in Python floats, term by term: float_power
-    is the C pow that ** calls, and squaring by x * x can differ from it
-    in the last bit.
+    sqrt(sum((a - b) ** 2)) in Python floats: float_power is the C pow
+    that ** calls (x * x can differ from it in the last bit), and numpy
+    adds fewer than 8 squares in order.
     """
     i, j = _edges(verts.shape[1])
-    lengths = np.sqrt(sum(np.float_power(verts[:, i] - verts[:, j], 2.0).T))
-    best, edge = lengths[0], np.zeros(len(verts), dtype=int)
-    for e in range(1, len(lengths)):
-        longer = lengths[e] > best + 1e-15
-        best = np.where(longer, lengths[e], best)
-        edge[longer] = e
-    at_i = np.arange(verts.shape[1]) == i[edge, None]
-    at_j = np.arange(verts.shape[1]) == j[edge, None]
-    mid = (0.5 * (verts[at_i] + verts[at_j]))[:, None]
-    return (np.where(at_i[..., None], mid, verts),
-            np.where(at_j[..., None], mid, verts))
+    a, b = verts.take(i, axis=1), verts.take(j, axis=1)
+    lengths = np.sqrt(np.float_power(a - b, 2.0).sum(-1))
+    cells, edge = np.arange(len(verts)), np.zeros(len(verts), dtype=int)
+    for e in range(1, lengths.shape[1]):
+        np.putmask(edge, lengths[:, e] > lengths[cells, edge] + 1e-15, e)
+    halves = np.array((verts, verts))
+    halves[0, cells, i[edge]] = halves[1, cells, j[edge]] = 0.5 * (
+        a[cells, edge] + b[cells, edge])
+    return halves
 
 
 def _rule_sums(vals, idx, weights):
-    """weights . vals[..., idx] for every row of vals.
-
-    `take` gathers each row's values at the rule's nodes, in the rule's
-    order, into C-contiguous rows, so that the dot products add them in the
-    same order as on the rule's own nodes.
-    """
-    rows = vals.take(idx, axis=-1)
-    sums = map(weights.dot, rows.reshape(-1, len(idx)))
-    return np.fromiter(sums, float).reshape(rows.shape[:-1])
+    """weights . vals[..., idx] for every row of vals, each row gathered
+    C-contiguous in the rule's order and summed by numpy in a fixed order."""
+    return (vals.take(idx, axis=-1) * weights).sum(-1)
 
 
 def _evaluate(f, verts, volumes, coarse=None):
@@ -244,17 +238,17 @@ def _evaluate(f, verts, volumes, coarse=None):
     companion rule on the same halves, plus the distance to the coarse
     value, the high rule on the whole cell, which its parent computed as
     one of its half values; for roots (coarse None) it is computed here.
-    Each block (the two halves, and for roots the whole cell) takes the
-    shared node set of the two rules, so f sees each node once.  Also
-    returns each cell's two halves as one (2, k, d) array, copied so that
-    a cell does not keep its whole batch alive, and the number of distinct
-    nodes passed to f.
+    Each block (the two halves of the (2, K, k, d) bisection, and for
+    roots the whole cells) takes the shared node set of the two rules, so
+    f sees each node once.  Also returns each cell's two halves as one
+    (2, k, d) array, copied so that a cell does not keep its whole batch
+    alive, and the number of distinct nodes passed to f.
     """
     dim = verts.shape[2]
     bary, (idx_high, idx_low) = _nodes(dim)
     (_, w_high), (_, w_low) = _rules(dim)
     split = _bisect_many(verts)
-    blocks = np.stack(split if coarse is not None else split + (verts,))
+    blocks = split if coarse is not None else np.concatenate((split, [verts]))
     points = np.matmul(bary, blocks).reshape(-1, dim)
     vals = np.asarray(f(points), dtype=float).reshape(len(blocks), -1,
                                                       len(bary))
@@ -264,7 +258,7 @@ def _evaluate(f, verts, volumes, coarse=None):
     value = halves[0] + halves[1]
     coarse = high[2] * volumes if coarse is None else np.asarray(coarse)
     errs = abs(coarse - value) + abs(value - (low[0] + low[1]))
-    pairs = [pair.copy() for pair in np.stack(split, axis=1)]
+    pairs = [pair.copy() for pair in split.swapaxes(0, 1)]
     return errs.tolist(), list(zip(*halves.tolist())), pairs, len(points)
 
 

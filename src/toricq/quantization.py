@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polytope import PolytopeError
-from .potential import SymplecticPotential, guillemin_potential
+from .potential import DomainError, SymplecticPotential, guillemin_potential
 from .quadrature import IntegralResult, integrate, integrate_slice, triangulate
 
 # relative distance from the limit within which the extrapolated norms pass
@@ -83,7 +83,10 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s: float):
     are independent: a batch gives the same bits as its nodes one by one."""
     density = stable_density(pot, m)
     mm = np.asarray(m, dtype=float)[:p]
-    det = pot.det_terms([s] * p + [0.0] * (pot.dim - p)).det
+    try:
+        det = pot.det_terms([s] * p + [0.0] * (pot.dim - p)).det
+    except OverflowError:
+        raise DomainError(f"s = {s!r}: a coefficient of det G_s overflows")
 
     def f(x):
         l = pot.facet_values(x)
@@ -218,8 +221,9 @@ def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
     within max(tol, 2 % of the limit) and every integral, the norms and
     c_m, converged; budget caps the cells of each integral."""
     # norms first: c_m sees only m_{>p}, and a bad shift should name all of m
-    results = tuple(tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
-                    for s in s_values)
+    pot, region = guillemin_potential(poly), triangulate(poly)
+    results = tuple(integrate(norm_integrand(pot, p, m, s), region, tol,
+                              budget=budget) for s in s_values)
     c_m = limit_constant(poly, p, m, tol=tol, budget=budget, as_result=True)
     target = math.pi ** (p / 2.0) * c_m.value
     extrap = richardson_extrapolate(s_values, [r.value for r in results])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from toricq import potential, quadrature, quantization
 from toricq.cli import main
 
 SIMPLEX = {"dim": 2, "facets": [
@@ -135,6 +136,30 @@ class TestNorms:
         _, out_json = run(capsys, base + ["--format", "json"])
         payload = json.loads(out_json)
         assert rows_of(out_csv) == [payload["columns"]] + payload["rows"]
+
+    def test_set_up_is_shared_across_s(self, tmp_path, capsys, monkeypatch):
+        # one region for the whole polytope and one set of exact minors per
+        # distinct facet matrix: the full A and the A of c_m's slice
+        regions, minors = [], []
+
+        def count(home, name, record):
+            fn = getattr(home, name)
+
+            def wrapped(arg):
+                record.append(arg)
+                return fn(arg)
+
+            monkeypatch.setattr(home, name, wrapped)
+
+        count(quantization, "triangulate", regions)
+        count(quadrature, "triangulate", regions)
+        count(potential, "_squared_minors", minors)
+        code, _ = run(capsys, ["--input", write(tmp_path, SQUARE),
+                               "--command", "norms", "--p", "1", "--m", "0;0",
+                               "--s-grid", "10,20,40", "--tol", "1e-3"])
+        assert code == 0
+        assert [poly.dim for poly in regions] == [2, 1]
+        assert [A.shape for A in minors] == [(4, 2), (4, 1)]
 
     def test_unknown_m(self, tmp_path, capsys):
         code, _ = run(capsys, ["--input", write(tmp_path, SEGMENT),
@@ -427,6 +452,15 @@ class TestFlagValidation:
                                      "--command", "norms", "--s-grid", grid])
         assert code == 2
         assert err.startswith("error: --s-grid")
+        assert err.count("\n") == 1
+
+    def test_norms_s_beyond_the_float_range(self, tmp_path, capsys):
+        # at p = 2 the s^2 coefficient of det G_s overflows a float
+        code, err = run_err(capsys, ["--input", write(tmp_path, SQUARE),
+                                     "--command", "norms", "--p", "2",
+                                     "--m", "0;0", "--s-grid", "10,1e160"])
+        assert code == 1
+        assert err.startswith("error: s = 1e+160")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])

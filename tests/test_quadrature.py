@@ -13,6 +13,7 @@ from toricq.quadrature import (
     IntegrationRegion,
     _bisect_many,
     _nodes,
+    _rule_sums,
     _rules,
     integrate,
     integrate_slice,
@@ -233,6 +234,11 @@ def bisect_one(verts):
     return halves
 
 
+def rule_sum(values, weights):
+    """A rule's sum over one cell, as numpy adds a 1-D array."""
+    return float((values * weights).sum())
+
+
 def greedy_reference(f, region, tol, budget):
     """Greedy refinement one cell at a time, as `integrate` defines it:
     split the cell of largest error (lowest id on ties) along its longest
@@ -243,7 +249,7 @@ def greedy_reference(f, region, tol, budget):
 
     def rule(verts, volume, r):
         bary, weights = r
-        return volume * float(weights @ f(bary @ verts))
+        return volume * rule_sum(f(bary @ verts), weights)
 
     def cell(verts, volume, coarse):
         split = bisect_one(verts)
@@ -292,6 +298,21 @@ def peaked(x):
 def first_coordinate(x):
     # translates along the other axes see the same values: exact error ties
     return np.exp(-5 * x[:, 0])
+
+
+class TestRuleSums:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_batch_gives_the_bits_of_each_row(self, dim):
+        # values over many magnitudes, so that the order of the additions
+        # shows in the last bits
+        rng = np.random.default_rng(dim)
+        vals = (rng.standard_normal((64, SHARED_NODES[dim]))
+                * 10.0 ** rng.uniform(-8, 8, (64, SHARED_NODES[dim])))
+        for idx, (_, weights) in zip(_nodes(dim)[1], _rules(dim)):
+            batch = _rule_sums(vals, idx, weights)
+            for row, total in zip(vals, batch.tolist()):
+                assert _rule_sums(row, idx, weights) == total
+                assert rule_sum(row[idx], weights) == total
 
 
 class TestBisectMany:
