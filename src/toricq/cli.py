@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -84,7 +85,9 @@ def positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process, on first use."""
     ap = argparse.ArgumentParser(
         prog="toricq",
         description="Geometric quantization of toric manifolds along "
@@ -212,11 +215,15 @@ def cmd_norms(args):
     grid = parse_s_grid(getattr(args, "s_grid"))
     if 0 in grid:
         raise UsageError("--s-grid for norms needs positive values")
-    basis = quantization.quantum_basis(poly, args.p)
-    points = [el.m for el in basis]
-    if args.m is not None:
+    if args.m is None:
+        points = [el.m for el in quantization.quantum_basis(poly, args.p)]
+    else:
+        # membership, with the errors that enumerating the lattice gives
+        if not poly.is_bounded:
+            raise polytope.PolytopeError(
+                "lattice enumeration needs a bounded polytope")
         m = parse_m(args.m)
-        if m not in points:
+        if len(m) != poly.dim or not poly.contains(m):
             raise UsageError(f"--m {m} is not a lattice point of the polytope")
         points = [m]
     columns = ["m", "s", "norm2", "tilde_norm2", "c_m", "limit", "pass"]

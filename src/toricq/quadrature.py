@@ -14,12 +14,12 @@ of a result counts these distinct nodes.  Each rule's sum gathers the
 values at its own nodes, in its own order, into one contiguous row per
 cell, which numpy adds in a fixed order after weighting, so a batch of
 cells gives the same bits as each cell alone.  Refinement is greedy:
-it bisects the cell with the largest error estimate.  The splits it is
-certain to make before the estimates sum to the tolerance are evaluated
-ahead, up to 64 cells at a time with one integrand call, which changes
-neither the splits nor their order.  The cell values and errors are
-summed with math.fsum, which is correctly rounded, so the totals do not
-depend on cell order.
+it bisects the cell with the largest error estimate.  The first call
+evaluates the roots with their splits, and the splits greedy is certain
+to make before the estimates sum to the tolerance are evaluated ahead,
+up to 64 cells per call, which changes neither the splits nor their
+order.  Values and errors are summed with math.fsum, which is correctly
+rounded, so the totals do not depend on cell order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import PolytopeError, _affine_rank, _det, axis_slice
+from .polytope import (PolytopeError, _affine_rank, _fraction_free, _scaled,
+                       axis_slice)
 
 DEFAULT_CELL_BUDGET = 200_000
 _BUDGET_ENV = "TORICQ_CELL_BUDGET"
@@ -120,9 +121,14 @@ def _nodes(dim):
 
 
 def _exact_simplex_volume(verts):
+    """|det| of the edges from the first vertex over k!: each edge is
+    scaled to ints, its scale appended, and fraction-free eliminated."""
     k = len(verts) - 1
-    rows = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
-    return abs(_det(rows)) / Fraction(math.factorial(k))
+    rows = [_scaled([a - b for a, b in zip(v, verts[0])] + [1])
+            for v in verts[1:]]
+    det = _fraction_free(rows, k)[0][-1][k - 1]
+    scale = math.factorial(k) * math.prod(r[k] for r in rows)
+    return Fraction(abs(det), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +147,10 @@ class IntegrationRegion:
     def exact_volume(self):
         return sum(self.volumes, Fraction(0))
 
-    @property
+    @functools.cached_property
     def float_simplices(self):
-        return [np.array([[float(c) for c in v] for v in s])
-                for s in self.simplices]
+        return np.array([[[float(c) for c in v] for v in s]
+                         for s in self.simplices])
 
 
 def _face_fan(poly, verts, rank):
@@ -230,47 +236,61 @@ def _rule_sums(vals, idx, weights):
 
 
 def _evaluate(f, verts, volumes, coarse=None):
-    """Errors and half values of the (K, k, d) cells of the given volumes,
-    with the nodes of all of them passed to f in one array.
+    """The cells (pair, err, half values) of the (K, k, d) stack of the
+    given volumes, from one call of f, and the number of nodes passed.
 
     A cell's value is the sum of its two half values, the high rule on
     each half.  Its error estimate bounds that sum: the distance to the
     companion rule on the same halves, plus the distance to the coarse
     value, the high rule on the whole cell, which its parent computed as
-    one of its half values; for roots (coarse None) it is computed here.
-    Each block (the two halves of the (2, K, k, d) bisection, and for
-    roots the whole cells) takes the shared node set of the two rules, so
-    f sees each node once.  Also returns each cell's two halves as one
-    (2, k, d) array, copied so that a cell does not keep its whole batch
-    alive, and the number of distinct nodes passed to f.
+    one of its half values.  Each half of the bisection takes the shared
+    node set of the two rules, so f sees each node once.  A cell's pair,
+    its two halves as one (2, k, d) array, is copied so that it does not
+    keep its whole batch alive.  For roots (coarse None) f also gets the
+    whole cells, for their coarse values, and the halves of their
+    children, which end each root's tuple as `_split` gives them.
     """
     dim = verts.shape[2]
     bary, (idx_high, idx_low) = _nodes(dim)
     (_, w_high), (_, w_low) = _rules(dim)
-    split = _bisect_many(verts)
-    blocks = split if coarse is not None else np.concatenate((split, [verts]))
+
+    def cells(split, vals, volumes, coarse):
+        halves = _rule_sums(vals, idx_high, w_high) * (volumes / 2)
+        low = _rule_sums(vals, idx_low, w_low) * (volumes / 2)
+        value = halves[0] + halves[1]
+        errs = abs(coarse - value) + abs(value - (low[0] + low[1]))
+        pairs = [pair.copy() for pair in split.swapaxes(0, 1)]
+        return list(zip(pairs, errs.tolist(), zip(*halves.tolist()))), halves
+
+    split = blocks = _bisect_many(verts)
+    if coarse is None:
+        k, d = verts.shape[1:]
+        grand = _bisect_many(split.swapaxes(0, 1).reshape(-1, k, d))
+        blocks = np.concatenate((split, [verts], grand.reshape(4, -1, k, d)))
     points = np.matmul(bary, blocks).reshape(-1, dim)
-    vals = np.asarray(f(points), dtype=float).reshape(len(blocks), -1,
-                                                      len(bary))
-    high = _rule_sums(vals, idx_high, w_high)
-    halves = high[:2] * (volumes / 2)
-    low = _rule_sums(vals[:2], idx_low, w_low) * (volumes / 2)
-    value = halves[0] + halves[1]
-    coarse = high[2] * volumes if coarse is None else np.asarray(coarse)
-    errs = abs(coarse - value) + abs(value - (low[0] + low[1]))
-    pairs = [pair.copy() for pair in split.swapaxes(0, 1)]
-    return errs.tolist(), list(zip(*halves.tolist())), pairs, len(points)
+    vals = np.asarray(f(points), float).reshape(len(blocks), len(verts), -1)
+    if coarse is not None:
+        return cells(split, vals, volumes, np.asarray(coarse))[0], len(points)
+    roots, halves = cells(split, vals[:2], volumes,
+                          _rule_sums(vals[2], idx_high, w_high) * volumes)
+    kids, _ = cells(grand, vals[3:].reshape(2, -1, len(bary)),
+                    np.repeat(volumes / 2, 2), halves.T.ravel())
+    return [root + (kids[2 * i:2 * i + 2],)
+            for i, root in enumerate(roots)], len(points)
 
 
 def _split(f, cells):
-    """The two children (pair, err, half values) of each heap entry, and
-    the number of nodes passed to f, from one call of f."""
-    children = np.concatenate([cell[3] for cell in cells])
-    errs, halves, pairs, nodes = _evaluate(
-        f, children, np.repeat([cell[2] / 2 for cell in cells], 2),
-        [h for cell in cells for h in cell[4]])
-    out = list(zip(pairs, errs, halves))
-    return [out[2 * k:2 * k + 2] for k in range(len(cells))], nodes
+    """The two children (pair, err, half values) of each heap entry, as a
+    root carries them or else from one call of f, and the nodes passed."""
+    todo = [cell for cell in cells if cell[5] is None]
+    if not todo:
+        return [cell[5] for cell in cells], 0
+    out, nodes = _evaluate(
+        f, np.concatenate([cell[3] for cell in todo]),
+        np.repeat([cell[2] / 2 for cell in todo], 2),
+        [h for cell in todo for h in cell[4]])
+    out = iter(out)
+    return [cell[5] or [next(out), next(out)] for cell in cells], nodes
 
 
 def integrate(f, region: IntegrationRegion, tol: float,
@@ -283,26 +303,28 @@ def integrate(f, region: IntegrationRegion, tol: float,
     which changes neither the splits nor their order.  f maps an (N, dim)
     array of strictly interior points to (N,) values and must be
     pointwise: it is called once per batch, with the distinct nodes of
-    the rules on all its cells stacked in one array.
+    the rules on all its cells stacked in one array.  The first call also
+    evaluates each root's split: without a budget stop, nodes = 4q cells -
+    q roots + 4q u for the q shared nodes and the u roots never split, and
+    an integral that converges on its roots calls f once.
     """
     if budget is None:
         budget = cell_budget()
-    # a cell is the heap entry (-err, id, volume, pair, half values), where
-    # pair is the (2, k, d) stack of the two cells its bisection gives,
-    # which become its children when it is split.  Its coarse value is
-    # the half value its parent computed, so only its two halves, under
-    # both rules, are new.  The volume is the exact volume of its root
-    # simplex, halved at each bisection.
+    # a cell is the heap entry (-err, id, volume, pair, half values,
+    # children), where pair is the (2, k, d) stack of the two cells its
+    # bisection gives, which become its children when it is split.  Its
+    # coarse value is the half value its parent computed, so only its two
+    # halves, under both rules, are new.  The volume is the exact volume of
+    # its root simplex, halved at each bisection.  children is None until
+    # the split is evaluated, as a root's is with the root.
     heap = []
     ids = itertools.count()
-    roots = np.array(region.float_simplices)
     volumes = np.array([float(v) for v in region.volumes])
-    errs, halves, pairs, nodes = _evaluate(f, roots, volumes)
-    for e, volume, pair, h in zip(errs, volumes.tolist(), pairs, halves):
-        heapq.heappush(heap, (-e, next(ids), volume, pair, h))
-    err = math.fsum(errs)
-    # cells whose split is already evaluated, each entry extended by its
-    # two children (pair, err, half values), and their summed error.
+    roots, nodes = _evaluate(f, region.float_simplices, volumes)
+    for (pair, e, h, children), volume in zip(roots, volumes.tolist()):
+        heapq.heappush(heap, (-e, next(ids), volume, pair, h, children))
+    err = math.fsum(-cell[0] for cell in heap)
+    # cells whose split is already evaluated, and their summed error.
     # Greedy pops the smaller of the two tops, the top of the union.
     ahead, ahead_err = [], 0.0
     while err > tol and len(heap) + len(ahead) < budget:
@@ -323,7 +345,7 @@ def integrate(f, region: IntegrationRegion, tol: float,
             split, batch_nodes = _split(f, batch)
             nodes += batch_nodes
             for cell, children in zip(batch, split):
-                heapq.heappush(ahead, cell + (children,))
+                heapq.heappush(ahead, cell[:5] + (children,))
                 ahead_err -= cell[0]
         neg_err, _, volume, _, _, children = heapq.heappop(ahead)
         # an empty ahead leaves no rounding residue behind
@@ -331,7 +353,7 @@ def integrate(f, region: IntegrationRegion, tol: float,
         err += neg_err
         for pair, child_err, child_halves in children:
             heapq.heappush(heap, (-child_err, next(ids), volume / 2, pair,
-                                  child_halves))
+                                  child_halves, None))
             err += child_err
 
     cells = heap + ahead

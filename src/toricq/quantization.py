@@ -96,11 +96,21 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s: float):
     return f
 
 
+def _norm_integral(pot, region, p, m, s, tol, budget):
+    """The norm integral at s over the region, with numpy's floating-point
+    warnings off; a value that is not finite is a DomainError naming s."""
+    with np.errstate(all="ignore"):
+        res = integrate(norm_integrand(pot, p, m, s), region, tol, budget)
+    if not math.isfinite(res.value):
+        raise DomainError(f"s = {s!r}: the norm integral is not finite")
+    return res
+
+
 def tilde_norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
                        budget=None) -> IntegralResult:
     """Rescaled squared norm: the x-integral of the norm integrand."""
-    f = norm_integrand(guillemin_potential(poly), p, m, s)
-    return integrate(f, triangulate(poly), tol, budget=budget)
+    return _norm_integral(guillemin_potential(poly), triangulate(poly), p, m,
+                          s, tol, budget)
 
 
 def norm_from_tilde(p: int, m, s: float, tilde: float) -> float:
@@ -122,17 +132,17 @@ def norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
 
 
 def limit_constant(poly, p: int, m, tol: float = 1e-10, budget=None, *,
-                   as_result: bool = False):
+                   as_result: bool = False, _pot=None):
     """c_m: the s = 0 squared norm of m_{>p} for the potential restricted to
     the level x_{<=p} = m_{<=p}, i.e. the stable density against the
     sqrt(det D) half-form factor of the trailing block, over the slice.
 
     For p = n the slice is the point m and c_m = prod_r l_r(m)^{l_r(m)}.
     With as_result, the slice IntegralResult whose value is c_m, which
-    also tells whether it converged.
+    also tells whether it converged.  _pot is poly's Guillemin potential.
     """
     c = tuple(m)[:p]
-    pot = guillemin_potential(poly).restrict(p, c)
+    pot = (_pot or guillemin_potential(poly)).restrict(p, c)
     f = norm_integrand(pot, 0, tuple(m)[p:], 0.0)
     res = integrate_slice(f, poly, p, c, tol, budget=budget)
     return res if as_result else res.value
@@ -222,9 +232,10 @@ def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
     c_m, converged; budget caps the cells of each integral."""
     # norms first: c_m sees only m_{>p}, and a bad shift should name all of m
     pot, region = guillemin_potential(poly), triangulate(poly)
-    results = tuple(integrate(norm_integrand(pot, p, m, s), region, tol,
-                              budget=budget) for s in s_values)
-    c_m = limit_constant(poly, p, m, tol=tol, budget=budget, as_result=True)
+    results = tuple(_norm_integral(pot, region, p, m, s, tol, budget)
+                    for s in s_values)
+    c_m = limit_constant(poly, p, m, tol=tol, budget=budget, as_result=True,
+                         _pot=pot)
     target = math.pi ** (p / 2.0) * c_m.value
     extrap = richardson_extrapolate(s_values, [r.value for r in results])
     passed = (abs(extrap - target) <= max(tol, LIMIT_REL_TOL * abs(target))

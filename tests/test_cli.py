@@ -370,6 +370,55 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
 
 
+SHARED_PARSER = """
+import argparse, contextlib, io, json, sys
+built, init = [], argparse.ArgumentParser.__init__
+
+
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counted
+from toricq.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps({"built": len(built), "runs": runs}))
+"""
+
+
+def test_shared_parser_leaks_no_state(tmp_path):
+    # main builds its parser once per process; each call must still print
+    # what a fresh process prints for the same argv
+    base = ["--input", write(tmp_path, SEGMENT), "--command", "norms",
+            "--s-grid", "10,20", "--tol", "1e-3"]
+    argvs = [base + ["--m", "0", "--format", "json"],
+             base + ["--format", "csv"],
+             base + ["--format", "xml"],
+             base + ["--m", "0"],
+             base + ["--format", "json"],
+             ["--input", base[1], "--command", "points"],
+             base + ["--m", "0", "--format", "csv"]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", SHARED_PARSER, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["built"] == 1
+    assert [code for code, _ in result["runs"]] == [0, 0, 2, 0, 0, 0, 0]
+    for argv, run_in_process in zip(argvs, result["runs"]):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "toricq.cli"] + argv,
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run_in_process == [fresh.returncode, fresh.stdout]
+
+
 class TestContracts:
     def test_bad_s_grid(self, tmp_path, capsys):
         code, _ = run(capsys, ["--input", write(tmp_path, SEGMENT),
@@ -462,6 +511,21 @@ class TestFlagValidation:
         assert code == 1
         assert err.startswith("error: s = 1e+160")
         assert err.count("\n") == 1
+
+    def test_norms_s_beyond_the_float_range_at_p_1(self, tmp_path):
+        # at p = 1 the integrand overflows to nan; numpy stays silent and
+        # the integral names s
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricq.cli", "--input",
+             write(tmp_path, SQUARE), "--command", "norms", "--p", "1",
+             "--m", "0;0", "--s-grid", "10,1e308"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: s = 1e+308")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_tol_must_be_finite(self, tmp_path, capsys, tol):

@@ -2,16 +2,18 @@ import heapq
 import itertools
 import logging
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from toricq import library
-from toricq.polytope import DelzantPolytope, PolytopeError
+from toricq.polytope import DelzantPolytope, PolytopeError, _det
 from toricq.quadrature import (
     IntegrationRegion,
     _bisect_many,
+    _exact_simplex_volume,
     _nodes,
     _rule_sums,
     _rules,
@@ -56,6 +58,28 @@ class TestTriangulate:
                 for s in region.float_simplices)
             assert float_total == pytest.approx(float(region.exact_volume),
                                                 abs=1e-12)
+
+    @staticmethod
+    def cofactor_volume(verts):
+        # |det| of the edge vectors by Fraction cofactor expansion, over k!
+        rows = [[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]
+        return Fraction(abs(_det(rows)), math.factorial(len(rows)))
+
+    def test_exact_volumes_match_cofactor_determinants(self):
+        for poly in list(library.shipped_polytopes()) + [box(3), box(4)]:
+            region = triangulate(poly)
+            assert region.volumes == [self.cofactor_volume(s)
+                                      for s in region.simplices]
+        rng = random.Random(7)
+        for dim in (1, 2, 3, 4):
+            for _ in range(200):
+                verts = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+                               for _ in range(dim)) for _ in range(dim + 1)]
+                if rng.random() < 0.1:
+                    # a repeated vertex: a degenerate simplex of volume 0
+                    verts[-1] = verts[rng.randrange(dim)]
+                assert (_exact_simplex_volume(verts)
+                        == self.cofactor_volume(verts))
 
     def test_3d_simplex(self):
         poly = DelzantPolytope.from_data(
@@ -243,7 +267,7 @@ def greedy_reference(f, region, tol, budget):
     """Greedy refinement one cell at a time, as `integrate` defines it:
     split the cell of largest error (lowest id on ties) along its longest
     edge until the errors sum to tol or the cells reach the budget.
-    Returns (value, error estimate, cells, converged)."""
+    Returns (value, error estimate, cells, converged, roots never split)."""
     high, low = _rules(region.dim)
     ids = itertools.count()
 
@@ -272,7 +296,10 @@ def greedy_reference(f, region, tol, budget):
             err -= child[0]
     heap.sort(key=lambda c: c[1])
     err = math.fsum(-c[0] for c in heap)
-    return math.fsum(sum(c[4]) for c in heap), err, len(heap), err <= tol
+    # the roots took the first ids
+    unsplit = sum(c[1] < len(region.simplices) for c in heap)
+    return (math.fsum(sum(c[4]) for c in heap), err, len(heap), err <= tol,
+            unsplit)
 
 
 def box(n):
@@ -354,22 +381,25 @@ class TestBisectMany:
 class TestGreedyOracle:
     """`integrate` evaluates splits in batches; it must make the same
     splits as greedy refinement one cell at a time, bit for bit.  Without
-    a budget stop it passes each root's two halves and the root itself,
-    and each split's two new cells' halves, the shared node set once:
-    nodes = 4 q cells - q roots, with q = SHARED_NODES[dim]."""
+    a budget stop it passes the shared node set once on each root's two
+    halves and the root itself, on the halves of each root's two children,
+    and on the halves of each later split's two new cells:
+    nodes = 4 q cells - q roots + 4 q u, with q = SHARED_NODES[dim] and u
+    the roots that are never split."""
 
     def check(self, g, region, tol, budget):
         f, nodes = counting(g)
         res = integrate(f, region, tol, budget=budget)
         f_ref, ref_nodes = counting(g)
-        value, err, cells, converged = greedy_reference(f_ref, region, tol,
-                                                        budget)
+        value, err, cells, converged, unsplit = greedy_reference(
+            f_ref, region, tol, budget)
         assert (res.value, res.error_estimate, res.cells_used,
                 res.converged) == (value, err, cells, converged)
         assert res.hit_budget == (cells >= budget and not converged)
         if not res.hit_budget:
             q = SHARED_NODES[region.dim]
-            assert sum(nodes) == 4 * q * cells - q * len(region.simplices)
+            assert sum(nodes) == (4 * q * cells - q * len(region.simplices)
+                                  + 4 * q * unsplit)
         return res, len(nodes), len(ref_nodes)
 
     @pytest.mark.parametrize("poly, tols", [
@@ -425,6 +455,20 @@ class TestNodeCount:
         res = integrate(peaked, triangulate(library.segment(0, 1)), 1e-9)
         assert res.cells_used > 1
         assert res.nodes == 52 * res.cells_used - 13
+
+    @pytest.mark.parametrize("poly", [
+        library.segment(0, 1), library.corrected_square(), box(3), box(4)],
+        ids=["1d", "2d", "3d", "4d"])
+    def test_converged_at_the_roots(self, poly):
+        # the root call passes the shared nodes on each root's two halves,
+        # on the root itself and on both halves of its two children, and
+        # nothing else is evaluated: one call, 7 q nodes per root
+        region = triangulate(poly)
+        f, nodes = counting(lambda x: np.ones(len(x)))
+        res = integrate(f, region, 1e-3)
+        assert res.converged and res.cells_used == len(region.simplices)
+        assert nodes == [7 * SHARED_NODES[poly.dim] * len(region.simplices)]
+        assert res.nodes == nodes[0]
 
     @pytest.mark.parametrize("poly, budget", [
         (library.corrected_square(), 10 ** 6),
