@@ -11,8 +11,8 @@ Hess g + diag(d) = 1/2 A^T diag(1/l) A + diag(d), so by Cauchy-Binet its
 determinant is the sum of c_T prod_{r in T} 1/l_r over facet subsets T,
 each term nonnegative for d >= 0, with c_T built once from exact minors of
 A (`det_terms`).  The half-form factor sqrt(det G_s) and Abreu's regularity
-function are read from facet values alone, with no Hessian and no
-factorization per point.
+function are read from facet-major rows of facet values (`facet_rows`),
+with no Hessian and no factorization per point.
 """
 
 from __future__ import annotations
@@ -82,14 +82,6 @@ class SymplecticPotential:
 
     def is_interior(self, x, margin=0.0):
         return bool(np.all(self.facet_values(x) > margin))
-
-    def boundary_distance(self, x):
-        """min_r l_r(x)/|nu_r|, a lower bound on the Euclidean distance;
-        facets with zero normal are constants and do not bound distance."""
-        norms = np.linalg.norm(self.A, axis=1)
-        mask = norms > 0
-        vals = self.facet_values(x)[..., mask] / norms[mask]
-        return float(np.min(vals))
 
     def _require_interior(self, x):
         if not np.all(self.facet_values(x) > 0):
@@ -209,17 +201,19 @@ class DetTerms:
         self.coeffs = coeffs
         self.facets = facets
         self._columns = _columns(subsets, facets)
+        self._rest = None           # the complements' columns, on first use
 
-    def det(self, l):
-        """The determinant from facet values l, (..., R)."""
-        return _subset_sum(1.0 / l, self._columns, self.coeffs)
+    def det(self, w):
+        """The determinant at each node of w = facet_rows(l)."""
+        return _subset_sum(w, np.reciprocal, self._columns, self.coeffs)
 
-    def det_times_facet_product(self, l):
-        """det * prod_r l_r = sum_T c_T prod_{r not in T} l_r, with no
-        division."""
-        rest = [tuple(r for r in range(self.facets) if r not in T)
-                for T in self.subsets]
-        return _subset_sum(l, _columns(rest, self.facets), self.coeffs)
+    def det_times_facet_product(self, w):
+        """det * prod_r l_r = sum_T c_T prod_{r not in T} l_r at each node
+        of w = facet_rows(l), with no division."""
+        self._rest = self._rest or _columns(
+            [tuple(r for r in range(self.facets) if r not in T)
+             for T in self.subsets], self.facets)
+        return _subset_sum(w, np.positive, self._rest, self.coeffs)
 
 
 def _columns(subsets, facets):
@@ -232,23 +226,27 @@ def _columns(subsets, facets):
     return tuple(np.ascontiguousarray(index.T))
 
 
+def facet_rows(l):
+    """Facet values l, (..., R), as C-contiguous facet-major rows (R, N)
+    over the N nodes, in at most one transposed copy."""
+    return np.ascontiguousarray(l.reshape(-1, l.shape[-1]).T)
+
+
 # nodes per block of _subset_sum, which bounds its temporaries
 _BLOCK = 2048
 
 
-def _subset_sum(w, columns, coeffs):
-    """sum_T coeffs_T prod_{r in T} w_r at every node of w (..., R);
-    `columns` index the facets of the subsets, R meaning a factor 1.
-    Blocks of nodes take one gather per column, then the rows of terms are
-    added by folding halves onto each other, so each node's sum has a fixed
-    order and a batch gives the same bits as its nodes one at a time."""
-    R = w.shape[-1]
-    flat = w.reshape(-1, R)
-    out = np.empty(len(flat))
-    for a in range(0, len(flat), _BLOCK):
-        block = flat[a:a + _BLOCK]
-        factors = np.empty((R + 1, len(block)))
-        factors[:R] = block.T
+def _subset_sum(w, op, columns, coeffs):
+    """sum_T coeffs_T prod_{r in T} op(w_r) at the nodes of w = facet_rows(l)
+    for the subsets' facet `columns`, R meaning a factor 1.  A block of nodes
+    writes op(w) into a factor block whose last row is ones, gathers it once
+    per column and folds the rows of terms in halves, so each node's sum has
+    a fixed order and a batch gives the same bits as its nodes one by one."""
+    R, N = w.shape
+    out = np.empty(N)
+    for a in range(0, N, _BLOCK):
+        factors = np.empty((R + 1, min(_BLOCK, N - a)))
+        op(w[:, a:a + _BLOCK], out=factors[:R])
         factors[R] = 1.0
         terms = factors[columns[0]]
         terms *= coeffs[:, None]
@@ -260,7 +258,7 @@ def _subset_sum(w, columns, coeffs):
             terms[:k - h] += terms[h:k]
             k = h
         out[a:a + _BLOCK] = terms[0]
-    return out.reshape(w.shape[:-1])
+    return out
 
 
 def guillemin_potential(poly, correction=None) -> SymplecticPotential:
@@ -318,8 +316,8 @@ def regularity_delta(pot: SymplecticPotential, x):
     the positive polynomial sum_T c_T prod_{r not in T} l_r of the
     Cauchy-Binet terms; strictly positive inside."""
     pot._require_interior(x)
-    det_l = pot.det_terms().det_times_facet_product(pot.facet_values(x))
-    return float(1.0 / det_l)
+    w = facet_rows(pot.facet_values(x))
+    return float(1.0 / pot.det_terms().det_times_facet_product(w)[0])
 
 
 def complex_structure(pot: SymplecticPotential, x):
@@ -329,11 +327,8 @@ def complex_structure(pot: SymplecticPotential, x):
     if np.linalg.cond(G) > 1e12:
         warnings.warn("Hessian condition number exceeds 1e12; complex "
                       "structure may be inaccurate", RuntimeWarning)
-    n = pot.dim
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -np.linalg.inv(G)
-    J[n:, :n] = G
-    return J
+    zero = np.zeros_like(G)
+    return np.block([[zero, -np.linalg.inv(G)], [G, zero]])
 
 
 def abreu_scalar_curvature(pot: SymplecticPotential, x):
@@ -349,7 +344,9 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
     """
     x = np.asarray(x, dtype=float)
     pot._require_interior(x)
-    if pot.boundary_distance(x) < 8e-10:
+    # min l_r/|nu_r| over nonconstant facets bounds the boundary distance
+    l, norms = pot.facet_values(x), np.linalg.norm(pot.A, axis=1)
+    if np.min(l[norms > 0] / norms[norms > 0]) < 8e-10:
         raise DomainError("point too close to the boundary for the "
                           "curvature formula")
     H = np.linalg.inv(pot.hess(x))
@@ -358,4 +355,4 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
     aHa = np.einsum('rj,jk,rk->r', pot.A, H, pot.A)      # a_r . H a_r
     # sum_jk (H d_j d_k G H)_jk = sum_r (a_r . H a_r)^2 / l_r^3
     return -0.5 * float(np.einsum('jkjk->', HTHTH) + np.einsum('jkkj->', HTHTH)
-                        - np.sum(aHa ** 2 / pot.facet_values(x) ** 3))
+                        - np.sum(aHa ** 2 / l ** 3))

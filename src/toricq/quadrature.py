@@ -244,11 +244,11 @@ def _evaluate(f, verts, volumes, coarse=None):
     companion rule on the same halves, plus the distance to the coarse
     value, the high rule on the whole cell, which its parent computed as
     one of its half values.  Each half of the bisection takes the shared
-    node set of the two rules, so f sees each node once.  A cell's pair,
-    its two halves as one (2, k, d) array, is copied so that it does not
-    keep its whole batch alive.  For roots (coarse None) f also gets the
-    whole cells, for their coarse values, and the halves of their
-    children, which end each root's tuple as `_split` gives them.
+    node set of the two rules, so f sees each node once.  Cells' pairs,
+    their two halves as (2, k, d) arrays, are the rows of one copy that
+    holds only the pairs, not the batch.  For roots (coarse None) f also
+    gets the whole cells, for their coarse values, and the halves of
+    their children, which end each root's tuple as `_split` gives them.
     """
     dim = verts.shape[2]
     bary, (idx_high, idx_low) = _nodes(dim)
@@ -259,7 +259,7 @@ def _evaluate(f, verts, volumes, coarse=None):
         low = _rule_sums(vals, idx_low, w_low) * (volumes / 2)
         value = halves[0] + halves[1]
         errs = abs(coarse - value) + abs(value - (low[0] + low[1]))
-        pairs = [pair.copy() for pair in split.swapaxes(0, 1)]
+        pairs = split.swapaxes(0, 1).copy()
         return list(zip(pairs, errs.tolist(), zip(*halves.tolist()))), halves
 
     split = blocks = _bisect_many(verts)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polytope import PolytopeError
-from .potential import DomainError, SymplecticPotential, guillemin_potential
+from .potential import (DomainError, SymplecticPotential, facet_rows,
+                        guillemin_potential)
 from .quadrature import IntegralResult, integrate, integrate_slice, triangulate
 
 # relative distance from the limit within which the extrapolated norms pass
@@ -59,17 +60,18 @@ def quantum_basis(poly, p: int):
 
 def stable_density(pot: SymplecticPotential, m):
     """Vectorized x -> prod_r l_r(x)^{l_r(m)} e^{l_r(m) - l_r(x)}."""
-    lm = pot.facet_values(np.asarray(m, dtype=float))
+    lm = pot.facet_values(np.asarray(m, dtype=float))[:, None]
     if np.any(lm < 0.5 - 1e-12):
         raise PolytopeError(
             f"lattice point {m} has a facet value below 1/2; "
             "the polytope is not half-form shifted")
 
     def density(x, l=None):
-        """The density at x; l, if given, is pot.facet_values(x)."""
+        """The density at the nodes x; l, if given, is facet_values(x).T."""
         if l is None:
-            l = pot.facet_values(x)
-        return np.exp(np.sum(lm * np.log(l) + (lm - l), axis=-1))
+            l = pot.facet_values(np.atleast_2d(x)).T
+        # sum adds the facet rows in order, for any number of nodes
+        return np.exp(sum(lm * np.log(l) + (lm - l)))
 
     return density
 
@@ -78,9 +80,9 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s: float):
     """Vectorized x -> e^{-s sum_{j<=p}(x_j - m_j)^2} * stable density
     * sqrt(det G_s), with G_s the Hessian of g plus s on the first p axes.
 
-    det G_s is the Cauchy-Binet sum of `pot.det_terms`, built once here, so
-    each node needs only its facet values, shared with the density.  Nodes
-    are independent: a batch gives the same bits as its nodes one by one."""
+    det G_s is the Cauchy-Binet sum of `pot.det_terms`, built once here.
+    Each call copies its facet values once into the facet-major rows that
+    both read; a batch gives the same bits as its nodes one by one."""
     density = stable_density(pot, m)
     mm = np.asarray(m, dtype=float)[:p]
     try:
@@ -89,9 +91,9 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s: float):
         raise DomainError(f"s = {s!r}: a coefficient of det G_s overflows")
 
     def f(x):
-        l = pot.facet_values(x)
-        gauss = np.exp(-s * np.sum((x[..., :p] - mm) ** 2, axis=-1))
-        return gauss * density(x, l) * np.sqrt(det(l))
+        w = facet_rows(pot.facet_values(x))
+        gauss = np.exp(-s * sum((x[:, j] - mm[j]) ** 2 for j in range(p)))
+        return gauss * density(x, w) * np.sqrt(det(w))
 
     return f
 

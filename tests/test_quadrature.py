@@ -449,9 +449,9 @@ class TestGreedyOracle:
 
 class TestNodeCount:
     def test_one_root_segment(self):
-        # the segment rules share 13 distinct nodes.  The root passes them
-        # on its two halves and on itself, 39 nodes, and each split 2 new
-        # cells at 26 nodes each: nodes = 39 + 52 (cells - 1)
+        # the segment rules share q = 13 distinct nodes, and without a
+        # budget stop nodes = 4q cells - q roots + 4q u, u the roots never
+        # split.  One root, which is split: nodes = 52 cells - 13
         res = integrate(peaked, triangulate(library.segment(0, 1)), 1e-9)
         assert res.cells_used > 1
         assert res.nodes == 52 * res.cells_used - 13

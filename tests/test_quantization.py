@@ -7,7 +7,7 @@ import pytest
 
 from toricq import library
 from toricq.polytope import DelzantPolytope, HPolytope
-from toricq.potential import guillemin_potential
+from toricq.potential import facet_rows, guillemin_potential
 from toricq.quadrature import integrate_slice
 from toricq.quantization import (
     GcstMap,
@@ -110,29 +110,69 @@ def corrected_box3():
                                    ((0, -1, 0), t), ((0, 0, -1), t)])
 
 
+def corrected_box4():
+    h, t = Fraction(1, 2), Fraction(3, 2)
+    eye = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    return HPolytope.from_data(
+        4, [(e, h) for e in eye] + [(tuple(-c for c in e), t) for e in eye])
+
+
+def integrand_case(case):
+    """(potential, p, m, s, lo, hi) of a norm integrand on the box lo..hi;
+    "slice" is c_m's integrand, p = 0 on the restricted potential."""
+    if case == "slice":
+        pot = guillemin_potential(library.corrected_square()).restrict(1, (0,))
+        return pot, 0, (1,), 0.0, [-0.5], [1.5]
+    poly = {"segment": library.corrected_segment,
+            "square": library.corrected_square,
+            "box3": corrected_box3, "box4": corrected_box4}[case]()
+    n = poly.dim
+    return guillemin_potential(poly), 1, (0,) * n, 40.0, [-0.5] * n, [1.5] * n
+
+
 class TestNormIntegrandPointwise:
     # integrate stacks the nodes of many cells into one call and relies on
     # every node's value being independent of the batch it is in.  2500
     # nodes cross a block boundary of the determinant's sum.
-    @pytest.mark.parametrize("case", ["segment", "square", "box3", "slice"])
+    @pytest.mark.parametrize("case",
+                             ["segment", "square", "box3", "slice", "box4"])
     def test_batch_equals_single_nodes(self, case):
-        if case == "slice":
-            # c_m's integrand: p = 0 on the restricted potential
-            pot = guillemin_potential(library.corrected_square()).restrict(
-                1, (0,))
-            f, lo, hi = norm_integrand(pot, 0, (1,), 0.0), [-0.5], [1.5]
-        else:
-            poly = {"segment": library.corrected_segment,
-                    "square": library.corrected_square,
-                    "box3": corrected_box3}[case]()
-            f = norm_integrand(guillemin_potential(poly), 1, (0,) * poly.dim,
-                               40.0)
-            lo, hi = [-0.5] * poly.dim, [1.5] * poly.dim
+        pot, p, m, s, lo, hi = integrand_case(case)
+        f = norm_integrand(pot, p, m, s)
         x = np.random.default_rng(11).uniform(lo, hi, (2500, len(lo)))
         batch = f(x)
         assert np.all(batch > 0)
         single = np.array([f(x[i:i + 1])[0] for i in range(len(x))])
         assert np.array_equal(batch, single)
+
+    # the integrand works on facet-major rows; per node it must do the
+    # arithmetic of the node-major form, in the same order.  numpy adds
+    # fewer than 8 terms along the last axis one after the other, so with
+    # R < 8 facets the bits agree.  The 4-box has R = 8, where numpy adds
+    # a node's terms pairwise, so only the rounding of that sum may differ
+    @pytest.mark.parametrize("case",
+                             ["segment", "square", "box3", "slice", "box4"])
+    def test_matches_node_major_form(self, case):
+        pot, p, m, s, lo, hi = integrand_case(case)
+        x = np.random.default_rng(12).uniform(lo, hi, (2500, len(lo)))
+        l = pot.facet_values(x)
+        lm = pot.facet_values(np.asarray(m, dtype=float))
+        density = np.exp(np.sum(lm * np.log(l) + (lm - l), axis=-1))
+        gauss = np.exp(-s * np.sum((x[:, :p] - np.asarray(m[:p])) ** 2,
+                                   axis=-1))
+        det = pot.det_terms([s] * p + [0.0] * (pot.dim - p)).det(
+            facet_rows(l))
+        expected = gauss * density * np.sqrt(det)
+        got = norm_integrand(pot, p, m, s)(x)
+        if l.shape[1] < 8:
+            assert np.array_equal(got, expected)
+        else:
+            # either order of the 8 terms t_r of the exponent is within
+            # 7 u sum_r |t_r| of their exact sum (u = eps / 2); exp and the
+            # two products round each side a few times more
+            t = np.abs(lm * np.log(l) + (lm - l)).sum(axis=-1)
+            bound = 7 * np.finfo(float).eps * (t + 1)
+            assert np.all(np.abs(got - expected) <= bound * expected)
 
 
 class TestNorms:

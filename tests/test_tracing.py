@@ -45,13 +45,14 @@ def test_traced_norms_command_counts_cells(tmp_path):
 
 
 def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
-    # the segment rules share 13 distinct nodes.  A segment integral has
-    # one root cell, which passes them on its two halves and on itself
-    # (39 nodes), and each split replaces a cell by 2 new ones at 26 nodes
-    # each, so nodes = 39 + 52 (cells - 1) per integral.  Evaluating one
-    # split per call, and the root in two, would take 2 + (cells - 1) calls
-    # per integral; the splits are evaluated in batches, in far fewer calls.
-    # The tolerance is tight enough for the integrals to need batches.
+    # the segment rules share q = 13 distinct nodes.  Without a budget
+    # stop an integral passes nodes = 4q cells - q roots + 4q u, where u
+    # counts the roots never split.  A segment integral has one root, which
+    # these integrals split (u = 0), so nodes = 52 cells - 13 per integral.
+    # Evaluating one split per call, and the root in two, would take
+    # 2 + (cells - 1) calls per integral; the splits are evaluated in
+    # batches, in far fewer calls.  The tolerance is tight enough for the
+    # integrals to need batches.
     poly = tmp_path / "segment.json"
     poly.write_text(json.dumps(SEGMENT))
     proc = subprocess.run(
