@@ -43,11 +43,17 @@ def fmt(x) -> str:
 # flag parsing
 
 
-def parse_s_grid(text):
+def parse_values(flag, text, convert, sep=","):
+    """The parts of a flag's text between seps, each converted; a part that
+    does not convert is a UsageError naming the flag."""
     try:
-        grid = [float(v) for v in text.split(",")]
+        return [convert(v) for v in text.split(sep)]
     except ValueError:
-        raise UsageError(f"could not parse --s-grid {text!r}")
+        raise UsageError(f"could not parse {flag} {text!r}")
+
+
+def parse_s_grid(text):
+    grid = parse_values("--s-grid", text, float)
     if not grid or any(s < 0 or not math.isfinite(s) for s in grid):
         raise UsageError("--s-grid needs nonnegative finite values")
     if any(a >= b for a, b in zip(grid, grid[1:])):
@@ -55,32 +61,11 @@ def parse_s_grid(text):
     return grid
 
 
-def parse_m(text):
-    try:
-        return tuple(int(v) for v in text.split(";"))
-    except ValueError:
-        raise UsageError(f"could not parse --m {text!r}")
-
-
-def parse_matrix(text):
-    try:
-        return tuple(tuple(int(v) for v in row.split(","))
-                     for row in text.split(";"))
-    except ValueError:
-        raise UsageError(f"could not parse --B {text!r}")
-
-
-def parse_point(text):
-    try:
-        return np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise UsageError(f"could not parse --point {text!r}")
-
-
 def positive_int(text):
-    """argparse type of --alpha; argparse reports the ValueError."""
+    """argparse type of --alpha: a positive int within the float range;
+    argparse reports the ValueError."""
     value = int(text)
-    if value <= 0:
+    if not 0 < value <= sys.float_info.max:
         raise ValueError(text)
     return value
 
@@ -124,7 +109,9 @@ def load_input(args):
         raise UsageError(f"malformed polytope JSON: {exc}")
     if args.B:
         try:
-            fc = polytope.FrameChange(B=parse_matrix(args.B), p=args.p)
+            B = parse_values("--B", args.B, lambda row: tuple(
+                int(v) for v in row.split(",")), ";")
+            fc = polytope.FrameChange(B=B, p=args.p)
             poly = polytope.apply_frame_change(poly, fc)
         except polytope.PolytopeError as exc:
             raise UsageError(f"bad --B: {exc}")
@@ -222,7 +209,7 @@ def cmd_norms(args):
         if not poly.is_bounded:
             raise polytope.PolytopeError(
                 "lattice enumeration needs a bounded polytope")
-        m = parse_m(args.m)
+        m = tuple(parse_values("--m", args.m, int, ";"))
         if len(m) != poly.dim or not poly.contains(m):
             raise UsageError(f"--m {m} is not a lattice point of the polytope")
         points = [m]
@@ -249,7 +236,7 @@ def cmd_flow(args):
     base = guillemin_potential(poly)
     ray = geodesic.MabuchiRay(base, args.p)
     if args.point is not None:
-        pts = [parse_point(args.point)]
+        pts = [np.array(parse_values("--point", args.point, float))]
         check_point(pts[0], poly.dim)
     else:
         pts = [default_point(base)]
@@ -301,7 +288,7 @@ def cmd_curvature(args):
         poly = load_input(args)
         pot = guillemin_potential(poly)
     if args.point is not None:
-        x = parse_point(args.point)
+        x = np.array(parse_values("--point", args.point, float))
         check_point(x, pot.dim)
     else:
         x = default_point(pot)

@@ -2,12 +2,13 @@
 
 Polytopes are kept in H-description l_r(x) = <x, nu_r> + lambda_r >= 0 with
 integer normals and rational offsets.  Every exact predicate reads one
-integer facet form, each facet scaled by the LCM of its denominators:
-vertices are solved from n facets by fraction-free elimination and tested
-by integer dot products, and only the survivors become Fractions.  The
-vertex enumeration records the facets through each vertex, and everything
-read off the vertex cones uses that one incidence.  Floats only appear
-downstream in the analytic modules.
+integer facet form, each facet scaled by the LCM of its denominators.  One
+kernel, fraction-free (Bareiss) elimination of integer rows, gives every
+determinant, extreme ray and solve: vertices are solved from n facets and
+tested by integer dot products, and only the survivors become Fractions.
+The vertex enumeration records the facets through each vertex, and
+everything read off the vertex cones uses that one incidence.  Floats only
+appear downstream in the analytic modules.
 """
 
 from __future__ import annotations
@@ -32,45 +33,37 @@ class PolytopeError(ValueError):
 
 def _fraction_free(rows, ncols):
     """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows on
-    their first ncols columns: (rows, pivot columns).  Every division is
-    exact; the pivot rows of [A | B] come back as d [I | A^-1 B] for the
-    last pivot d, which is +-det A when A is square and invertible."""
+    their first ncols columns: (rows, pivot columns, sign of the row
+    swaps).  Every division is exact; the pivot rows of [A | B] come back
+    as d [I | A^-1 B] for the last pivot d, which is sign * det A when A
+    is square and invertible."""
     M = [list(r) for r in rows]
-    d, pivots = 1, []
+    d, pivots, sign = 1, [], 1
     for col in range(ncols):
         k = len(pivots)
         piv = next((i for i in range(k, len(M)) if M[i][col]), None)
         if piv is None:
             continue
         M[k], M[piv] = M[piv], M[k]
+        sign = sign if piv == k else -sign
         top, prev, d = M[k], d, M[k][col]
         for i, row in enumerate(M):
             if i != k:
                 f = row[col]
                 M[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
         pivots.append(col)
-    return M, pivots
-
-
-def _eliminate(rows, ncols):
-    """Exact Gauss-Jordan elimination on the first ncols columns.
-
-    Returns (reduced rows, pivot columns); columns past ncols are carried
-    along, so an augmented [A | B] comes back as [I | A^-1 B] when A is
-    invertible.  Runs `_fraction_free` on the rows scaled to integers.
-    """
-    M, pivots = _fraction_free([_scaled(r) for r in rows], ncols)
-    d = M[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return [[Fraction(e, d) for e in row] for row in M], pivots
+    return M, pivots, sign
 
 
 def _det(rows):
-    """Exact determinant of a small square matrix of ints or Fractions, by
-    cofactor expansion along the first row."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, c in enumerate(rows[0]) if c)
+    """Exact determinant of a square integer matrix: the last pivot of
+    `_fraction_free` times the sign of its row swaps, 0 when the rows are
+    dependent, and 1 for the empty matrix."""
+    n = len(rows)
+    M, pivots, sign = _fraction_free(rows, n)
+    if len(pivots) < n:
+        return 0
+    return sign * M[-1][-1] if n else 1
 
 
 def _affine_rank(points, dim):
@@ -153,7 +146,7 @@ class HPolytope:
         n, form = self.dim, self.integer_facets
         seen = {}
         for rows in itertools.combinations(form, n):
-            M, pivots = _fraction_free([r[:n] + (-r[n],) for r in rows], n)
+            M, pivots, _ = _fraction_free([r[:n] + (-r[n],) for r in rows], n)
             if len(pivots) < n:
                 continue
             D = M[0][0]
@@ -176,18 +169,25 @@ class HPolytope:
         """Exact recession-cone test: bounded iff {d : N d >= 0} = {0}.
 
         Once N has rank n the cone is pointed, so it is {0} unless it has
-        an extreme ray, the kernel of n - 1 independent rows of N: up to
-        sign, the vector of their signed maximal minors, in integers.
+        an extreme ray, the kernel of n - 1 independent rows of N, up to
+        sign.  One elimination of those rows gives it in integers: the free
+        column gets the last pivot d, and the pivot column of row i gets
+        -M[i][free].
         """
         n = self.dim
         N = [r[:n] for r in self.integer_facets]
         if len(_fraction_free(N, n)[1]) < n:
             return False
         for rows in itertools.combinations(N, n - 1):
-            d = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
-                 for j in range(n)]
+            M, pivots, _ = _fraction_free(rows, n)
+            if len(pivots) < n - 1:
+                continue
+            free = next(j for j in range(n) if j not in pivots)
+            d = M[-1][pivots[-1]] if M else 1
+            ray = [d if j == free else -M[pivots.index(j)][free]
+                   for j in range(n)]
             for sign in (1, -1):
-                if any(d) and all(sign * _dot(nu, d) >= 0 for nu in N):
+                if all(sign * _dot(nu, ray) >= 0 for nu in N):
                     return False
         return True
 
@@ -272,18 +272,6 @@ class DelzantPolytope(HPolytope):
 
 
 @dataclass(frozen=True)
-class VertexChart:
-    """Affine chart x_v = A_v x + lambda_v sending a vertex to the origin."""
-
-    vertex: tuple
-    A_v: tuple        # rows = active primitive normals, input facet order
-    lambda_v: tuple   # offsets of the active facets
-
-    def apply(self, x):
-        return tuple(_dot(row, x) + lam for row, lam in zip(self.A_v, self.lambda_v))
-
-
-@dataclass(frozen=True)
 class FrameChange:
     """Element B of SL(n, Z) whose first p rows pick the subtorus directions."""
 
@@ -296,6 +284,7 @@ class FrameChange:
             raise PolytopeError("frame change matrix must be square")
         if any(int(e) != e for row in self.B for e in row):
             raise PolytopeError("frame change matrix must be integer")
+        object.__setattr__(self, "B", tuple(tuple(map(int, r)) for r in self.B))
         if _det(self.B) != 1:
             raise PolytopeError("frame change must have determinant 1")
         if not 1 <= self.p <= n:
@@ -380,29 +369,15 @@ def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytop
     n = poly.dim
     if len(fc.B) != n:
         raise PolytopeError("frame change dimension mismatch")
-    # solve B^T nu' = nu for every normal at once
-    M, _ = _eliminate(
-        [[int(fc.B[j][i]) for j in range(n)]
-         + [f.normal[i] for f in poly.facets] for i in range(n)], n)
-    # B is in SL(n, Z), so the new normals are integer
-    facets = tuple(Facet(tuple(row[n + k] for row in M), f.offset)
-                   for k, f in enumerate(poly.facets))
+    # solve B^T nu' = nu for every normal at once; B is in SL(n, Z), so
+    # the last pivot d is +-1 and the rows come back as d [I | nu']
+    M, _, _ = _fraction_free(
+        [[fc.B[j][i] for j in range(n)]
+         + [int(f.normal[i]) for f in poly.facets] for i in range(n)], n)
+    d = M[-1][n - 1]
+    facets = tuple(Facet(tuple(Fraction(d * row[n + k]) for row in M),
+                         f.offset) for k, f in enumerate(poly.facets))
     return DelzantPolytope(dim=n, facets=facets, name=poly.name)
-
-
-def vertex_chart(poly: DelzantPolytope, vertex_index: int) -> VertexChart:
-    """Chart at the given vertex (vertices in lexicographic order)."""
-    v = poly.vertices[vertex_index]
-    active = poly.incidence[v]
-    if len(active) != poly.dim:
-        raise PolytopeError(
-            f"vertex {v} has {len(active)} active facets, expected {poly.dim}")
-    rows = tuple(poly.facets[r].normal for r in active)
-    det = _det(rows)
-    if abs(det) != 1:
-        raise PolytopeError(f"vertex {v} is not Delzant: determinant {det}")
-    lam = tuple(poly.facets[r].offset for r in active)
-    return VertexChart(vertex=v, A_v=rows, lambda_v=lam)
 
 
 def axis_slice(poly: HPolytope, p: int, c) -> HPolytope:

@@ -29,6 +29,15 @@ class DomainError(ValueError):
     """Evaluation requested outside the open polytope interior."""
 
 
+def to_float(q):
+    """float(q) for exact data; a DomainError that names q when it is
+    beyond the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise DomainError(f"{q} is beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class QuadraticCorrection:
     """h(x) = 1/2 sum_j coeffs[j] x_j^2."""
@@ -168,7 +177,11 @@ def _squared_minors(A):
     """e and, for every facet subset T, its nonzero (J, det(M[T, C])^2),
     where M = 2^e A is the integer form of the float array A, and C is the
     set of the |T| columns not in J.  Minors of one size are expanded along
-    their first row from the smaller ones."""
+    their first row from the smaller ones.  This memoized expansion stays
+    apart from `polytope._det`, the elimination kernel: it needs every
+    minor of every facet subset, and each costs one expansion step over the
+    minors of one row fewer, where `_det` would eliminate every minor from
+    scratch."""
     R, n = A.shape
     A, e = _dyadic(A.ravel().tolist())
     minors = {((), ()): 1}
@@ -264,9 +277,9 @@ def _subset_sum(w, op, columns, coeffs):
 def guillemin_potential(poly, correction=None) -> SymplecticPotential:
     """Guillemin potential g_P = 1/2 sum l_r log l_r plus optional h."""
     return SymplecticPotential(
-        [[float(c) for c in f.normal] for f in poly.facets],
-        [float(f.offset) for f in poly.facets], correction=correction,
-        barycenter=[float(c) for c in poly.barycenter])
+        [[to_float(c) for c in f.normal] for f in poly.facets],
+        [to_float(f.offset) for f in poly.facets], correction=correction,
+        barycenter=[to_float(c) for c in poly.barycenter])
 
 
 def legendre_forward(pot: SymplecticPotential, x):
@@ -349,7 +362,10 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
     if np.min(l[norms > 0] / norms[norms > 0]) < 8e-10:
         raise DomainError("point too close to the boundary for the "
                           "curvature formula")
-    H = np.linalg.inv(pot.hess(x))
+    try:
+        H = np.linalg.inv(pot.hess(x))
+    except np.linalg.LinAlgError:
+        raise DomainError(f"the Hessian at {x} is singular in floats") from None
     HT = np.einsum('ab,jbc->jac', H, pot.third(x))      # H T_j
     HTHTH = np.einsum('jab,kbc,cd->jkad', HT, HT, H)     # H T_j H T_k H
     aHa = np.einsum('rj,jk,rk->r', pot.A, H, pot.A)      # a_r . H a_r

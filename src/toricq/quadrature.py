@@ -35,8 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import (PolytopeError, _affine_rank, _fraction_free, _scaled,
-                       axis_slice)
+from .polytope import PolytopeError, _affine_rank, _det, _scaled, axis_slice
 
 DEFAULT_CELL_BUDGET = 200_000
 _BUDGET_ENV = "TORICQ_CELL_BUDGET"
@@ -122,13 +121,12 @@ def _nodes(dim):
 
 def _exact_simplex_volume(verts):
     """|det| of the edges from the first vertex over k!: each edge is
-    scaled to ints, its scale appended, and fraction-free eliminated."""
+    scaled to ints, with its scale appended, for `_det`."""
     k = len(verts) - 1
     rows = [_scaled([a - b for a, b in zip(v, verts[0])] + [1])
             for v in verts[1:]]
-    det = _fraction_free(rows, k)[0][-1][k - 1]
     scale = math.factorial(k) * math.prod(r[k] for r in rows)
-    return Fraction(abs(det), scale)
+    return Fraction(abs(_det([r[:k] for r in rows])), scale)
 
 
 # ---------------------------------------------------------------------------

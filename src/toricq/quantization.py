@@ -24,7 +24,7 @@ import numpy as np
 
 from .polytope import PolytopeError
 from .potential import (DomainError, SymplecticPotential, facet_rows,
-                        guillemin_potential)
+                        guillemin_potential, to_float)
 from .quadrature import IntegralResult, integrate, integrate_slice, triangulate
 
 # relative distance from the limit within which the extrapolated norms pass
@@ -48,12 +48,13 @@ def hamiltonian_value(m, p: int):
 
 
 def quantum_basis(poly, p: int):
-    """Basis elements for the lattice points of poly, lexicographic order."""
+    """Basis elements for the lattice points of poly, lexicographic order;
+    H reads only the coordinates m_{<=p}."""
     if not 1 <= p <= poly.dim:
         raise ValueError("p out of range")
     points = poly.lattice_points()
-    energies = hamiltonian_value(
-        np.array(points, dtype=float).reshape(len(points), poly.dim), p)
+    energies = hamiltonian_value(np.array(
+        [[to_float(c) for c in m[:p]] for m in points]).reshape(-1, p), p)
     return [QuantumBasisElement(m=m, hamiltonian_value=h, index=i)
             for i, (m, h) in enumerate(zip(points, energies.tolist()))]
 

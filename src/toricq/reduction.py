@@ -26,6 +26,7 @@ from .potential import (SymplecticPotential, abreu_scalar_curvature,
 CLASS_DELZANT = "delzant"
 CLASS_ORBIFOLD = "orbifold"
 CLASS_WORSE = "worse"
+MAX_LEVELS = 10**6      # in the projected bounding box of a level report
 
 
 def classify_polytope(poly: HPolytope) -> str:
@@ -117,13 +118,15 @@ def c3_reduction(alpha1: int, alpha2: int, c=0) -> ReducedStructure:
 def reduction_level_report(poly, p: int):
     """Per-integral-level rows {c, dim, class}; levels span the integer
     range of the projected bounding box, so empty fibers appear with
-    dimension 0 and class "trivial"."""
+    dimension 0 and class "trivial"; a box of more than MAX_LEVELS levels
+    is refused."""
     counts = Counter(m[:p] for m in poly.lattice_points())
     lo, hi = poly.bounding_box()
-    ranges = [range(math.ceil(a), math.floor(b) + 1)
-              for a, b in zip(lo[:p], hi[:p])]
+    ends = [(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo[:p], hi[:p])]
+    if math.prod(b - a for a, b in ends) > MAX_LEVELS:
+        raise PolytopeError(f"more than {MAX_LEVELS} levels to report")
     rows = []
-    for c in itertools.product(*ranges):
+    for c in itertools.product(*(range(a, b) for a, b in ends)):
         dim = counts[c]
         if dim == 0:
             cls = "trivial"

@@ -470,6 +470,23 @@ class TestFlagValidation:
         code, _ = run_err(capsys, ["--command", command, f"--alpha={alpha}"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["reduce", "curvature"])
+    def test_alpha_beyond_the_float_range(self, capsys, command):
+        code, err = run_err(capsys, ["--command", command,
+                                     f"--alpha={10**400}"])
+        assert code == 2
+        assert "argument --alpha" in err
+
+    @pytest.mark.parametrize("command, expected", [("reduce", 1),
+                                                   ("curvature", 2)])
+    def test_alpha_with_a_singular_float_hessian(self, capsys, command,
+                                                 expected):
+        # at (1, 1) the Hessian 1/2 (I + alpha/2 J) rounds to a singular one
+        code, err = run_err(capsys, ["--command", command,
+                                     f"--alpha={10**66}"])
+        assert code == expected
+        assert err == "error: the Hessian at [1. 1.] is singular in floats\n"
+
     def test_points_p_out_of_range(self, tmp_path, capsys):
         code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
                                      "--command", "points", "--p", "5"])
@@ -565,6 +582,50 @@ class TestFlagValidation:
         assert err.startswith("error: ")
         assert "half-form shifted" in err
         assert err.count("\n") == 1
+
+
+class TestShearBeyondTheFloatRange:
+    """The corrected square under the shear x2 -> x2 + K x1, K = 10**400:
+    four lattice points, but facet normals, vertices and the trailing
+    coordinates beyond the float range."""
+
+    K = 10**400
+
+    def run(self, tmp_path, capsys, argv):
+        return run_err(capsys, ["--input", write(tmp_path, SQUARE),
+                                "--B", f"1,0;{self.K},1"] + argv)
+
+    @pytest.mark.parametrize("command", ["validate", "reduce"])
+    def test_exact_commands_succeed(self, tmp_path, capsys, command):
+        code, err = self.run(tmp_path, capsys, ["--command", command])
+        assert (code, err) == (0, "")
+
+    def test_points_read_h_from_the_leading_coordinate(self, tmp_path, capsys):
+        code = main(["--input", write(tmp_path, SQUARE), "--B",
+                     f"1,0;{self.K},1", "--command", "points", "--p", "1"])
+        assert code == 0
+        rows = rows_of(capsys.readouterr().out)
+        assert rows[1:] == [["0", "0;0", "0"], ["1", "0;1", "0"],
+                            ["2", f"1;{self.K}", "0.5"],
+                            ["3", f"1;{self.K + 1}", "0.5"]]
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "points", "--p", "2"],
+        ["--command", "flow"], ["--command", "curvature"],
+        ["--command", "norms"], ["--command", "norms", "--p", "2"],
+        ["--command", "norms", "--m", "0;0"]])
+    def test_float_commands_name_the_value(self, tmp_path, capsys, argv):
+        code, err = self.run(tmp_path, capsys, argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert f"{self.K} is beyond the float range" in err
+        assert err.count("\n") == 1
+
+    def test_reduce_refuses_too_many_levels(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys,
+                             ["--command", "reduce", "--p", "2"])
+        assert code == 1
+        assert err == "error: more than 1000000 levels to report\n"
 
 
 class TestInputErrors:

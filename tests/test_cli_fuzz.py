@@ -62,6 +62,23 @@ def shifted_polytope_json(draw):
 FRAMES = st.sampled_from([
     "1", "1,0;0,1", "0,1;-1,0", "1,1;0,1", "1,0,0;0,1,0;0,0,1",
     "1,0,0;1,1,0;0,0,1", "1,0;0", "2,0;0,1", "1,x", ";"])
+# ints up to 10**400 in size, about half of them beyond the float range
+HUGE = st.integers(-10**400, 10**400) | st.sampled_from(
+    [-1, 2, 10**20, 10**300, 10**309, -10**309, 10**400, -10**400])
+
+
+@st.composite
+def shears(draw, dim):
+    """The identity of size dim with one entry below the diagonal drawn
+    from HUGE: in SL(n, Z), so the lattice points stay few, while the
+    trailing coordinates and the new normals grow with the entry.  (An
+    entry above the diagonal would stretch the leading coordinates, which
+    the lattice walk scans one value at a time.)"""
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    if dim > 1:
+        i = draw(st.integers(1, dim - 1))
+        rows[i][draw(st.integers(0, i - 1))] = draw(HUGE)
+    return ";".join(",".join(map(str, r)) for r in rows)
 
 POINTS = st.lists(
     st.sampled_from([0.25, 0.5, 1.0, 1.5, -0.5, 5.0, float("nan"),
@@ -70,15 +87,20 @@ POINTS = st.lists(
 
 
 @st.composite
-def argv_options(draw):
-    argv = ["--command", draw(st.sampled_from(
-        ["validate", "points", "reduce", "curvature", "flow"]))]
+def argv_options(draw, dim):
+    """Options for a polytope of dimension dim; --alpha, read by reduce and
+    curvature only, is drawn for those."""
+    command = draw(st.sampled_from(
+        ["validate", "points", "reduce", "curvature", "flow"]))
+    argv = ["--command", command]
     for flag, values in (("--p", st.integers(-1, 4).map(str)),
-                         ("--B", FRAMES), ("--point", POINTS),
+                         ("--B", FRAMES | shears(dim)), ("--point", POINTS),
                          ("--format", st.sampled_from(["csv", "json"]))):
         value = draw(st.none() | values)
         if value is not None:
             argv.append(f"{flag}={value}")
+    if command in ("reduce", "curvature") and draw(st.booleans()):
+        argv.append(f"--alpha={draw(HUGE)}")
     return argv
 
 
@@ -96,11 +118,13 @@ def norms_case(draw):
         m = [str(draw(st.integers(-1, 2))) for _ in range(dim)]
         argv.append("--m=" + ";".join(draw(st.sampled_from([m, m, ["x"]]))))
     if draw(st.booleans()):
-        # the identity frame, or a shear of its first two axes
+        # the identity frame, a shear of its first two axes, or a huge one
         rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
         if dim > 1 and draw(st.booleans()):
             rows[0][1] = 1
         argv.append("--B=" + ";".join(",".join(map(str, r)) for r in rows))
+        if draw(st.booleans()):
+            argv[-1] = "--B=" + draw(shears(dim))
     if draw(st.booleans()):
         argv.append("--format=" + draw(st.sampled_from(["csv", "json"])))
     return data, argv
@@ -123,11 +147,12 @@ def check_exit_code_contract(data, options):
         list(csv.reader(io.StringIO(text), strict=True))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(polytope_json(), argv_options())
-def test_exit_code_contract(data, options):
-    check_exit_code_contract(data, options)
+@given((polytope_json() | shifted_polytope_json()).flatmap(
+    lambda data: st.tuples(st.just(data), argv_options(max(data["dim"], 1)))))
+def test_exit_code_contract(case):
+    check_exit_code_contract(*case)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None,

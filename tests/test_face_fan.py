@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci
 
-from toricq.polytope import (DelzantPolytope, _det, _eliminate, axis_slice,
-                             validate_delzant)
+from exact_oracles import cofactor_det
+from toricq.polytope import (DelzantPolytope, _det, _fraction_free,
+                             axis_slice, validate_delzant)
 from toricq.quadrature import integrate, triangulate
 from toricq.quantization import limit_constant
 from toricq.reduction import CLASS_WORSE, classify_polytope
@@ -75,10 +78,8 @@ class TestFourSimplex:
         region = triangulate(unit_simplex(4))
         assert region.exact_volume == Fraction(1, 24)
         # every simplex of the fan is 4-dimensional with positive volume
-        for s in region.simplices:
-            assert len(s) == 5
-            rows = [[a - b for a, b in zip(v, s[0])] for v in s[1:]]
-            assert _det(rows) != 0
+        assert all(len(s) == 5 for s in region.simplices)
+        assert all(v > 0 for v in region.volumes)
 
     def test_integrate_coordinate(self):
         res = integrate(lambda x: x[:, 0], triangulate(unit_simplex(4)),
@@ -89,19 +90,21 @@ class TestFourSimplex:
 
 class TestEliminate:
     def test_inverse_from_augmented_rows(self):
+        # the rows of [A | I] come back as d [I | A^-1], d = sign * det A
         A = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
         rows = [row + [int(i == j) for j in range(3)]
                 for i, row in enumerate(A)]
-        M, pivots = _eliminate(rows, 3)
+        M, pivots, sign = _fraction_free(rows, 3)
         assert pivots == [0, 1, 2]
-        assert _det(A) == 18
-        inv = [row[3:] for row in M]
+        d = M[-1][2]
+        assert sign * d == cofactor_det(A) == 18
+        inv = [[Fraction(e, d) for e in row[3:]] for row in M]
         for i in range(3):
             for j in range(3):
                 assert sum(A[i][k] * inv[k][j] for k in range(3)) == (i == j)
 
     def test_rank_deficient(self):
-        _, pivots = _eliminate([[1, 2, 3], [2, 4, 6]], 3)
+        _, pivots, _ = _fraction_free([[1, 2, 3], [2, 4, 6]], 3)
         assert pivots == [0]
         assert _det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
 
@@ -114,12 +117,21 @@ class TestDet:
         assert det == round(np.linalg.det(np.array(A, dtype=float)))
         assert _det([]) == 1
 
-    def test_fraction_matrix(self):
-        A = [[Fraction(1, 2), Fraction(1, 3), 0],
-             [Fraction(1, 4), 1, Fraction(-2, 5)],
-             [0, Fraction(3, 7), 2]]
-        # 1/2 (2 + 6/35) - 1/3 (1/2)
-        assert _det(A) == Fraction(1, 2) * Fraction(76, 35) - Fraction(1, 6)
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              database=None)
+    @example([])
+    @example([[0, 1], [1, 0]])                    # one row swap: -1
+    @example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])   # two row swaps: +1
+    @example([[0, 2, 1], [3, 1, 0], [0, 0, 0]])   # a zero row
+    @example([[1, 2, 3], [2, 4, 6], [0, 1, 5]])   # dependent rows
+    @example([[0, 0], [0, 3]])                    # a zero column
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_matches_cofactor_oracle(self, A):
+        det = _det(A)
+        assert type(det) is int
+        assert det == cofactor_det(A)
 
 
 def square_pyramid():

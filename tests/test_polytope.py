@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from exact_oracles import cofactor_det, gauss_jordan
 from toricq import library
 from toricq.polytope import (
     DelzantPolytope,
@@ -19,15 +20,13 @@ from toricq.polytope import (
     HPolytope,
     PolytopeError,
     ValidationReport,
-    _det,
-    _eliminate,
+    _fraction_free,
     apply_frame_change,
     axis_slice,
     corrected_polytope,
     lattice_points,
     polytope_from_json,
     validate_delzant,
-    vertex_chart,
 )
 
 
@@ -232,8 +231,6 @@ class TestCorrectedPolytope:
 
 def random_sl2(rng):
     # random products of elementary shears are exactly SL(2, Z)
-    from toricq.polytope import _det
-
     a = rng.randint(-3, 3)
     b = rng.randint(-3, 3)
     B = ((1, a), (0, 1))
@@ -241,7 +238,7 @@ def random_sl2(rng):
     M = tuple(
         tuple(sum(B[i][k] * C[k][j] for k in range(2)) for j in range(2))
         for i in range(2))
-    assert _det(M) == 1
+    assert cofactor_det(M) == 1
     return M
 
 
@@ -291,41 +288,6 @@ class TestFrameChange:
             out = apply_frame_change(
                 poly, FrameChange(B=tuple(map(tuple, B)), p=1))
             assert len(lattice_points(out)) == len(lattice_points(poly))
-
-
-class TestVertexChart:
-    def test_origin_of_simplex(self):
-        chart = vertex_chart(standard_simplex(), 0)  # lex-first vertex (0,0)
-        assert chart.vertex == (0, 0)
-        assert chart.A_v == ((1, 0), (0, 1))
-
-    def test_simplex_vertex_1_0(self):
-        poly = standard_simplex()
-        idx = poly.vertices.index((Fraction(1), Fraction(0)))
-        chart = vertex_chart(poly, idx)
-        assert chart.A_v == ((0, 1), (-1, -1))
-        assert chart.apply((1, 0)) == (0, 0)
-
-    def test_square_corner(self):
-        poly = library.corrected_square()
-        idx = poly.vertices.index((Fraction(-1, 2), Fraction(-1, 2)))
-        chart = vertex_chart(poly, idx)
-        assert chart.A_v == ((1, 0), (0, 1))
-        assert chart.lambda_v == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_charts_map_into_orthant(self):
-        for poly in library.shipped_polytopes():
-            for i in range(len(poly.vertices)):
-                chart = vertex_chart(poly, i)
-                for v in poly.vertices:
-                    assert all(c >= 0 for c in chart.apply(v))
-
-    def test_non_delzant_vertex_errors(self):
-        poly = DelzantPolytope.from_data(
-            2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)])
-        idx = poly.vertices.index((Fraction(0), Fraction(1)))
-        with pytest.raises(PolytopeError, match="determinant"):
-            vertex_chart(poly, idx)
 
 
 class TestAxisSlice:
@@ -413,25 +375,8 @@ class TestRationalisedOffsets:
 
 # ---------------------------------------------------------------------------
 # Fraction oracle: the exact geometry as computed before the integer facet
-# form, by Fraction Gauss-Jordan elimination and Fraction facet values.
-
-
-def gauss_jordan(rows, ncols):
-    M = [[Fraction(e) for e in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        M[r] = [e / M[r][col] for e in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(col)
-    return M, pivots
+# form, by Fraction Gauss-Jordan elimination, cofactor determinants and
+# Fraction facet values.
 
 
 def oracle_incidence(poly):
@@ -466,7 +411,7 @@ def oracle_is_bounded(poly):
     if len(gauss_jordan(N, n)[1]) < n:
         return False
     for rows in itertools.combinations(N, n - 1):
-        d = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+        d = [(-1) ** j * cofactor_det([r[:j] + r[j + 1:] for r in rows])
              for j in range(n)]
         for sign in (1, -1):
             if any(d) and all(sign * sum(a * b for a, b in zip(nu, d)) >= 0
@@ -514,7 +459,7 @@ def oracle_validate(poly):
         report.ok, report.verdict = False, "redundant"
         report.messages.append(f"redundant facets: {report.redundant_facets}")
     for v, active in incidence.items():
-        det = (_det([poly.facets[r].normal for r in active])
+        det = (cofactor_det([poly.facets[r].normal for r in active])
                if len(active) == poly.dim else None)
         report.vertex_determinants.append((v, det))
         if det is None or abs(det) != 1:
@@ -644,7 +589,15 @@ class TestIntegerFacetForm:
         ncols, rows = case
         # repeat a combination of rows, so some inputs are rank deficient
         rows = rows + [[a + 2 * b for a, b in zip(rows[0], rows[-1])]]
-        M, pivots = _eliminate(rows, ncols)
+        # a positive scale per row leaves the reduced echelon form alone
+        ints = [[int(e * math.lcm(*(c.denominator for c in row)))
+                 for e in row] for row in rows]
+        M, pivots, _ = _fraction_free(ints, ncols)
         M0, pivots0 = gauss_jordan(rows, ncols)
         assert pivots == pivots0
-        assert M[:len(pivots)] == M0[:len(pivots)]
+        # the pivot rows are d times the Fraction rows, for the last pivot d
+        d = M[len(pivots) - 1][pivots[-1]] if pivots else 1
+        assert d != 0
+        assert all(type(e) is int for row in M for e in row)
+        assert M[:len(pivots)] == [[d * e for e in row]
+                                   for row in M0[:len(pivots)]]

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from exact_oracles import cofactor_det
 from toricq import library
 from toricq.geodesic import MabuchiRay
-from toricq.polytope import HPolytope, _det
+from toricq.polytope import HPolytope
 from toricq.potential import (
     DomainError,
     QuadraticCorrection,
@@ -360,7 +361,7 @@ def test_cauchy_binet_terms(case):
     exact = {}
     for k in range(n + 1):
         for T in itertools.combinations(range(len(A)), k):
-            c = sum(_det([[A[t][j] for j in C] for t in T]) ** 2
+            c = sum(cofactor_det([[A[t][j] for j in C] for t in T]) ** 2
                     * math.prod(Fraction(d[j]) for j in range(n) if j not in C)
                     for C in itertools.combinations(range(n), k))
             if c:

@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_oracles import cofactor_det
 from toricq import library
-from toricq.polytope import DelzantPolytope, PolytopeError, _det
+from toricq.polytope import DelzantPolytope, PolytopeError
 from toricq.quadrature import (
     IntegrationRegion,
     _bisect_many,
@@ -63,7 +64,7 @@ class TestTriangulate:
     def cofactor_volume(verts):
         # |det| of the edge vectors by Fraction cofactor expansion, over k!
         rows = [[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]
-        return Fraction(abs(_det(rows)), math.factorial(len(rows)))
+        return Fraction(abs(cofactor_det(rows)), math.factorial(len(rows)))
 
     def test_exact_volumes_match_cofactor_determinants(self):
         for poly in list(library.shipped_polytopes()) + [box(3), box(4)]:
