@@ -17,6 +17,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -75,7 +76,35 @@ def _affine_rank(points, dim):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
+
+
+def _slice_incidence(form, n, p):
+    """The vertex-facet incidence at(c) of each non-empty slice
+    {x : x_{<=p} = c}, c in Z^p and 1 <= p < n, of the polytope with integer
+    facet form `form`; the slice's facets r are those with nonzero trailing
+    normal.  d = n - p of them with independent normals meet in a point
+    y(c), and one elimination of their rows [a_{>p} | b | a_{<=p}] gives
+    D^2 l_r(c, y(c)) = k0_r + c_1 k1_r + ... + c_p kp_r in integers."""
+    d, solved = n - p, []
+    rows = [r[p:] + r[:p] for r in form if any(r[p:n])]
+    for T in itertools.combinations(rows, d):
+        M, pivots, _ = _fraction_free(T, d)
+        if len(pivots) == d:
+            D, cols = M[0][0], list(zip(*M))
+            solved.append([[D * (D * r[k] - _dot(r, cols[k])) for r in rows]
+                           for k in range(d, n + 1)])
+
+    def at(c):
+        out = set()
+        for values, *K in solved:
+            for cj, Kj in zip(c, K):
+                values = [v + cj * k for v, k in zip(values, Kj)]
+            if min(values) >= 0:
+                out.add(tuple(i for i, v in enumerate(values) if v == 0))
+        return frozenset(out)
+
+    return at
 
 
 def _scaled(values):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polytope import (HPolytope, PolytopeError, _det, _primitive,
-                       axis_slice)
+                       _slice_incidence, axis_slice)
 from .potential import (SymplecticPotential, abreu_scalar_curvature,
                         guillemin_potential)
 
@@ -119,36 +119,32 @@ def reduction_level_report(poly, p: int):
     """Per-integral-level rows {c, dim, class}; levels span the integer
     range of the projected bounding box, so empty fibers appear with
     dimension 0 and class "trivial"; a box of more than MAX_LEVELS levels
-    is refused."""
-    counts = Counter(m[:p] for m in poly.lattice_points())
+    is refused before any lattice point is walked.  A level with lattice
+    points costs one key, its slice's vertex-facet incidence, which fixes
+    class and full dimension; one slice per key is built and classified."""
+    if not poly.is_bounded:
+        raise PolytopeError("lattice enumeration needs a bounded polytope")
     lo, hi = poly.bounding_box()
     ends = [(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo[:p], hi[:p])]
     if math.prod(b - a for a, b in ends) > MAX_LEVELS:
         raise PolytopeError(f"more than {MAX_LEVELS} levels to report")
-    rows = []
+    counts = Counter(m[:p] for m in poly.lattice_points())
+    n, classes, rows = poly.dim, {}, []
+    at = _slice_incidence(poly.integer_facets, n, p) if p < n else None
     for c in itertools.product(*(range(a, b) for a, b in ends)):
         dim = counts[c]
         if dim == 0:
             cls = "trivial"
-        elif p == poly.dim:
+        elif p == n:
             cls = CLASS_DELZANT
         else:
             # a level with lattice points has a non-empty slice
-            sl = axis_slice(poly, p, c)
-            if sl.is_full_dimensional:
-                cls = classify_polytope(sl)
-            else:
-                cls = "degenerate"
+            key = at(c)
+            if key not in classes:
+                sl = axis_slice(poly, p, c)
+                classes[key] = (classify_polytope(sl)
+                                if sl.is_full_dimensional else "degenerate")
+            cls = classes[key]
         rows.append({"c": list(c), "dim": dim, "class": cls})
     total = sum(r["dim"] for r in rows)
     return rows, total, total == sum(counts.values())
-
-
-def reduction_dimension_audit(poly, p: int):
-    """Sizes of the lattice-point fibers over the projected leading levels.
-
-    Returns (levels, dims) with levels sorted lexicographically; the dims
-    add up to the total number of lattice points.
-    """
-    levels = sorted(Counter(m[:p] for m in poly.lattice_points()).items())
-    return [lv for lv, _ in levels], [n for _, n in levels]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,24 @@ class TestReduce:
         assert code == 0
         rows = rows_of(out)[1:]
         assert [r[1] for r in rows[:-1]] == ["2", "2"]
+
+    @pytest.mark.parametrize("data", [
+        {"dim": 2, "facets": [{"normal": [1, 0], "offset": 0},
+                              {"normal": [0, 1], "offset": 0},
+                              {"normal": [-1, -1], "offset": 3 * 10**6}]},
+        {"dim": 1, "facets": [{"normal": [1], "offset": 0},
+                              {"normal": [-1], "offset": 3 * 10**6}]}],
+        ids=["triangle", "segment"])
+    def test_too_many_levels_refused_before_the_lattice_walk(
+            self, tmp_path, capsys, data):
+        # 3 * 10**6 + 1 levels over x1; the triangle has 4.5 * 10**12
+        # lattice points, which are never walked
+        start = time.perf_counter()
+        code, err = run_err(capsys, ["--input", write(tmp_path, data),
+                                     "--command", "reduce", "--p", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err == "error: more than 1000000 levels to report\n"
 
     def test_alpha_family(self, tmp_path, capsys):
         code, out = run(capsys, ["--command", "reduce", "--alpha", "2"])

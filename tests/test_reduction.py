@@ -1,10 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from toricq import library
-from toricq.polytope import DelzantPolytope, HPolytope, PolytopeError
+from exact_oracles import per_level_report
+from test_polytope import unimodular, unit
+from toricq import library, reduction
+from toricq.polytope import (DelzantPolytope, FrameChange, HPolytope,
+                             PolytopeError, _slice_incidence,
+                             apply_frame_change, axis_slice)
 from toricq.potential import guillemin_potential
 from toricq.reduction import (
     CLASS_DELZANT,
@@ -15,7 +22,7 @@ from toricq.reduction import (
     reduce,
     reduced_potential,
     reduced_scalar_curvature,
-    reduction_dimension_audit,
+    reduction_level_report,
 )
 
 
@@ -109,19 +116,95 @@ class TestC3Family:
             c3_reduction(1, 1, -1)
 
 
+def fibre_sizes(poly, p):
+    """(levels, dims) of the non-empty lattice fibres, in lexicographic
+    order, read off the rows of the level report."""
+    rows, _, _ = reduction_level_report(poly, p)
+    fibres = [(tuple(r["c"]), r["dim"]) for r in rows if r["dim"]]
+    return [lv for lv, _ in fibres], [n for _, n in fibres]
+
+
 class TestDimensionAudit:
     def test_simplex_levels(self):
-        levels, dims = reduction_dimension_audit(library.simplex(2), 1)
+        levels, dims = fibre_sizes(library.simplex(2), 1)
         assert levels == [(0,), (1,), (2,)]
         assert dims == [3, 2, 1]
         assert sum(dims) == 6
 
     def test_random_frame_changes_preserve_dims_total(self):
-        from toricq.polytope import FrameChange, apply_frame_change
-
         poly = library.simplex(2)
         shear = FrameChange(B=((1, 1), (0, 1)), p=1)
         moved = apply_frame_change(poly, shear)
-        _, dims0 = reduction_dimension_audit(poly, 1)
-        _, dims1 = reduction_dimension_audit(moved, 1)
+        _, dims0 = fibre_sizes(poly, 1)
+        _, dims1 = fibre_sizes(moved, 1)
         assert sum(dims0) == sum(dims1)
+
+
+@st.composite
+def level_report_inputs(draw):
+    """(polytope, p) for n = 2-4 and any 1 <= p < n: a box with rational
+    offsets, or a corner x >= 0 cut by a weighted facet whose apex levels
+    slice to points, then up to two random integer cuts (non-Delzant and
+    possibly redundant or emptying), a redundant copy of a facet, and a
+    frame change by shears above or below the diagonal."""
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        offsets = st.fractions(0, 2, max_denominator=3)
+        facets = [(unit(n, i, sign), draw(offsets))
+                  for i in range(n) for sign in (1, -1)]
+    else:
+        weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        facets = [(unit(n, i), 0) for i in range(n)]
+        facets.append((tuple(-w for w in weights), draw(st.integers(1, 4))))
+    facets += draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * n).filter(any),
+        st.fractions(-1, 3, max_denominator=3)), max_size=2))
+    if draw(st.booleans()):
+        normal, offset = draw(st.sampled_from(facets))
+        k = draw(st.integers(1, 2))
+        facets.append((tuple(k * a for a in normal), k * offset + 1))
+    poly = apply_frame_change(DelzantPolytope.from_data(n, facets),
+                              FrameChange(B=draw(unimodular(n)), p=1))
+    return poly, draw(st.integers(1, n - 1))
+
+
+class TestLevelReportKeys:
+    """A level's class is read off its slice type, an integer key per level;
+    the slice is built and classified once per key.  The per-level path is
+    the oracle."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(level_report_inputs())
+    def test_matches_the_per_level_path(self, case):
+        poly, p = case
+        try:
+            expected = per_level_report(poly, p)
+        except PolytopeError as exc:
+            with pytest.raises(PolytopeError, match=re.escape(str(exc))):
+                reduction_level_report(poly, p)
+            return
+        rows, total, ok = reduction_level_report(poly, p)
+        assert rows == expected
+        assert ok and total == len(poly.lattice_points())
+        # the key of a level is its slice's incidence, facets numbered as
+        # in the slice, which keeps those with nonzero trailing normal
+        at = _slice_incidence(poly.integer_facets, poly.dim, p)
+        for row in rows:
+            if row["dim"]:
+                sl = axis_slice(poly, p, row["c"])
+                assert at(tuple(row["c"])) == frozenset(
+                    sl.incidence.values())
+
+    def test_simplex_builds_one_slice_per_type(self, monkeypatch):
+        built = []
+
+        def counted(poly, p, c):
+            built.append(c)
+            return axis_slice(poly, p, c)
+
+        monkeypatch.setattr(reduction, "axis_slice", counted)
+        rows, total, ok = reduction_level_report(library.simplex(20), 1)
+        assert [r["class"] for r in rows] == ["delzant"] * 20 + ["degenerate"]
+        assert ok and total == 231
+        assert len(built) <= 3

@@ -87,7 +87,7 @@ SIMPLEX = {"dim": 2, "facets": [
 
 def test_traced_reduce_command_attributes_exact_geometry(tmp_path):
     # vertex enumeration must stay inside the span of HPolytope.vertices,
-    # and each level's slice inside axis_slice
+    # and each slice type's slice inside axis_slice
     poly = tmp_path / "simplex.json"
     poly.write_text(json.dumps(SIMPLEX))
     proc = subprocess.run(
@@ -97,8 +97,9 @@ def test_traced_reduce_command_attributes_exact_geometry(tmp_path):
     assert result["code"] == 0
     metrics = result["metrics"]
     assert metrics["polytope.vertices.s"] > 0
-    # each of the levels 0..3 has lattice points, so each is sliced; the
-    # slice at 3 is a point, and only the three segments are classified
-    assert metrics["polytope.axis_slice.calls"] == 4
-    assert metrics["reduction.classify_polytope.calls"] == 3
+    # each of the levels 0..3 has lattice points; the segments at 0..2
+    # share one slice type and the slice at 3 is a point, so one slice of
+    # each type is built and only the segment is classified
+    assert metrics["polytope.axis_slice.calls"] == 2
+    assert metrics["reduction.classify_polytope.calls"] == 1
     assert metrics["polytope.lattice_points.hits"] == 10
