@@ -12,12 +12,11 @@ through principal angles.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import QuadraticCorrection, SymplecticPotential
+from .potential import SymplecticPotential
 
 
 class BlockError(ValueError):
@@ -35,21 +34,6 @@ class MabuchiRay:
         if not 1 <= self.p <= self.base.dim:
             raise ValueError("p must satisfy 1 <= p <= n")
 
-    def potential(self, s: float) -> SymplecticPotential:
-        """g_0 + s H: the base potential with s added to the quadratic
-        correction on the first p axes.  Not on the CLI path, which reads
-        G_s from `hessian_blocks` and sqrt(det G_s) from
-        `SymplecticPotential.det_terms`; it is the tests' reference for
-        G_s."""
-        if s < 0:
-            raise ValueError("geodesic parameter s must be nonnegative")
-        coeffs = [float(s) if j < self.p else 0.0 for j in range(self.base.dim)]
-        if self.base.correction is not None:
-            coeffs = [a + b for a, b in zip(self.base.correction.coeffs, coeffs)]
-        pot = copy.copy(self.base)
-        pot.correction = QuadraticCorrection(tuple(coeffs))
-        return pot
-
 
 @dataclass(frozen=True)
 class HessianBlocks:
@@ -64,15 +48,6 @@ class HessianBlocks:
     @property
     def n(self):
         return self.p + self.d.shape[0]
-
-    def assemble(self, s: float = 0.0):
-        n, p = self.n, self.p
-        G = np.zeros((n, n))
-        G[:p, :p] = self.a1 + s * np.eye(p)
-        G[:p, p:] = self.a2
-        G[p:, :p] = self.a2.T
-        G[p:, p:] = self.d
-        return G
 
 
 def hessian_blocks(G, p: int) -> HessianBlocks:
@@ -124,15 +99,6 @@ def inverse_hessian_limit(blocks: HessianBlocks):
     if p < n:
         out[p:, p:] = np.linalg.inv(blocks.d)
     return out
-
-
-def det_growth_check(blocks: HessianBlocks, s: float):
-    """(det(G + sT), s^p det D); the ratio tends to 1 as s grows."""
-    if s <= 0:
-        raise ValueError("need s > 0")
-    det_full = float(np.linalg.det(blocks.assemble(s)))
-    det_d = 1.0 if blocks.p == blocks.n else float(np.linalg.det(blocks.d))
-    return det_full, s ** blocks.p * det_d
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +171,6 @@ def grassmann_distance(f1: PolarizationFrame, f2: PolarizationFrame) -> float:
     return float(np.arccos(sigma.min()))
 
 
-def frame_is_lagrangian(frame: PolarizationFrame, tol=1e-10) -> bool:
-    """omega(v, w) = 0 for all frame rows, omega = sum dx_j ^ dtheta_j."""
-    n = frame.n
-    omega = np.zeros((2 * n, 2 * n))
-    omega[:n, n:] = np.eye(n)
-    omega[n:, :n] = -np.eye(n)
-    vals = frame.vectors @ omega @ frame.vectors.T
-    return bool(np.max(np.abs(vals)) <= tol)
-
-
 # ---------------------------------------------------------------------------
 # connection forms
 
@@ -229,7 +185,7 @@ class ConnectionFormValue:
 
 def _connection_form(ray: MabuchiRay, x, s) -> ConnectionFormValue:
     x, Ginv = _inverse_hessian(ray, x, s)
-    # a quadratic correction has no third derivatives: T_s = T_0
+    # s H is quadratic, so g_s has the third derivatives of g_0
     u = np.einsum('jkl,kl->j', ray.base.third(x), Ginv)
     return ConnectionFormValue(basepoint=x,
                                coeffs=-1j * x + 0.25j * (u @ Ginv))
@@ -243,7 +199,7 @@ def connection_form_s(ray: MabuchiRay, x, s: float) -> ConnectionFormValue:
 def connection_form_limit(ray: MabuchiRay, x) -> ConnectionFormValue:
     """s -> oo limit, the same formula with diag(0, D^(-1)) in place of
     G_s^(-1): the first p coefficients are exactly -i x_k; the rest pick up
-    (i/4) sum_{j>p} (d_j log det D) D^(-1) corrections."""
+    (i/4) sum_{j>p} (d_j log det D) D^(-1) terms."""
     return _connection_form(ray, x, None)
 
 

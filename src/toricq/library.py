@@ -44,12 +44,3 @@ def simplex(scale=1, name="simplex"):
         [((1, 0), 0), ((0, 1), 0), ((-1, -1), Fraction(scale))],
         name=name)
 
-
-def shipped_polytopes():
-    """The default corpus exercised by convergence checks."""
-    return [
-        corrected_segment(),
-        corrected_square(),
-        simplex(1, name="simplex-1"),
-        simplex(2, name="simplex-2"),
-    ]

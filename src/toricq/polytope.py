@@ -378,21 +378,6 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
 lattice_points = HPolytope.lattice_points
 
 
-def corrected_polytope(poly_L: DelzantPolytope) -> DelzantPolytope:
-    """Shift every offset by 1/2 (half-form correction of the line-bundle
-    polytope).  The lattice points are unchanged."""
-    report = validate_delzant(poly_L)
-    if not report.ok:
-        raise PolytopeError(f"input polytope is not Delzant: {report.verdict}")
-    if any(c.denominator != 1 for v in poly_L.vertices for c in v):
-        raise PolytopeError("line-bundle polytope must have integral vertices")
-    facets = tuple(
-        Facet(f.normal, f.offset + Fraction(1, 2)) for f in poly_L.facets
-    )
-    return DelzantPolytope(dim=poly_L.dim, facets=facets,
-                           name=poly_L.name + "+1/2" if poly_L.name else "")
-
-
 def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytope:
     """Transform to the coordinates x~ = B x: normals become (B^T)^-1 nu."""
     n = poly.dim

@@ -1,8 +1,7 @@
 """Symplectic potentials and the Kahler data they induce.
 
 The Guillemin potential of a polytope with facet functions l_r is
-g(x) = 1/2 sum_r l_r(x) log l_r(x), optionally plus a quadratic correction,
-which only shifts the Hessian diagonal.  Value, gradient, Hessian, third
+g(x) = 1/2 sum_r l_r(x) log l_r(x).  Value, gradient, Hessian, third
 derivatives and the Abreu scalar curvature are closed-form; `restrict` fixes
 the leading coordinates to a level.  Boundary behaviour is only ever probed
 through the dedicated limit paths of the quadrature and quantization modules.
@@ -19,8 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,41 +35,14 @@ def to_float(q):
         raise DomainError(f"{q} is beyond the float range") from None
 
 
-@dataclass(frozen=True)
-class QuadraticCorrection:
-    """h(x) = 1/2 sum_j coeffs[j] x_j^2."""
-
-    coeffs: tuple
-
-    def value(self, x):
-        c = np.asarray(self.coeffs)
-        return 0.5 * np.sum(c * np.asarray(x) ** 2, axis=-1)
-
-    def grad(self, x):
-        return np.asarray(self.coeffs) * np.asarray(x)
-
-
-def parse_correction(spec: str, dim: int):
-    """Parse "none" or "quadratic:c1,c2,..." into a correction object."""
-    if spec in (None, "", "none"):
-        return None
-    if spec.startswith("quadratic:"):
-        coeffs = tuple(float(v) for v in spec.split(":", 1)[1].split(","))
-        if len(coeffs) != dim:
-            raise ValueError("quadratic correction needs one coefficient per axis")
-        return QuadraticCorrection(coeffs)
-    raise ValueError(f"unknown correction {spec!r}")
-
-
 class SymplecticPotential:
     """Evaluator bundle (g, grad g, Hess g, third derivatives) on the open
     interior of a polytope given by float facet data A x + b >= 0."""
 
-    def __init__(self, normals, offsets, correction=None, barycenter=None):
+    def __init__(self, normals, offsets, barycenter=None):
         self.A = np.atleast_2d(np.asarray(normals, dtype=float))
         self.b = np.asarray(offsets, dtype=float)
         self.dim = self.A.shape[1]
-        self.correction = correction
         self._barycenter = None if barycenter is None else np.asarray(
             barycenter, dtype=float)
         self._minors = None             # _squared_minors(A), on first use
@@ -100,30 +70,20 @@ class SymplecticPotential:
 
     def value(self, x):
         l = self.facet_values(x)
-        g = 0.5 * np.sum(l * np.log(l), axis=-1)
-        if self.correction is not None:
-            g = g + self.correction.value(x)
-        return g
+        return 0.5 * np.sum(l * np.log(l), axis=-1)
 
     def grad(self, x):
         l = self.facet_values(x)
-        y = 0.5 * (np.log(l) + 1.0) @ self.A
-        if self.correction is not None:
-            y = y + self.correction.grad(x)
-        return y
+        return 0.5 * (np.log(l) + 1.0) @ self.A
 
     def hess(self, x):
         """Hess g at x."""
         l = self.facet_values(x)
-        G = 0.5 * np.einsum('...r,rj,rk->...jk', 1.0 / l, self.A, self.A)
-        if self.correction is not None:
-            idx = np.arange(self.dim)
-            G[..., idx, idx] += self.correction.coeffs
-        return G
+        return 0.5 * np.einsum('...r,rj,rk->...jk', 1.0 / l, self.A, self.A)
 
     def det_terms(self, shift=None) -> "DetTerms":
         """The Cauchy-Binet terms of det(Hess g + diag(shift)); shift has one
-        entry per axis (zeros if None) and adds to the correction's.
+        entry per axis (zeros if None).
 
         With d the shifted diagonal, c_T = 2^-|T| sum_C det(A[T, C])^2
         prod_{j not in C} d_j over the column sets C with |C| = |T|.  Each
@@ -131,8 +91,6 @@ class SymplecticPotential:
         with c_T = 0 are dropped."""
         d = np.zeros(self.dim) if shift is None else np.asarray(
             shift, dtype=float)
-        if self.correction is not None:
-            d = d + np.asarray(self.correction.coeffs, dtype=float)
         d, e = _dyadic(d.tolist())      # d_j = d[j] / 2^e
         self._minors = self._minors or _squared_minors(self.A)
         e_A, table = self._minors
@@ -149,8 +107,7 @@ class SymplecticPotential:
                         facets=self.A.shape[0])
 
     def third(self, x):
-        """T[j,k,l] = d^3 g / dx_j dx_k dx_l; a quadratic correction has
-        none."""
+        """T[j,k,l] = d^3 g / dx_j dx_k dx_l."""
         l = self.facet_values(x)
         return -0.5 * np.einsum('...r,rj,rk,rl->...jkl',
                                 1.0 / l ** 2, self.A, self.A, self.A)
@@ -159,10 +116,7 @@ class SymplecticPotential:
         """y -> g(c, y) up to a constant, with facet data (A[:, p:],
         A[:, :p] c + b); a facet with zero trailing normal stays a constant."""
         c = np.asarray(c, dtype=float)
-        correction = None if self.correction is None else QuadraticCorrection(
-            tuple(self.correction.coeffs[p:]))
         return SymplecticPotential(self.A[:, p:], self.A[:, :p] @ c + self.b,
-                                   correction=correction,
                                    barycenter=barycenter)
 
 
@@ -274,54 +228,12 @@ def _subset_sum(w, op, columns, coeffs):
     return out
 
 
-def guillemin_potential(poly, correction=None) -> SymplecticPotential:
-    """Guillemin potential g_P = 1/2 sum l_r log l_r plus optional h."""
+def guillemin_potential(poly) -> SymplecticPotential:
+    """Guillemin potential g_P = 1/2 sum l_r log l_r."""
     return SymplecticPotential(
         [[to_float(c) for c in f.normal] for f in poly.facets],
-        [to_float(f.offset) for f in poly.facets], correction=correction,
+        [to_float(f.offset) for f in poly.facets],
         barycenter=[to_float(c) for c in poly.barycenter])
-
-
-def legendre_forward(pot: SymplecticPotential, x):
-    """y = grad g(x) for strictly interior x."""
-    pot._require_interior(x)
-    return pot.grad(x)
-
-
-def legendre_inverse(pot: SymplecticPotential, y, tol=1e-10, max_iter=200):
-    """Solve grad g(x) = y by damped Newton, iterates kept interior.
-
-    Starts from the polytope barycenter; step halving continues until the
-    iterate is interior and the residual decreases.
-    """
-    y = np.asarray(y, dtype=float)
-    x = pot.barycenter.copy()
-    res = np.linalg.norm(pot.grad(x) - y)
-    for _ in range(max_iter):
-        if res <= tol:
-            return x
-        step = np.linalg.solve(pot.hess(x), y - pot.grad(x))
-        t = 1.0
-        while t > 1e-16:
-            cand = x + t * step
-            if pot.is_interior(cand):
-                cand_res = np.linalg.norm(pot.grad(cand) - y)
-                if cand_res < res:
-                    x, res = cand, cand_res
-                    break
-            t *= 0.5
-        else:
-            break
-    if res <= tol:
-        return x
-    raise DomainError(
-        f"Legendre inversion did not converge: last residual {res:.3e}")
-
-
-def kahler_potential_value(pot: SymplecticPotential, x):
-    """k(x) = x . grad g(x) - g(x)."""
-    pot._require_interior(x)
-    return float(np.dot(x, pot.grad(x)) - pot.value(x))
 
 
 def regularity_delta(pot: SymplecticPotential, x):
@@ -331,17 +243,6 @@ def regularity_delta(pot: SymplecticPotential, x):
     pot._require_interior(x)
     w = facet_rows(pot.facet_values(x))
     return float(1.0 / pot.det_terms().det_times_facet_product(w)[0])
-
-
-def complex_structure(pot: SymplecticPotential, x):
-    """J = [[0, -G^-1], [G, 0]]; warns if G is badly conditioned."""
-    pot._require_interior(x)
-    G = pot.hess(x)
-    if np.linalg.cond(G) > 1e12:
-        warnings.warn("Hessian condition number exceeds 1e12; complex "
-                      "structure may be inaccurate", RuntimeWarning)
-    zero = np.zeros_like(G)
-    return np.block([[zero, -np.linalg.inv(G)], [G, zero]])
 
 
 def abreu_scalar_curvature(pot: SymplecticPotential, x):
@@ -370,5 +271,9 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
     HTHTH = np.einsum('jab,kbc,cd->jkad', HT, HT, H)     # H T_j H T_k H
     aHa = np.einsum('rj,jk,rk->r', pot.A, H, pot.A)      # a_r . H a_r
     # sum_jk (H d_j d_k G H)_jk = sum_r (a_r . H a_r)^2 / l_r^3
-    return -0.5 * float(np.einsum('jkjk->', HTHTH) + np.einsum('jkkj->', HTHTH)
-                        - np.sum(aHa ** 2 / l ** 3))
+    S = -0.5 * float(np.einsum('jkjk->', HTHTH) + np.einsum('jkkj->', HTHTH)
+                     - np.sum(aHa ** 2 / l ** 3))
+    if not math.isfinite(S):
+        raise DomainError(f"the scalar curvature at {x} is not finite in "
+                          "floats")
+    return S

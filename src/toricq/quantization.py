@@ -18,7 +18,7 @@ boundary regularization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,8 @@ def _norm_integral(pot, region, p, m, s, tol, budget):
 
 def tilde_norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
                        budget=None) -> IntegralResult:
-    """Rescaled squared norm: the x-integral of the norm integrand."""
+    """Rescaled squared norm: the x-integral of the norm integrand.  No
+    caller in the package; bench/tracing.py times the norms through it."""
     return _norm_integral(guillemin_potential(poly), triangulate(poly), p, m,
                           s, tol, budget)
 
@@ -123,15 +124,6 @@ def norm_from_tilde(p: int, m, s: float, tilde: float) -> float:
         return math.exp(2.0 * s * hamiltonian_value(m, p)) * tilde
     except OverflowError:
         return math.inf
-
-
-def norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
-                 budget=None) -> IntegralResult:
-    """Squared norm of the monomial section at time s; differs from the
-    rescaled norm by the factor e^{2 s H(m)}."""
-    res = tilde_norm_squared(poly, p, m, s, tol=tol, budget=budget)
-    return replace(res, value=norm_from_tilde(p, m, s, res.value),
-                   error_estimate=norm_from_tilde(p, m, s, res.error_estimate))
 
 
 def limit_constant(poly, p: int, m, tol: float = 1e-10, budget=None, *,
@@ -151,37 +143,8 @@ def limit_constant(poly, p: int, m, tol: float = 1e-10, budget=None, *,
     return res if as_result else res.value
 
 
-def norm_limit(poly, p: int, m, tol: float = 1e-10) -> float:
-    """lim_{s->oo} of the rescaled squared norm: pi^{p/2} c_m."""
-    return math.pi ** (p / 2.0) * limit_constant(poly, p, m, tol=tol)
-
-
 # ---------------------------------------------------------------------------
-# coherent-state-transform factors
-
-
-@dataclass(frozen=True)
-class GcstMap:
-    """Diagonal map on the basis: sigma_m -> e^{-s H(m)} sigma_m."""
-
-    p: int
-    s: float
-
-    def factor(self, m) -> float:
-        return math.exp(-self.s * hamiltonian_value(m, self.p))
-
-    def compose(self, other: "GcstMap") -> "GcstMap":
-        if self.p != other.p:
-            raise ValueError("cannot compose maps with different p")
-        return GcstMap(p=self.p, s=self.s + other.s)
-
-
-def gcst_factor(p: int, m, s: float) -> float:
-    return GcstMap(p=p, s=s).factor(m)
-
-
-# ---------------------------------------------------------------------------
-# limit verification and decomposition
+# limit verification
 
 
 @dataclass(frozen=True)
@@ -203,17 +166,9 @@ class ConvergenceReport:
         return self.c_m_result.value
 
     @property
-    def norm_values(self):
-        return tuple(r.value for r in self.results)
-
-    @property
     def squared_norms(self):
         return tuple(norm_from_tilde(self.p, self.m, s, r.value)
                      for s, r in zip(self.s_values, self.results))
-
-    @property
-    def relative_error(self):
-        return abs(self.extrapolated - self.target) / abs(self.target)
 
 
 def richardson_extrapolate(s_values, values) -> float:
@@ -247,20 +202,3 @@ def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
                              results=results, c_m_result=c_m, target=target,
                              extrapolated=extrap, passed=passed)
 
-
-def hermitian_limit_table(poly, p: int, tol: float = 1e-9):
-    """(element, c_m, limit) for every basis element."""
-    out = []
-    for el in quantum_basis(poly, p):
-        c = limit_constant(poly, p, el.m, tol=tol)
-        out.append((el, c, math.pi ** (p / 2.0) * c))
-    return out
-
-
-def decomposition(poly, p: int):
-    """Group the basis by the leading p coordinates of m; each group is a
-    weight space of the limit torus action, ordered lexicographically."""
-    groups = {}
-    for el in quantum_basis(poly, p):
-        groups.setdefault(el.m[:p], []).append(el)
-    return sorted(groups.items())

@@ -506,6 +506,20 @@ class TestFlagValidation:
         assert code == expected
         assert err == "error: the Hessian at [1. 1.] is singular in floats\n"
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command, expected", [("reduce", 1),
+                                                   ("curvature", 2)])
+    def test_alpha_with_a_non_finite_curvature(self, capsys, command,
+                                               expected):
+        # at (1, 1) the facet value alpha (x1 + x2) overflows, and S is nan
+        code = main(["--command", command, f"--alpha={10**308}"])
+        out, err = capsys.readouterr()
+        assert code == expected
+        assert out == ""
+        assert err == ("error: the scalar curvature at [1. 1.] is not "
+                       "finite in floats\n")
+
     def test_points_p_out_of_range(self, tmp_path, capsys):
         code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
                                      "--command", "points", "--p", "5"])

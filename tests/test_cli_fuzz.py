@@ -1,5 +1,6 @@
-"""Fuzz the CLI exit-code contract: exit 0, 1 or 2, never a traceback, and
-stdout that is empty or parses in the requested format."""
+"""Fuzz the CLI exit-code contract: exit 0, 1 or 2, never a traceback,
+stdout that is empty or parses in the requested format, and no nan in a
+successful curvature or reduce."""
 
 import contextlib
 import csv
@@ -145,6 +146,9 @@ def check_exit_code_contract(data, options):
         json.loads(text)
     elif text:
         list(csv.reader(io.StringIO(text), strict=True))
+    if code == 0 and options[1] in ("curvature", "reduce"):
+        # a curvature that is not finite is a failure, never a result
+        assert "nan" not in text.lower()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,

@@ -21,8 +21,6 @@ from toricq.geodesic import (
     connection_form_gap,
     connection_form_limit,
     connection_form_s,
-    det_growth_check,
-    frame_is_lagrangian,
     grassmann_distance,
     hessian_blocks,
     inverse_hessian_limit,
@@ -44,31 +42,17 @@ def segment_ray():
     return MabuchiRay(guillemin_potential(library.corrected_segment()), 1)
 
 
+def frame_is_lagrangian(frame, tol=1e-10):
+    """omega(v, w) = 0 for all frame rows, omega = sum dx_j ^ dtheta_j."""
+    n = frame.n
+    omega = np.zeros((2 * n, 2 * n))
+    omega[:n, n:] = np.eye(n)
+    omega[n:, :n] = -np.eye(n)
+    vals = frame.vectors @ omega @ frame.vectors.T
+    return bool(np.max(np.abs(vals)) <= tol)
+
+
 class TestRayPotential:
-    def test_value_grad_hess_shift(self):
-        ray = square_ray(p=1)
-        pot = ray.potential(3.0)
-        x = np.array([0.4, 0.7])
-        base = ray.base
-        assert pot.value(x) == pytest.approx(base.value(x) + 1.5 * 0.16)
-        g = pot.grad(x)
-        g0 = base.grad(x)
-        assert g[0] == pytest.approx(g0[0] + 3.0 * 0.4)
-        assert g[1] == pytest.approx(g0[1])
-        G = pot.hess(x)
-        G0 = base.hess(x)
-        assert G[0, 0] == pytest.approx(G0[0, 0] + 3.0)
-        assert G[1, 1] == pytest.approx(G0[1, 1])
-
-    def test_third_unchanged(self):
-        ray = square_ray()
-        x = np.array([0.2, 0.9])
-        assert np.array_equal(ray.potential(5.0).third(x), ray.base.third(x))
-
-    def test_negative_s_rejected(self):
-        with pytest.raises(ValueError):
-            square_ray().potential(-1.0)
-
     def test_p_range(self):
         with pytest.raises(ValueError):
             MabuchiRay(guillemin_potential(library.corrected_square()), 3)
@@ -103,7 +87,7 @@ class TestSchurInverse:
             G = M @ M.T + n * np.eye(n)
             s = float(rng.uniform(0.0, 50.0))
             blocks = hessian_blocks(G, p)
-            direct = np.linalg.inv(blocks.assemble(s))
+            direct = np.linalg.inv(G + np.diag([s] * p + [0.0] * (n - p)))
             assert np.max(np.abs(inverse_hessian_s(blocks, s) - direct)) \
                 <= 1e-10
 
@@ -150,8 +134,9 @@ class TestSchurInverse:
         blocks = hessian_blocks(self.G_REF, 1)
         ratios = []
         for s in (10.0, 100.0, 1000.0):
-            full, model = det_growth_check(blocks, s)
-            ratios.append(full / model)
+            # det(G + sT) / (s^p det D) tends to 1 as s grows
+            full = np.linalg.det(self.G_REF + np.diag([s, 0.0]))
+            ratios.append(full / (s * np.linalg.det(blocks.d)))
         assert abs(ratios[-1] - 1.0) <= 1e-2
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
 
@@ -161,8 +146,10 @@ class TestFrames:
         ray = square_ray()
         x = np.array([0.5, 0.5])
         frame = polarization_frame_s(ray, x, 2.0)
-        G = ray.potential(2.0).hess(x)
-        assert np.allclose(frame.vectors[:, :2].real, np.linalg.inv(G))
+        # G_s: Hess g_0 plus s on the first p = 1 diagonal entries
+        G = ray.base.hess(x) + np.diag([2.0, 0.0])
+        assert np.allclose(frame.vectors[:, :2].real, np.linalg.inv(G),
+                           rtol=1e-14, atol=0.0)
         assert np.allclose(frame.vectors[:, 2:], 1j * np.eye(2))
 
     def test_limit_frame_reference(self):
@@ -186,7 +173,8 @@ class TestFrames:
 
     def test_frames_lagrangian(self):
         rng = np.random.default_rng(11)
-        for poly in library.shipped_polytopes():
+        for poly in (library.corrected_segment(), library.corrected_square(),
+                     library.simplex(1), library.simplex(2)):
             base = guillemin_potential(poly)
             for p in range(1, poly.dim + 1):
                 ray = MabuchiRay(base, p)
@@ -360,32 +348,6 @@ class TestConnectionForm:
             connection_form_s(ray, np.array([5.0]), 1.0)
         with pytest.raises(DomainError):
             connection_form_limit(ray, np.array([5.0]))
-
-
-class TestRayPotentialCorrection:
-    def test_adds_to_base_correction(self):
-        from toricq.potential import QuadraticCorrection
-
-        base = guillemin_potential(library.corrected_square(),
-                                   correction=QuadraticCorrection((1.0, 2.0)))
-        pot = MabuchiRay(base, 1).potential(3.0)
-        assert pot.correction.coeffs == (4.0, 2.0)
-        assert base.correction.coeffs == (1.0, 2.0)
-        x = np.array([0.4, 0.7])
-        assert pot.hess(x)[0, 0] == pytest.approx(base.hess(x)[0, 0] + 3.0)
-        assert pot.hess(x)[1, 1] == pytest.approx(base.hess(x)[1, 1])
-
-    def test_frame_uses_base_correction(self):
-        from toricq.potential import QuadraticCorrection
-
-        base = guillemin_potential(library.corrected_square(),
-                                   correction=QuadraticCorrection((1.0, 2.0)))
-        ray = MabuchiRay(base, 1)
-        x = np.array([0.4, 0.7])
-        frame = polarization_frame_s(ray, x, 3.0)
-        direct = np.linalg.inv(ray.potential(3.0).hess(x))
-        assert np.allclose(frame.vectors[:, :2].real, direct,
-                           rtol=1e-14, atol=0.0)
 
 
 def test_import_loads_potential_only():

@@ -23,7 +23,6 @@ from toricq.polytope import (
     _fraction_free,
     apply_frame_change,
     axis_slice,
-    corrected_polytope,
     lattice_points,
     polytope_from_json,
     validate_delzant,
@@ -206,29 +205,6 @@ class TestLatticePoints:
         assert all(type(c) is int for m in pts for c in m)
 
 
-class TestCorrectedPolytope:
-    def test_unit_segment(self):
-        corr = corrected_polytope(library.segment(0, 1))
-        offs = [f.offset for f in corr.facets]
-        assert offs == [Fraction(1, 2), Fraction(3, 2)]
-
-    def test_unit_square(self):
-        corr = corrected_polytope(library.square(1))
-        assert [f.offset for f in corr.facets] == [
-            Fraction(1, 2), Fraction(3, 2), Fraction(1, 2), Fraction(3, 2)]
-
-    def test_lattice_points_preserved(self):
-        base = library.segment(0, 2)
-        corr = corrected_polytope(base)
-        assert lattice_points(base) == lattice_points(corr)
-
-    def test_rejects_invalid(self):
-        poly = DelzantPolytope.from_data(
-            2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)])
-        with pytest.raises(PolytopeError):
-            corrected_polytope(poly)
-
-
 def random_sl2(rng):
     # random products of elementary shears are exactly SL(2, Z)
     a = rng.randint(-3, 3)
@@ -249,7 +225,7 @@ class TestFrameChange:
         assert apply_frame_change(poly, fc).facets == poly.facets
 
     def test_shear_square(self):
-        poly = corrected_polytope(library.square(1))
+        poly = library.corrected_square()
         fc = FrameChange(B=((1, 1), (0, 1)), p=1)
         sheared = apply_frame_change(poly, fc)
         assert len(lattice_points(sheared)) == 4

@@ -10,15 +10,10 @@ from toricq.polytope import DelzantPolytope, HPolytope
 from toricq.potential import facet_rows, guillemin_potential
 from toricq.quadrature import integrate_slice
 from toricq.quantization import (
-    GcstMap,
-    decomposition,
-    gcst_factor,
     hamiltonian_value,
-    hermitian_limit_table,
     limit_constant,
+    norm_from_tilde,
     norm_integrand,
-    norm_limit,
-    norm_squared,
     quantum_basis,
     richardson_extrapolate,
     stable_density,
@@ -191,19 +186,20 @@ class TestNorms:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_norm_rescaling(self):
-        poly = library.corrected_segment()
-        s = 3.0
-        tilde = tilde_norm_squared(poly, 1, (1,), s, tol=1e-10)
-        full = norm_squared(poly, 1, (1,), s, tol=1e-10)
-        assert full.value == pytest.approx(math.exp(2 * s * 0.5) * tilde.value,
-                                           rel=1e-12)
+        # e^{2 s H(m)} * tilde, with H(m) = 1/2 sum_{j<=p} m_j^2
+        assert norm_from_tilde(1, (1,), 3.0, 2.5) == math.exp(3.0) * 2.5
+        assert norm_from_tilde(1, (2, 5), 0.5, 1.0) == math.exp(2.0)
+        assert norm_from_tilde(2, (2, 5), 0.1, 3.0) == pytest.approx(
+            math.exp(0.2 * 14.5) * 3.0, rel=1e-15)
+        assert norm_from_tilde(1, (0, 7), 40.0, 1.25) == 1.25
 
     def test_limit_constant_closed_form(self):
         poly = library.corrected_segment()
         for m in ((0,), (1,)):
             assert limit_constant(poly, 1, m) == pytest.approx(SEG_CM,
                                                                rel=1e-12)
-        assert norm_limit(poly, 1, (0,)) == pytest.approx(SEG_LIMIT, rel=1e-12)
+        assert math.pi ** 0.5 * limit_constant(poly, 1, (0,)) == pytest.approx(
+            SEG_LIMIT, rel=1e-12)
 
     def test_square_product_identity(self):
         # P = I x I, p = 1: the rescaled norm factors through the trailing
@@ -223,22 +219,6 @@ class TestNorms:
                                                               rel=1e-12)
 
 
-class TestGcst:
-    def test_factor(self):
-        assert gcst_factor(1, (2, 5), 3.0) == pytest.approx(math.exp(-6.0))
-        assert gcst_factor(2, (2, 5), 0.1) == pytest.approx(
-            math.exp(-0.1 * 14.5))
-
-    def test_composition(self):
-        a = GcstMap(p=1, s=2.0)
-        b = GcstMap(p=1, s=5.0)
-        m = (3, 1)
-        assert a.compose(b).factor(m) == pytest.approx(a.factor(m)
-                                                       * b.factor(m))
-        with pytest.raises(ValueError):
-            a.compose(GcstMap(p=2, s=1.0))
-
-
 class TestConvergence:
     def test_richardson_exact_on_polynomial(self):
         s = (2.0, 4.0, 8.0)
@@ -251,19 +231,21 @@ class TestConvergence:
                                    (10.0, 20.0, 40.0, 80.0), tol=1e-9)
         assert report.passed
         assert report.target == pytest.approx(SEG_LIMIT, rel=1e-10)
-        assert report.relative_error <= 0.02
+        assert abs(report.extrapolated - report.target) <= 0.02 * report.target
         # raw values approach the target monotonically from below
-        gaps = [report.target - v for v in report.norm_values]
+        gaps = [report.target - r.value for r in report.results]
         assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
 
     def test_report_rows_match_the_norm_functions(self):
         poly = library.corrected_segment()
         report = verify_norm_limit(poly, 1, (1,), (10.0, 20.0), tol=1e-8)
         assert report.c_m == limit_constant(poly, 1, (1,), tol=1e-8)
-        assert report.target == norm_limit(poly, 1, (1,), tol=1e-8)
+        assert report.target == math.pi ** 0.5 * report.c_m
+        tildes = [tilde_norm_squared(poly, 1, (1,), s, tol=1e-8).value
+                  for s in (10.0, 20.0)]
+        assert [r.value for r in report.results] == tildes
         assert report.squared_norms == tuple(
-            norm_squared(poly, 1, (1,), s, tol=1e-8).value
-            for s in (10.0, 20.0))
+            norm_from_tilde(1, (1,), s, t) for s, t in zip((10.0, 20.0), tildes))
 
     def test_unconverged_integral_does_not_pass(self):
         report = verify_norm_limit(library.corrected_segment(), 1, (0,),
@@ -296,28 +278,14 @@ class TestConvergence:
             report = verify_norm_limit(poly, p, m, (10.0, 20.0, 40.0, 80.0),
                                        tol=1e-6)
             assert all(r.converged for r in report.results)
-            assert report.relative_error <= 0.02
+            assert abs(report.extrapolated - report.target) \
+                <= 0.02 * report.target
             assert report.c_m_result.converged is False
             assert report.passed is False
 
     def test_squared_norm_past_the_float_range_is_inf(self):
         # e^{2 s H(5)} = e^{1000}
         poly = library.segment(Fraction(-1, 2), Fraction(11, 2))
-        assert norm_squared(poly, 1, (5,), 40.0, tol=1.0).value == math.inf
-
-
-class TestDecomposition:
-    def test_simplex_levels(self):
-        groups = decomposition(library.simplex(2), 1)
-        heads = [h for h, _ in groups]
-        dims = [len(els) for _, els in groups]
-        assert heads == [(0,), (1,), (2,)]
-        assert dims == [3, 2, 1]
-        assert sum(dims) == len(quantum_basis(library.simplex(2), 1))
-
-    def test_table(self):
-        table = hermitian_limit_table(library.corrected_segment(), 1)
-        assert len(table) == 2
-        for el, c, lim in table:
-            assert c == pytest.approx(SEG_CM, rel=1e-10)
-            assert lim == pytest.approx(SEG_LIMIT, rel=1e-10)
+        tilde = tilde_norm_squared(poly, 1, (5,), 40.0, tol=1.0).value
+        assert 0.0 < tilde < math.inf
+        assert norm_from_tilde(1, (5,), 40.0, tilde) == math.inf
