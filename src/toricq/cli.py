@@ -142,16 +142,24 @@ def default_point(pot):
 # table emission
 
 
+def _json_list(items, depth):
+    """json.dumps(list, indent=2) text of a list depth levels deep."""
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
+
+
 def emit(columns, rows, args) -> str:
-    """Render rows (already string-formatted) as CSV or a mirroring JSON."""
+    """Render rows (already string-formatted) as CSV or a mirroring JSON,
+    json.dumps(..., indent=2) text built from the C encoder's cells."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
         return buf.getvalue()
-    return json.dumps({"columns": list(columns),
-                       "rows": [list(r) for r in rows]}, indent=2) + "\n"
+    rows = [_json_list(list(map(json.dumps, r)), 2) for r in rows]
+    return ('{\n  "columns": ' + _json_list(list(map(json.dumps, columns)), 1)
+            + ',\n  "rows": ' + _json_list(rows, 1) + "\n}\n")
 
 
 def write_output(text, args):

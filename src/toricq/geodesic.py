@@ -4,15 +4,16 @@ H = 1/2 sum_{j<=p} x_j^2 deforms only the leading p x p Hessian block, so the
 deformed inverse Hessian has a Schur-complement closed form whose s -> oo
 limit is block-diagonal in the trailing (n-p) x (n-p) block D.  Frames and
 connection forms take G_s^(-1) and its limit from the blocks of the base
-Hessian, the one path for every s.  Polarization frames are generator
-matrices of complex n-dimensional subspaces of C^(2n) in the coordinate
-order (d/dx^1..d/dx^n, d/dtheta^1..d/dtheta^n) and are only ever compared
-through principal angles.
+Hessian, which a ray evaluates once per point for every s.  Polarization
+frames are generator matrices of complex n-dimensional subspaces of C^(2n)
+in the coordinate order (d/dx^1..d/dx^n, d/dtheta^1..d/dtheta^n) and are
+only ever compared through principal angles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,8 @@ class MabuchiRay:
 
     base: SymplecticPotential
     p: int
+    _points: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if not 1 <= self.p <= self.base.dim:
@@ -117,20 +120,30 @@ class PolarizationFrame:
     def n(self):
         return self.vectors.shape[0]
 
+    @cached_property
+    def basis(self):
+        """Orthonormal columns spanning the subspace."""
+        return _orth(self.vectors.conj().T)
+
 
 def _inverse_hessian(ray: MabuchiRay, x, s):
-    """(x, G_s^(-1)) at the interior point x, from the Schur blocks of the
-    base Hessian; for s None the s -> oo limit diag(0, D^(-1))."""
-    ray.base._require_interior(x)
-    x = np.asarray(x, dtype=float)
-    blocks = hessian_blocks(ray.base.hess(x), ray.p)
+    """(x, G_s^(-1), third derivatives of g) at the interior point x, for
+    s None the limit diag(0, D^(-1)); the interior check, Schur blocks and
+    third derivatives are evaluated once per ray and point."""
+    key = np.asarray(x, dtype=float).tobytes()
+    if key not in ray._points:
+        ray.base._require_interior(x)
+        x = np.asarray(x, dtype=float)
+        ray._points[key] = (x, hessian_blocks(ray.base.hess(x), ray.p),
+                            ray.base.third(x))
+    x, blocks, third = ray._points[key]
     if s is None:
-        return x, inverse_hessian_limit(blocks)
-    return x, inverse_hessian_s(blocks, s)
+        return x, inverse_hessian_limit(blocks), third
+    return x, inverse_hessian_s(blocks, s), third
 
 
 def _frame(ray: MabuchiRay, x, s) -> PolarizationFrame:
-    x, Ginv = _inverse_hessian(ray, x, s)
+    x, Ginv, _ = _inverse_hessian(ray, x, s)
     return PolarizationFrame(basepoint=x,
                              vectors=np.hstack([Ginv, 1j * np.eye(len(x))]))
 
@@ -162,8 +175,7 @@ def grassmann_distance(f1: PolarizationFrame, f2: PolarizationFrame) -> float:
         raise ValueError("frames live in different ambient spaces")
     if not np.allclose(f1.basepoint, f2.basepoint, atol=1e-12):
         raise ValueError("frames have different basepoints")
-    Q1 = _orth(f1.vectors.conj().T)
-    Q2 = _orth(f2.vectors.conj().T)
+    Q1, Q2 = f1.basis, f2.basis
     if Q1.shape[1] < f1.n or Q2.shape[1] < f2.n:
         raise ValueError("rank-deficient frame")
     sigma = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
@@ -184,9 +196,9 @@ class ConnectionFormValue:
 
 
 def _connection_form(ray: MabuchiRay, x, s) -> ConnectionFormValue:
-    x, Ginv = _inverse_hessian(ray, x, s)
     # s H is quadratic, so g_s has the third derivatives of g_0
-    u = np.einsum('jkl,kl->j', ray.base.third(x), Ginv)
+    x, Ginv, third = _inverse_hessian(ray, x, s)
+    u = np.einsum('jkl,kl->j', third, Ginv)
     return ConnectionFormValue(basepoint=x,
                                coeffs=-1j * x + 0.25j * (u @ Ginv))
 

@@ -4,11 +4,13 @@ Polytopes are kept in H-description l_r(x) = <x, nu_r> + lambda_r >= 0 with
 integer normals and rational offsets.  Every exact predicate reads one
 integer facet form, each facet scaled by the LCM of its denominators.  One
 kernel, fraction-free (Bareiss) elimination of integer rows, gives every
-determinant, extreme ray and solve: vertices are solved from n facets and
-tested by integer dot products, and only the survivors become Fractions.
-The vertex enumeration records the facets through each vertex, and
-everything read off the vertex cones uses that one incidence.  Floats only
-appear downstream in the analytic modules.
+determinant, extreme ray and solve; one walk over the facet subsets shares
+each prefix's elimination among the vertices (n facets) and extreme-ray
+candidates (n - 1 normals) through it.  Vertices are tested by integer dot
+products, and only the survivors become Fractions.  The vertex enumeration
+records the facets through each vertex, and everything read off the
+vertex cones uses that one incidence.  Floats only appear downstream in
+the analytic modules.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ class PolytopeError(ValueError):
 # ---------------------------------------------------------------------------
 # exact linear algebra (dimensions are tiny, <= ~4)
 
+def _step(rows, top, col, prev):
+    """One Bareiss step on the pivot row top: each row r becomes
+    (top[col] r - r[col] top) / prev, the division exact."""
+    d = top[col]
+    return [[(d * a - f * b) // prev for a, b in zip(r, top)]
+            for r in rows for f in (r[col],)]
+
+
 def _fraction_free(rows, ncols):
     """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows on
     their first ncols columns: (rows, pivot columns, sign of the row
@@ -48,12 +58,22 @@ def _fraction_free(rows, ncols):
         M[k], M[piv] = M[piv], M[k]
         sign = sign if piv == k else -sign
         top, prev, d = M[k], d, M[k][col]
-        for i, row in enumerate(M):
-            if i != k:
-                f = row[col]
-                M[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
+        M = (_step(M[:k], top, col, prev) + [top]
+             + _step(M[k + 1:], top, col, prev))
         pivots.append(col)
     return M, pivots, sign
+
+
+def _kernel(rows, cols):
+    """The integer kernel of k Bareiss echelon rows with pivot columns
+    cols on the first k + 1 columns: the free entry is the last pivot (1
+    for k = 0), and back-substitution is exact by Cramer's rule."""
+    k = len(cols)
+    v = [0] * (k + 1)
+    v[k * (k + 1) // 2 - sum(cols)] = rows[-1][cols[-1]] if k else 1
+    for r, c in zip(reversed(rows), reversed(cols)):
+        v[c] = -_dot(r, v) // r[c]
+    return v
 
 
 def _det(rows):
@@ -167,26 +187,44 @@ class HPolytope:
         return all(_dot(r, x) + r[-1] >= 0 for r in self.integer_facets)
 
     @cached_property
+    def _walk(self):
+        """(kernels (X, D) of the n-subsets' rows (a_r, b_r), kernels of the
+        (n-1)-subsets' normals), depth-first in combinations order: a
+        child's rows are its parent's after one Bareiss step, and a row
+        that reduces to zero leaves the node's subtree."""
+        n, points, rays = self.dim, [], []
+
+        def visit(pivots, cols, rows, prev):
+            if len(cols) == n - 1:
+                rays.append(_kernel(pivots, cols))
+            rows = [r for r in rows if any(r[:n])]
+            for i, top in enumerate(rows):
+                col = next(j for j in range(n) if top[j])
+                if len(cols) == n - 1:
+                    points.append(_kernel(pivots + [top], cols + [col]))
+                else:
+                    visit(pivots + [top], cols + [col],
+                          _step(rows[i + 1:], top, col, prev), top[col])
+
+        visit([], [], self.integer_facets, 1)
+        return points, rays
+
+    @cached_property
     def incidence(self):
         """{vertex: indices of the facets through it}, vertices as tuples of
         Fractions in lexicographic order.  n facets with independent normals
         meet in one point X / D, in lowest terms with D > 0; it is a vertex
         when <a_r, X> + b_r D >= 0 for every facet r."""
-        n, form = self.dim, self.integer_facets
-        seen = {}
-        for rows in itertools.combinations(form, n):
-            M, pivots, _ = _fraction_free([r[:n] + (-r[n],) for r in rows], n)
-            if len(pivots) < n:
-                continue
-            D = M[0][0]
-            g = math.gcd(D, *(row[n] for row in M)) * (1 if D > 0 else -1)
-            D, X = D // g, tuple(row[n] // g for row in M)
-            if (D, X) not in seen:
-                values = [_dot(r, X) + r[n] * D for r in form]
-                seen[D, X] = (None if min(values) < 0 else
-                              tuple(i for i, v in enumerate(values) if v == 0))
-        return dict(sorted((tuple(Fraction(c, D) for c in X), active)
-                           for (D, X), active in seen.items() if active))
+        form, seen = self.integer_facets, {}
+        for X in self._walk[0]:     # homogeneous: (X, D)
+            g = math.gcd(*X) * (1 if X[-1] > 0 else -1)
+            X = tuple(c // g for c in X)
+            if X not in seen:
+                values = [_dot(r, X) for r in form]
+                seen[X] = (None if min(values) < 0 else
+                           tuple(i for i, v in enumerate(values) if v == 0))
+        return dict(sorted((tuple(Fraction(c, X[-1]) for c in X[:-1]), a)
+                           for X, a in seen.items() if a))
 
     @cached_property
     def vertices(self):
@@ -197,28 +235,14 @@ class HPolytope:
     def is_bounded(self):
         """Exact recession-cone test: bounded iff {d : N d >= 0} = {0}.
 
-        Once N has rank n the cone is pointed, so it is {0} unless it has
-        an extreme ray, the kernel of n - 1 independent rows of N, up to
-        sign.  One elimination of those rows gives it in integers: the free
-        column gets the last pivot d, and the pivot column of row i gets
-        -M[i][free].
+        N has rank n exactly when the walk reaches an n-subset, and then
+        the cone is pointed, so it is {0} unless it has an extreme ray: up
+        to sign, the kernel of the normals of an (n-1)-subset of the walk.
         """
-        n = self.dim
-        N = [r[:n] for r in self.integer_facets]
-        if len(_fraction_free(N, n)[1]) < n:
-            return False
-        for rows in itertools.combinations(N, n - 1):
-            M, pivots, _ = _fraction_free(rows, n)
-            if len(pivots) < n - 1:
-                continue
-            free = next(j for j in range(n) if j not in pivots)
-            d = M[-1][pivots[-1]] if M else 1
-            ray = [d if j == free else -M[pivots.index(j)][free]
-                   for j in range(n)]
-            for sign in (1, -1):
-                if all(sign * _dot(nu, ray) >= 0 for nu in N):
-                    return False
-        return True
+        points, rays = self._walk
+        return bool(points) and not any(
+            all(sign * _dot(r, ray) >= 0 for r in self.integer_facets)
+            for ray in rays for sign in (1, -1))
 
     @cached_property
     def is_empty(self):
@@ -243,7 +267,11 @@ class HPolytope:
         return tuple(map(min, coords)), tuple(map(max, coords))
 
     def lattice_points(self):
-        """Integer points l_r(m) >= 0 for all r, in lexicographic order.
+        """Integer points l_r(m) >= 0 for all r, in lexicographic order."""
+        return [m + (x,) for m, xs in self.lattice_fibres() for x in xs]
+
+    def lattice_fibres(self):
+        """The lattice points as fibres (m_{<n}, range of m_n), in order.
 
         It runs on the ints of the facet form alone.  Coordinates are fixed
         in order, carrying each facet's partial sum; with m_{<k} fixed, the
@@ -254,7 +282,7 @@ class HPolytope:
         if not self.is_bounded:
             raise PolytopeError("lattice enumeration needs a bounded polytope")
         if not self.vertices:
-            return []
+            return
         n = self.dim
         lo, hi = self.bounding_box()
         box = [(math.ceil(a), math.floor(b)) for a, b in zip(lo, hi)]
@@ -264,7 +292,6 @@ class HPolytope:
         for i, r in enumerate(rows):
             ends_at[max(k for k in range(n) if r[k])].append(i)
         columns = list(zip(*rows))
-        out = []
 
         def walk(k, prefix, partial):
             a, b = box[k]
@@ -275,14 +302,13 @@ class HPolytope:
                 else:
                     b = min(b, partial[r] // -c)
             if k == n - 1:
-                out.extend(prefix + (x,) for x in range(a, b + 1))
+                yield prefix, range(a, b + 1)
                 return
             for x in range(a, b + 1):
-                walk(k + 1, prefix + (x,),
-                     [v + c * x for v, c in zip(partial, columns[k])])
+                yield from walk(k + 1, prefix + (x,),
+                                [v + c * x for v, c in zip(partial, columns[k])])
 
-        walk(0, (), columns[n])
-        return out
+        yield from walk(0, (), columns[n])
 
 
 @dataclass(frozen=True)

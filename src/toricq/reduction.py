@@ -119,17 +119,19 @@ def reduction_level_report(poly, p: int):
     """Per-integral-level rows {c, dim, class}; levels span the integer
     range of the projected bounding box, so empty fibers appear with
     dimension 0 and class "trivial"; a box of more than MAX_LEVELS levels
-    is refused before any lattice point is walked.  A level with lattice
-    points costs one key, its slice's vertex-facet incidence, which fixes
-    class and full dimension; one slice per key is built and classified."""
+    is refused before any lattice point is walked, and fibre sizes add up
+    the ranges of `lattice_fibres`.  A level with lattice points costs one
+    key, its slice's vertex-facet incidence, which fixes class and full
+    dimension; one slice per key is built and classified."""
     if not poly.is_bounded:
         raise PolytopeError("lattice enumeration needs a bounded polytope")
     lo, hi = poly.bounding_box()
     ends = [(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo[:p], hi[:p])]
     if math.prod(b - a for a, b in ends) > MAX_LEVELS:
         raise PolytopeError(f"more than {MAX_LEVELS} levels to report")
-    counts = Counter(m[:p] for m in poly.lattice_points())
-    n, classes, rows = poly.dim, {}, []
+    n, counts, classes, rows = poly.dim, Counter(), {}, []
+    for m, xs in poly.lattice_fibres():
+        counts.update({m[:p]: len(xs)} if p < n else (m + (x,) for x in xs))
     at = _slice_incidence(poly.integer_facets, n, p) if p < n else None
     for c in itertools.product(*(range(a, b) for a, b in ends)):
         dim = counts[c]

@@ -2,14 +2,16 @@
 kernel: a cofactor determinant and a Fraction Gauss-Jordan elimination,
 both accepting ints or Fractions.  Independent of the slice-type keys of
 the level report: the report that builds and classifies every level's
-slice on its own."""
+slice on its own.  Independent of the facet-subset walk: the vertex
+enumeration and boundedness test that eliminate every facet subset on its
+own."""
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
-from toricq.polytope import axis_slice
+from toricq.polytope import _fraction_free, axis_slice
 from toricq.reduction import CLASS_DELZANT, classify_polytope
 
 
@@ -63,3 +65,51 @@ def per_level_report(poly, p):
                    else "degenerate")
         rows.append({"c": list(c), "dim": dim, "class": cls})
     return rows
+
+
+def _integer_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def subset_incidence(poly):
+    """`HPolytope.incidence` with one elimination per n-subset of facets:
+    the n rows [a_r | -b_r] of a subset with independent normals come back
+    as D [I | x], and x is a vertex when every facet value at it is
+    nonnegative."""
+    n, form = poly.dim, poly.integer_facets
+    seen = {}
+    for rows in itertools.combinations(form, n):
+        M, pivots, _ = _fraction_free([r[:n] + (-r[n],) for r in rows], n)
+        if len(pivots) < n:
+            continue
+        D = M[0][0]
+        g = math.gcd(D, *(row[n] for row in M)) * (1 if D > 0 else -1)
+        D, X = D // g, tuple(row[n] // g for row in M)
+        if (D, X) not in seen:
+            values = [_integer_dot(r, X) + r[n] * D for r in form]
+            seen[D, X] = (None if min(values) < 0 else
+                          tuple(i for i, v in enumerate(values) if v == 0))
+    return dict(sorted((tuple(Fraction(c, D) for c in X), active)
+                       for (D, X), active in seen.items() if active))
+
+
+def subset_is_bounded(poly):
+    """`HPolytope.is_bounded` with one elimination per (n-1)-subset of
+    normals: the normals N must have rank n, and no kernel of n - 1
+    independent rows of N may have N d >= 0 for either of its signs."""
+    n = poly.dim
+    N = [r[:n] for r in poly.integer_facets]
+    if len(_fraction_free(N, n)[1]) < n:
+        return False
+    for rows in itertools.combinations(N, n - 1):
+        M, pivots, _ = _fraction_free(rows, n)
+        if len(pivots) < n - 1:
+            continue
+        free = next(j for j in range(n) if j not in pivots)
+        d = M[-1][pivots[-1]] if M else 1
+        ray = [d if j == free else -M[pivots.index(j)][free]
+               for j in range(n)]
+        for sign in (1, -1):
+            if all(sign * _integer_dot(nu, ray) >= 0 for nu in N):
+                return False
+    return True

@@ -8,10 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricq import potential, quadrature, quantization
-from toricq.cli import main
+from toricq import geodesic, polytope, potential, quadrature, quantization
+from toricq.cli import build_parser, emit, fmt, main
 
 SIMPLEX = {"dim": 2, "facets": [
     {"normal": [1, 0], "offset": 0},
@@ -275,6 +278,42 @@ class TestFlow:
         rows = rows_of(out)[1:]
         assert len(rows) == 2
         assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_one_base_evaluation_per_point(self, tmp_path, capsys,
+                                           monkeypatch, p):
+        # Hess g and its third derivatives once for the whole s-grid and
+        # the limit, and every row as from a fresh ray for each s
+        calls = {"hess": 0, "third": 0}
+        for name in calls:
+            def counted(pot, x, _name=name,
+                        _fn=getattr(potential.SymplecticPotential, name)):
+                calls[_name] += 1
+                return _fn(pot, x)
+            monkeypatch.setattr(potential.SymplecticPotential, name, counted)
+        grid = [1.0, 10.0, 100.0, 1000.0]
+        code, out = run(capsys, ["--input", write(tmp_path, SQUARE),
+                                 "--command", "flow", "--p", str(p),
+                                 "--point", "0.3,0.6", "--s-grid",
+                                 ",".join(map(str, grid))])
+        assert code == 0
+        assert calls == {"hess": 1, "third": 1}
+        x = np.array([0.3, 0.6])
+
+        def ray():
+            base = potential.guillemin_potential(
+                polytope.polytope_from_json(SQUARE))
+            return geodesic.MabuchiRay(base, p)
+
+        expected = [[
+            "0.29999999999999999;0.59999999999999998", fmt(s),
+            fmt(geodesic.grassmann_distance(
+                geodesic.polarization_frame_s(ray(), x, s),
+                geodesic.polarization_frame_limit(ray(), x))),
+            fmt(geodesic.connection_form_gap(
+                geodesic.connection_form_s(ray(), x, s),
+                geodesic.connection_form_limit(ray(), x)))] for s in grid]
+        assert rows_of(out)[1:] == expected
 
     def test_exterior_point_marked(self, tmp_path, capsys):
         code, out = run(capsys, ["--input", write(tmp_path, SQUARE),
@@ -703,3 +742,30 @@ class TestInputErrors:
                                      "--command", "curvature"])
         assert code == 2
         assert "dimension must be at least 1" in err
+
+
+class TestJsonTables:
+    """--format json tables are json.dumps(..., indent=2) text, built from
+    the C encoder's cells."""
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        st.lists(st.text(max_size=6), min_size=k, max_size=k),
+        st.one_of(st.just(0), st.just(1), st.integers(2, 6)).flatmap(
+            lambda r: st.lists(st.lists(
+                st.one_of(st.integers(-10**20, 10**20), st.text(max_size=8)),
+                min_size=k, max_size=k), min_size=r, max_size=r)))))
+    def test_matches_the_indenting_encoder(self, table):
+        columns, rows = table
+        args = build_parser().parse_args(["--command", "flow",
+                                          "--format", "json"])
+        assert emit(columns, rows, args) == json.dumps(
+            {"columns": columns, "rows": rows}, indent=2) + "\n"
+
+    def test_empty_lists(self):
+        args = build_parser().parse_args(["--command", "flow",
+                                          "--format", "json"])
+        for columns, rows in (([], []), (["a"], []), (["a"], [[]]),
+                              ([], [[], []])):
+            assert emit(columns, rows, args) == json.dumps(
+                {"columns": columns, "rows": rows}, indent=2) + "\n"

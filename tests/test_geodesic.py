@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -14,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from toricq import library
 from toricq.geodesic import (
     BlockError,
-    ConnectionFormValue,
     MabuchiRay,
     PolarizationFrame,
     _orth,

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from exact_oracles import cofactor_det, gauss_jordan
+from exact_oracles import (cofactor_det, gauss_jordan, subset_incidence,
+                           subset_is_bounded)
 from toricq import library
 from toricq.polytope import (
     DelzantPolytope,
@@ -577,3 +578,77 @@ class TestIntegerFacetForm:
         assert all(type(e) is int for row in M for e in row)
         assert M[:len(pivots)] == [[d * e for e in row]
                                    for row in M0[:len(pivots)]]
+
+
+# ---------------------------------------------------------------------------
+# the facet-subset walk against the loops that eliminate every subset alone
+
+
+@st.composite
+def walk_polytopes(draw):
+    """Dimension 1-4 and 1-8 facets with small integer normals and rational
+    offsets: now and then a box to start from (bounded or empty), then
+    random facets (half-spaces, slabs, cones, fewer facets than n, pivot
+    columns out of order), copies of drawn facets scaled by +-k (redundant
+    and parallel pairs), all in a drawn order."""
+    n = draw(st.integers(1, 4))
+    offsets = st.fractions(-2, 2, max_denominator=3)
+    facets = []
+    if draw(st.booleans()):
+        facets = [(unit(n, i, sign), draw(st.fractions(
+            -1, 2, max_denominator=3))) for i in range(n) for sign in (1, -1)]
+    facets += draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * n).filter(any), offsets),
+        min_size=0 if facets else 1, max_size=8 - len(facets)))
+    for normal, _ in draw(st.lists(st.sampled_from(facets), max_size=2)):
+        k = draw(st.sampled_from([1, 2, -1, -2]))
+        facets.append((tuple(k * a for a in normal), draw(offsets)))
+    return HPolytope.from_data(n, draw(st.permutations(facets))[:8])
+
+
+HALF_PLANE = HPolytope.from_data(2, [((1, 1), 0)])
+SLAB = HPolytope.from_data(2, [((0, 1), 0), ((0, -1), 1)])
+CONE = HPolytope.from_data(3, [((1, 0, 0), 0), ((0, 1, 0), 0),
+                               ((0, 0, 1), 0)])
+EMPTY_SLAB = HPolytope.from_data(1, [((1,), -2), ((-1,), 1)])
+TWICE_CUT_SQUARE = HPolytope.from_data(
+    2, [((1, 0), 0), ((2, 0), 1), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1),
+        ((0, -1), 1)])
+FEWER_THAN_N = HPolytope.from_data(3, [((1, 2, 0), 1), ((0, 0, 1), 0)])
+# the walk pivots on columns 2, 1, 0 in turn
+REVERSED_PIVOTS = HPolytope.from_data(
+    3, [((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0), ((-1, -1, -1), 2)])
+
+
+class TestFacetWalk:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(HALF_PLANE)
+    @example(SLAB)
+    @example(CONE)
+    @example(EMPTY_SLAB)
+    @example(EMPTY_SQUARE)
+    @example(TWICE_CUT_SQUARE)
+    @example(SQUARE_PYRAMID)
+    @example(FEWER_THAN_N)
+    @example(REVERSED_PIVOTS)
+    @given(walk_polytopes())
+    def test_matches_the_subset_loops(self, poly):
+        expected = subset_incidence(poly)
+        assert list(poly.incidence.items()) == list(expected.items())
+        assert poly.vertices == tuple(expected)
+        assert poly.is_bounded == subset_is_bounded(poly)
+
+    def test_named_cases(self):
+        assert not HALF_PLANE.is_bounded and not HALF_PLANE.vertices
+        assert not SLAB.is_bounded and not SLAB.vertices
+        assert not CONE.is_bounded and list(CONE.incidence.items()) == [
+            ((0, 0, 0), (0, 1, 2))]
+        assert EMPTY_SLAB.is_bounded and EMPTY_SLAB.is_empty
+        assert not FEWER_THAN_N.is_bounded
+        assert TWICE_CUT_SQUARE.vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert TWICE_CUT_SQUARE.incidence[0, 1] == (0, 4, 5)
+        assert REVERSED_PIVOTS.is_bounded
+        assert REVERSED_PIVOTS.incidence == {
+            (0, 0, 0): (0, 1, 2), (0, 0, 2): (1, 2, 3), (0, 2, 0): (0, 2, 3),
+            (2, 0, 0): (0, 1, 3)}

@@ -12,7 +12,6 @@ from exact_oracles import cofactor_det
 from toricq import library
 from toricq.polytope import DelzantPolytope, PolytopeError
 from toricq.quadrature import (
-    IntegrationRegion,
     _bisect_many,
     _exact_simplex_volume,
     _nodes,

@@ -1,5 +1,9 @@
+import itertools
 import math
 import re
+import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -138,6 +142,57 @@ class TestDimensionAudit:
         _, dims0 = fibre_sizes(poly, 1)
         _, dims1 = fibre_sizes(moved, 1)
         assert sum(dims0) == sum(dims1)
+
+
+def rectangle(a, b):
+    return DelzantPolytope.from_data(
+        2, [((1, 0), 0), ((-1, 0), a), ((0, 1), 0), ((0, -1), b)])
+
+
+class TestFibreCounts:
+    """Each level's fibre size is added up from the last-coordinate ranges
+    of the lattice walk, with no lattice point listed."""
+
+    @pytest.mark.parametrize("poly,p", [
+        (rectangle(3, 50), 1), (rectangle(2, 7), 2), (library.simplex(6), 1),
+        (library.simplex(6), 2), (library.corrected_square(), 1),
+        (apply_frame_change(rectangle(4, 9), FrameChange(((1, 3), (0, 1)),
+                                                         1)), 1),
+        (DelzantPolytope.from_data(3, [(unit(3, i, s), 2 + i)
+                                       for i in range(3) for s in (1, -1)]),
+         2),
+        (apply_frame_change(library.simplex(5),
+                            FrameChange(((1, 0), (-2, 1)), 1)), 1)],
+        ids=["rect-p1", "rect-p2", "simplex-p1", "simplex-p2",
+             "corrected-square", "sheared-rect", "box3-p2",
+             "sheared-simplex"])
+    def test_rows_equal_a_brute_force_count(self, poly, p):
+        lo, hi = poly.bounding_box()
+        box = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+        counts = Counter(m[:p] for m in itertools.product(*box)
+                         if poly.contains(m))
+        rows, total, ok = reduction_level_report(poly, p)
+        assert [r["dim"] for r in rows] == [
+            counts[c] for c in itertools.product(*box[:p])]
+        assert ok and total == sum(counts.values())
+
+    def test_long_fibres_take_no_memory(self):
+        # 2 levels of 500,001 points each
+        K = 5 * 10**5
+        poly = rectangle(1, K)
+        poly.is_bounded, poly.vertices
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            rows, total, ok = reduction_level_report(poly, 1)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r["dim"] for r in rows] == [K + 1, K + 1]
+        assert ok and total == 2 * (K + 1)
+        assert elapsed < 0.2
+        assert peak < 2**20
 
 
 @st.composite
