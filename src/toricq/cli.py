@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import geodesic, polytope, quantization, reduction
-from .potential import DomainError, abreu_scalar_curvature, guillemin_potential
+from .potential import (DomainError, PointError, abreu_scalar_curvature,
+                        guillemin_potential, to_float)
 from .quadrature import cell_budget
 
 EXIT_OK = 0
@@ -128,9 +129,11 @@ def check_point(x, dim):
         raise UsageError(f"--point has {len(x)} coordinates, expected {dim}")
 
 
-def default_point(pot):
-    """The barycenter of the vertices, used when --point is not given."""
-    x = np.array(pot.barycenter)
+def default_point(pot, poly=None):
+    """The barycenter of the polytope's vertices (the potential's reference
+    point without a polytope), used when --point is not given."""
+    x = (pot.barycenter if poly is None
+         else np.array([to_float(c) for c in poly.barycenter]))
     if not pot.is_interior(x):
         raise DomainError(
             f"the barycenter of the vertices ({';'.join(fmt(v) for v in x)})"
@@ -247,7 +250,7 @@ def cmd_flow(args):
         pts = [np.array(parse_values("--point", args.point, float))]
         check_point(pts[0], poly.dim)
     else:
-        pts = [default_point(base)]
+        pts = [default_point(base, poly)]
     columns = ["point", "s", "frame_distance", "connection_gap"]
     rows = []
     for x in pts:
@@ -289,6 +292,7 @@ def cmd_reduce(args):
 
 
 def cmd_curvature(args):
+    poly = None
     if args.alpha is not None:
         structure = reduction.c3_reduction(args.alpha, args.alpha, 0)
         pot = structure.potential
@@ -299,10 +303,11 @@ def cmd_curvature(args):
         x = np.array(parse_values("--point", args.point, float))
         check_point(x, pot.dim)
     else:
-        x = default_point(pot)
+        x = default_point(pot, poly)
     try:
         S = abreu_scalar_curvature(pot, x)
-    except DomainError as exc:
+    except PointError as exc:
+        # a numerical failure at a usable point stays a domain failure
         raise UsageError(str(exc))
     columns = ["point", "scalar_curvature"]
     rows = [[";".join(fmt(v) for v in x), fmt(S)]]

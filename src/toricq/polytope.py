@@ -7,10 +7,10 @@ kernel, fraction-free (Bareiss) elimination of integer rows, gives every
 determinant, extreme ray and solve; one walk over the facet subsets shares
 each prefix's elimination among the vertices (n facets) and extreme-ray
 candidates (n - 1 normals) through it.  Vertices are tested by integer dot
-products, and only the survivors become Fractions.  The vertex enumeration
-records the facets through each vertex, and everything read off the
-vertex cones uses that one incidence.  Floats only appear downstream in
-the analytic modules.
+products, and the survivors stay integer rows over one common denominator;
+ranks, boxes, barycenters and the facets through each vertex are read off
+those rows.  A Fraction is built only for a rational that is returned or
+printed.  Floats only appear downstream in the analytic modules.
 """
 
 from __future__ import annotations
@@ -87,12 +87,13 @@ def _det(rows):
     return sign * M[-1][-1] if n else 1
 
 
-def _affine_rank(points, dim):
-    """Exact dimension of the affine hull of the points (-1 if none)."""
-    if not points:
+def _affine_rank(rows, dim):
+    """Exact dimension of the affine hull of points given as integer rows
+    (X, L) over one common L (-1 if none)."""
+    if not rows:
         return -1
-    rows = [_scaled([a - b for a, b in zip(v, points[0])]) for v in points[1:]]
-    return len(_fraction_free(rows, dim)[1])
+    return len(_fraction_free([[a - b for a, b in zip(v, rows[0])]
+                               for v in rows[1:]], dim)[1])
 
 
 def _dot(u, v):
@@ -170,10 +171,10 @@ class HPolytope:
 
     @classmethod
     def from_data(cls, dim, facet_data, **fields):
-        facets = tuple(
-            Facet(tuple(Fraction(c) for c in normal), Fraction(offset))
-            for normal, offset in facet_data
-        )
+        facets = tuple(Facet(
+            tuple(c if type(c) is int else Fraction(c) for c in normal),
+            offset if type(offset) is Fraction else Fraction(offset))
+            for normal, offset in facet_data)
         return cls(dim=dim, facets=facets, **fields)
 
     @cached_property
@@ -210,26 +211,25 @@ class HPolytope:
         return points, rays
 
     @cached_property
-    def incidence(self):
-        """{vertex: indices of the facets through it}, vertices as tuples of
-        Fractions in lexicographic order.  n facets with independent normals
-        meet in one point X / D, in lowest terms with D > 0; it is a vertex
-        when <a_r, X> + b_r D >= 0 for every facet r."""
-        form, seen = self.integer_facets, {}
+    def vertices(self):
+        """All vertices, lexicographically sorted, as integer rows (X, L)
+        over one common denominator L > 0: the vertex X / L.  n facets with
+        independent normals meet in one point X / D, in lowest terms with
+        D > 0; it is a vertex when <a_r, X> + b_r D >= 0 for every facet r."""
+        form, points = self.integer_facets, set()
         for X in self._walk[0]:     # homogeneous: (X, D)
             g = math.gcd(*X) * (1 if X[-1] > 0 else -1)
-            X = tuple(c // g for c in X)
-            if X not in seen:
-                values = [_dot(r, X) for r in form]
-                seen[X] = (None if min(values) < 0 else
-                           tuple(i for i, v in enumerate(values) if v == 0))
-        return dict(sorted((tuple(Fraction(c, X[-1]) for c in X[:-1]), a)
-                           for X, a in seen.items() if a))
+            points.add(tuple(c // g for c in X))
+        points = [X for X in points if all(_dot(r, X) >= 0 for r in form)]
+        L = math.lcm(*(X[-1] for X in points))
+        return tuple(sorted(tuple(c * (L // X[-1]) for c in X)
+                            for X in points))
 
     @cached_property
-    def vertices(self):
-        """All vertices, lexicographically sorted, as tuples of Fractions."""
-        return tuple(self.incidence)
+    def incidence(self):
+        """The indices of the facets through each vertex, in vertex order."""
+        return tuple(tuple(i for i, r in enumerate(self.integer_facets)
+                           if not _dot(r, v)) for v in self.vertices)
 
     @cached_property
     def is_bounded(self):
@@ -258,13 +258,24 @@ class HPolytope:
     def barycenter(self):
         if not self.vertices:
             raise PolytopeError("empty polytope has no barycenter")
-        return tuple(sum(c) / Fraction(len(c)) for c in zip(*self.vertices))
+        *X, D = map(sum, zip(*self.vertices))
+        return tuple(Fraction(c, D) for c in X)
 
-    def bounding_box(self):
+    def _corners(self):
+        """The bounding box as integer rows (lo, hi) over the vertices' L."""
         if not self.vertices:
             raise PolytopeError("empty polytope has no bounding box")
-        coords = list(zip(*self.vertices))
-        return tuple(map(min, coords)), tuple(map(max, coords))
+        *coords, L = zip(*self.vertices)
+        return tuple(map(min, coords)), tuple(map(max, coords)), L[0]
+
+    def bounding_box(self):
+        lo, hi, L = self._corners()
+        return tuple(tuple(Fraction(c, L) for c in x) for x in (lo, hi))
+
+    def lattice_box(self):
+        """[ceil lo_k, floor hi_k] for each coordinate of the bounding box."""
+        lo, hi, L = self._corners()
+        return [(-(-a // L), b // L) for a, b in zip(lo, hi)]
 
     def lattice_points(self):
         """Integer points l_r(m) >= 0 for all r, in lexicographic order."""
@@ -283,9 +294,7 @@ class HPolytope:
             raise PolytopeError("lattice enumeration needs a bounded polytope")
         if not self.vertices:
             return
-        n = self.dim
-        lo, hi = self.bounding_box()
-        box = [(math.ceil(a), math.floor(b)) for a, b in zip(lo, hi)]
+        n, box = self.dim, self.lattice_box()
         # constant facets are satisfied, because there are vertices
         rows = [r for r in self.integer_facets if any(r[:n])]
         ends_at = [[] for _ in range(n)]
@@ -350,7 +359,7 @@ class FrameChange:
 class ValidationReport:
     ok: bool
     verdict: str                 # "ok" | "unbounded" | "empty" | "not delzant" | "redundant" | "bad normals"
-    vertex_determinants: list = field(default_factory=list)  # (vertex, det or None)
+    vertex_determinants: list = field(default_factory=list)  # det or None, in vertex order
     violations: list = field(default_factory=list)           # (vertex, det or None)
     redundant_facets: list = field(default_factory=list)
     messages: list = field(default_factory=list)
@@ -376,8 +385,9 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
                                 messages=["interior is empty"])
 
     report = ValidationReport(ok=True, verdict="ok")
+    vertices = list(zip(poly.vertices, poly.incidence))
     for r in range(len(poly.facets)):
-        on_facet = [v for v, active in poly.incidence.items() if r in active]
+        on_facet = [v for v, active in vertices if r in active]
         if _affine_rank(on_facet, n) < n - 1:
             report.redundant_facets.append(r)
     if report.redundant_facets:
@@ -385,11 +395,12 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
         report.verdict = "redundant"
         report.messages.append(f"redundant facets: {report.redundant_facets}")
 
-    for v, active in poly.incidence.items():
+    for v, active in vertices:
         det = _det([normals[r] for r in active]) if len(active) == n else None
-        report.vertex_determinants.append((v, det))
+        report.vertex_determinants.append(det)
         if det is None or abs(det) != 1:
-            report.violations.append((v, det))
+            report.violations.append(
+                (tuple(Fraction(c, v[-1]) for c in v[:-1]), det))
     if report.violations:
         report.ok = False
         if report.verdict == "ok":
@@ -415,8 +426,8 @@ def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytop
         [[fc.B[j][i] for j in range(n)]
          + [int(f.normal[i]) for f in poly.facets] for i in range(n)], n)
     d = M[-1][n - 1]
-    facets = tuple(Facet(tuple(Fraction(d * row[n + k]) for row in M),
-                         f.offset) for k, f in enumerate(poly.facets))
+    facets = tuple(Facet(tuple(d * row[n + k] for row in M), f.offset)
+                   for k, f in enumerate(poly.facets))
     return DelzantPolytope(dim=n, facets=facets, name=poly.name)
 
 

@@ -26,6 +26,10 @@ class DomainError(ValueError):
     """Evaluation requested outside the open polytope interior."""
 
 
+class PointError(DomainError):
+    """A point that is not interior, or too close to the boundary."""
+
+
 def to_float(q):
     """float(q) for exact data; a DomainError that names q when it is
     beyond the float range."""
@@ -64,7 +68,7 @@ class SymplecticPotential:
 
     def _require_interior(self, x):
         if not np.all(self.facet_values(x) > 0):
-            raise DomainError(f"point {np.asarray(x)} is not interior")
+            raise PointError(f"point {np.asarray(x)} is not interior")
 
     # -- evaluators (broadcast over leading axes) ---------------------------
 
@@ -232,8 +236,7 @@ def guillemin_potential(poly) -> SymplecticPotential:
     """Guillemin potential g_P = 1/2 sum l_r log l_r."""
     return SymplecticPotential(
         [[to_float(c) for c in f.normal] for f in poly.facets],
-        [to_float(f.offset) for f in poly.facets],
-        barycenter=[to_float(c) for c in poly.barycenter])
+        [to_float(f.offset) for f in poly.facets])
 
 
 def regularity_delta(pot: SymplecticPotential, x):
@@ -258,11 +261,12 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
     """
     x = np.asarray(x, dtype=float)
     pot._require_interior(x)
-    # min l_r/|nu_r| over nonconstant facets bounds the boundary distance
-    l, norms = pot.facet_values(x), np.linalg.norm(pot.A, axis=1)
+    # min l_r/|nu_r| over nonconstant facets bounds the boundary distance;
+    # hypot takes |nu_r| without squaring, so huge normals do not overflow
+    l, norms = pot.facet_values(x), np.hypot.reduce(pot.A, axis=1, initial=0)
     if np.min(l[norms > 0] / norms[norms > 0]) < 8e-10:
-        raise DomainError("point too close to the boundary for the "
-                          "curvature formula")
+        raise PointError("point too close to the boundary for the "
+                         "curvature formula")
     try:
         H = np.linalg.inv(pot.hess(x))
     except np.linalg.LinAlgError:

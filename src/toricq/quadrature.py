@@ -1,7 +1,8 @@
 """Deterministic adaptive quadrature over polytopes and their slices.
 
 Polytopes of any dimension are triangulated by a recursive face fan from
-exact barycenters.  Every simplex, in every dimension, carries the open
+exact barycenters, with vertices as integer rows (X, D) for X / D.
+Every simplex, in every dimension, carries the open
 (interior-node) Grundmann-Moller rule of degree 9 and its degree-7
 companion, so integrands that are only continuous up to the boundary are
 never sampled on it.  A cell's value is the degree-9 rule on its two
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import PolytopeError, _affine_rank, _det, _scaled, axis_slice
+from .polytope import PolytopeError, _affine_rank, _det, axis_slice
 
 DEFAULT_CELL_BUDGET = 200_000
 _BUDGET_ENV = "TORICQ_CELL_BUDGET"
@@ -120,13 +121,10 @@ def _nodes(dim):
 
 
 def _exact_simplex_volume(verts):
-    """|det| of the edges from the first vertex over k!: each edge is
-    scaled to ints, with its scale appended, for `_det`."""
-    k = len(verts) - 1
-    rows = [_scaled([a - b for a, b in zip(v, verts[0])] + [1])
-            for v in verts[1:]]
-    scale = math.factorial(k) * math.prod(r[k] for r in rows)
-    return Fraction(abs(_det([r[:k] for r in rows])), scale)
+    """|det [X_i, D_i]| / (k! prod D_i), the volume of the k-simplex with
+    the integer rows (X_i, D_i) as vertices."""
+    scale = math.factorial(len(verts) - 1) * math.prod(v[-1] for v in verts)
+    return Fraction(abs(_det(verts)), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ class IntegrationRegion:
     """Simplicial cover of a polytope or slice."""
 
     dim: int
-    simplices: list                       # list of exact vertex tuples
+    simplices: list                       # vertices as integer rows (X, D)
     volumes: list                         # exact volume of each simplex
 
     @property
@@ -147,26 +145,29 @@ class IntegrationRegion:
 
     @functools.cached_property
     def float_simplices(self):
-        return np.array([[[float(c) for c in v] for v in s]
+        return np.array([[[c / v[-1] for c in v[:-1]] for v in s]
                          for s in self.simplices])
 
 
-def _face_fan(poly, verts, rank):
-    """Simplices of the face with the given vertices and affine rank.
+def _face_fan(poly, face, rank):
+    """Simplices of the face with the given vertex indices and affine rank.
 
     An edge is its own simplex.  A higher face is the cone from its exact
-    barycenter over the fans of its facets, which are the vertex sets that
-    the polytope's facets cut out of it with rank one less; a facet listed
-    twice (or cut out by two facets) is used once.
+    barycenter, the sum (X, D) of its vertex rows, over the fans of its
+    facets, which are the vertex sets that the polytope's facets cut out of
+    it with rank one less; a facet listed twice (or cut out by two facets)
+    is used once.
     """
+    verts = tuple(poly.vertices[i] for i in face)
     if rank == 1:
         return [verts]
     faces = []
     for r in range(len(poly.facets)):
-        sub = tuple(v for v in verts if r in poly.incidence[v])
-        if sub not in faces and _affine_rank(sub, poly.dim) == rank - 1:
+        sub = tuple(i for i in face if r in poly.incidence[i])
+        if sub not in faces and _affine_rank(
+                [poly.vertices[i] for i in sub], poly.dim) == rank - 1:
             faces.append(sub)
-    apex = tuple(sum(c) / len(verts) for c in zip(*verts))
+    apex = tuple(map(sum, zip(*verts)))
     return [s + (apex,) for face in faces
             for s in _face_fan(poly, face, rank - 1)]
 
@@ -175,7 +176,7 @@ def triangulate(poly) -> IntegrationRegion:
     """Face-fan triangulation; deterministic in the input facet order."""
     if not poly.is_full_dimensional:
         raise PolytopeError("cannot triangulate a region without interior")
-    simplices = _face_fan(poly, poly.vertices, poly.dim)
+    simplices = _face_fan(poly, range(len(poly.vertices)), poly.dim)
     return IntegrationRegion(dim=poly.dim, simplices=simplices,
                              volumes=[_exact_simplex_volume(s)
                                       for s in simplices])

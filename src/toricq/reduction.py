@@ -38,7 +38,7 @@ def classify_polytope(poly: HPolytope) -> str:
     """
     d = poly.dim
     worst = CLASS_DELZANT
-    for active in poly.incidence.values():
+    for active in poly.incidence:
         normals = {_primitive(poly.integer_facets[r][:d]) for r in active}
         if len(normals) > d:
             return CLASS_WORSE
@@ -125,8 +125,7 @@ def reduction_level_report(poly, p: int):
     dimension; one slice per key is built and classified."""
     if not poly.is_bounded:
         raise PolytopeError("lattice enumeration needs a bounded polytope")
-    lo, hi = poly.bounding_box()
-    ends = [(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo[:p], hi[:p])]
+    ends = [(a, b + 1) for a, b in poly.lattice_box()[:p]]
     if math.prod(b - a for a, b in ends) > MAX_LEVELS:
         raise PolytopeError(f"more than {MAX_LEVELS} levels to report")
     n, counts, classes, rows = poly.dim, Counter(), {}, []

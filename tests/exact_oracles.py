@@ -4,14 +4,16 @@ both accepting ints or Fractions.  Independent of the slice-type keys of
 the level report: the report that builds and classifies every level's
 slice on its own.  Independent of the facet-subset walk: the vertex
 enumeration and boundedness test that eliminate every facet subset on its
-own."""
+own.  Independent of the integer vertex rows: the vertex incidence, affine
+ranks, face fans and simplex volumes in Fractions, as toricq computed them
+before its vertices stayed integer rows."""
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
-from toricq.polytope import _fraction_free, axis_slice
+from toricq.polytope import _det, _fraction_free, axis_slice
 from toricq.reduction import CLASS_DELZANT, classify_polytope
 
 
@@ -113,3 +115,67 @@ def subset_is_bounded(poly):
             if all(sign * _integer_dot(nu, ray) >= 0 for nu in N):
                 return False
     return True
+
+
+def as_fractions(rows):
+    """Integer vertex rows (X, D) as the points X / D, tuples of Fractions."""
+    return tuple(tuple(Fraction(c, v[-1]) for c in v[:-1]) for v in rows)
+
+
+def vertex_incidence(poly):
+    """{vertex as Fractions: facets through it} from the integer vertex
+    rows, in vertex order."""
+    return dict(zip(as_fractions(poly.vertices), poly.incidence))
+
+
+def _scaled(values):
+    s = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (s // v.denominator) for v in values)
+
+
+def fraction_incidence(poly):
+    """{vertex: facets through it} with the vertices as tuples of
+    Fractions in lexicographic order, each candidate X / D of the facet
+    walk tested by its facet values."""
+    form, seen = poly.integer_facets, {}
+    for X in poly._walk[0]:     # homogeneous: (X, D)
+        g = math.gcd(*X) * (1 if X[-1] > 0 else -1)
+        X = tuple(c // g for c in X)
+        if X not in seen:
+            values = [_integer_dot(r, X) for r in form]
+            seen[X] = (None if min(values) < 0 else
+                       tuple(i for i, v in enumerate(values) if v == 0))
+    return dict(sorted((tuple(Fraction(c, X[-1]) for c in X[:-1]), a)
+                       for X, a in seen.items() if a))
+
+
+def fraction_affine_rank(points, dim):
+    """Exact dimension of the affine hull of Fraction points (-1 if none)."""
+    if not points:
+        return -1
+    rows = [_scaled([a - b for a, b in zip(v, points[0])]) for v in points[1:]]
+    return len(_fraction_free(rows, dim)[1])
+
+
+def fraction_simplex_volume(verts):
+    """|det| of the edges from the first Fraction vertex over k!."""
+    k = len(verts) - 1
+    rows = [_scaled([a - b for a, b in zip(v, verts[0])] + [Fraction(1)])
+            for v in verts[1:]]
+    scale = math.factorial(k) * math.prod(r[k] for r in rows)
+    return Fraction(abs(_det([r[:k] for r in rows])), scale)
+
+
+def fraction_face_fan(poly, verts, rank, incidence=None):
+    """`quadrature._face_fan` on Fraction vertices, with Fraction apexes."""
+    incidence = incidence or fraction_incidence(poly)
+    if rank == 1:
+        return [verts]
+    faces = []
+    for r in range(len(poly.facets)):
+        sub = tuple(v for v in verts if r in incidence[v])
+        if sub not in faces and fraction_affine_rank(sub, poly.dim) == rank - 1:
+            faces.append(sub)
+    apex = tuple(sum(c) / len(verts) for c in zip(*verts))
+    return [s + (apex,) for face in faces
+            for s in fraction_face_fan(poly, face, rank - 1, incidence)]

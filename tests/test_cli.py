@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -536,7 +537,7 @@ class TestFlagValidation:
         assert "argument --alpha" in err
 
     @pytest.mark.parametrize("command, expected", [("reduce", 1),
-                                                   ("curvature", 2)])
+                                                   ("curvature", 1)])
     def test_alpha_with_a_singular_float_hessian(self, capsys, command,
                                                  expected):
         # at (1, 1) the Hessian 1/2 (I + alpha/2 J) rounds to a singular one
@@ -548,7 +549,7 @@ class TestFlagValidation:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("command, expected", [("reduce", 1),
-                                                   ("curvature", 2)])
+                                                   ("curvature", 1)])
     def test_alpha_with_a_non_finite_curvature(self, capsys, command,
                                                expected):
         # at (1, 1) the facet value alpha (x1 + x2) overflows, and S is nan
@@ -558,6 +559,29 @@ class TestFlagValidation:
         assert out == ""
         assert err == ("error: the scalar curvature at [1. 1.] is not "
                        "finite in floats\n")
+
+    @pytest.mark.parametrize("command", ["reduce", "curvature"])
+    def test_alpha_whose_squared_normal_overflows(self, capsys, command):
+        # |(alpha, alpha)| is taken without squaring, so (1, 1) stays at
+        # distance 1 from the boundary, and no numpy warning is raised
+        # before the Hessian turns out singular in floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_err(capsys, ["--command", command,
+                                         f"--alpha={10**200}"])
+        assert code == 1
+        assert err == "error: the Hessian at [1. 1.] is singular in floats\n"
+
+    @pytest.mark.parametrize("point, message", [
+        ("-0.5,0.5", "is not interior"),
+        ("-0.4999999999999,0.5", "too close to the boundary")])
+    def test_curvature_at_an_unusable_point_is_a_usage_error(
+            self, tmp_path, capsys, point, message):
+        code, err = run_err(capsys, ["--input", write(tmp_path, SQUARE),
+                                     "--command", "curvature",
+                                     f"--point={point}"])
+        assert code == 2
+        assert message in err
 
     def test_points_p_out_of_range(self, tmp_path, capsys):
         code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),

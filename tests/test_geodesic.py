@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from exact_oracles import as_fractions
 from toricq import library
 from toricq.geodesic import (
     BlockError,
@@ -268,7 +269,8 @@ class TestOrth:
         ids=["segment", "square", "simplex", "box3"])
     def test_distance_matches_scipy(self, poly):
         rng = np.random.default_rng(poly.dim)
-        verts = np.array([[float(c) for c in v] for v in poly.vertices])
+        verts = np.array([[float(c) for c in v]
+                          for v in as_fractions(poly.vertices)])
         base = guillemin_potential(poly)
         for p in range(1, poly.dim + 1):
             ray = MabuchiRay(base, p)

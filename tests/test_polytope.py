@@ -11,8 +11,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from exact_oracles import (cofactor_det, gauss_jordan, subset_incidence,
-                           subset_is_bounded)
+from exact_oracles import (as_fractions, cofactor_det, fraction_affine_rank,
+                           fraction_face_fan, fraction_incidence,
+                           fraction_simplex_volume, gauss_jordan,
+                           subset_incidence, subset_is_bounded,
+                           vertex_incidence)
 from toricq import library
 from toricq.polytope import (
     DelzantPolytope,
@@ -21,6 +24,7 @@ from toricq.polytope import (
     HPolytope,
     PolytopeError,
     ValidationReport,
+    _affine_rank,
     _fraction_free,
     apply_frame_change,
     axis_slice,
@@ -28,6 +32,7 @@ from toricq.polytope import (
     polytope_from_json,
     validate_delzant,
 )
+from toricq.quadrature import triangulate
 
 
 def standard_simplex():
@@ -96,7 +101,7 @@ class TestValidate:
     def test_standard_simplex_ok(self):
         report = validate_delzant(standard_simplex())
         assert report.ok
-        assert all(abs(d) == 1 for _, d in report.vertex_determinants)
+        assert all(abs(d) == 1 for d in report.vertex_determinants)
 
     def test_non_delzant_triangle(self):
         # {x>=0, y>=0, -x-2y+2>=0}: vertex (0,1) has normals (1,0),(-1,-2)
@@ -270,13 +275,13 @@ class TestFrameChange:
 class TestAxisSlice:
     def test_square_slice(self):
         sl = axis_slice(library.corrected_square(), 1, (0,))
-        vals = sorted(v[0] for v in sl.vertices)
+        vals = sorted(v[0] for v in as_fractions(sl.vertices))
         assert vals == [Fraction(-1, 2), Fraction(3, 2)]
 
     def test_simplex_slice(self):
         poly = library.simplex(2)
         sl = axis_slice(poly, 1, (1,))
-        assert sorted(v[0] for v in sl.vertices) == [0, 1]
+        assert sorted(v[0] for v in as_fractions(sl.vertices)) == [0, 1]
 
     def test_empty_slice(self):
         poly = library.simplex(2)
@@ -438,7 +443,7 @@ def oracle_validate(poly):
     for v, active in incidence.items():
         det = (cofactor_det([poly.facets[r].normal for r in active])
                if len(active) == poly.dim else None)
-        report.vertex_determinants.append((v, det))
+        report.vertex_determinants.append(det)
         if det is None or abs(det) != 1:
             report.violations.append((v, det))
     if report.violations:
@@ -506,9 +511,8 @@ class TestIntegerFacetForm:
             assert row == tuple(c * s for c in data)
             assert all(type(c) is int for c in row)
         incidence = oracle_incidence(poly)
-        assert poly.incidence == incidence
-        assert list(poly.incidence) == list(incidence)
-        assert poly.vertices == tuple(incidence)
+        assert vertex_incidence(poly) == incidence
+        assert as_fractions(poly.vertices) == tuple(incidence)
         assert poly.is_bounded == oracle_is_bounded(poly)
         if poly.is_bounded:
             assert poly.lattice_points() == oracle_lattice_points(
@@ -520,7 +524,7 @@ class TestIntegerFacetForm:
 
     def test_named_cases(self):
         apex = (Fraction(1), Fraction(1), Fraction(1))
-        assert SQUARE_PYRAMID.incidence[apex] == (1, 2, 3, 4)
+        assert vertex_incidence(SQUARE_PYRAMID)[apex] == (1, 2, 3, 4)
         assert len(SQUARE_PYRAMID.lattice_points()) == 10
         assert validate_delzant(SQUARE_PYRAMID).verdict == "not delzant"
         assert validate_delzant(EMPTY_SQUARE).verdict == "empty"
@@ -536,8 +540,8 @@ class TestIntegerFacetForm:
         B = data.draw(unimodular(poly.dim))
         moved = apply_frame_change(poly, FrameChange(B=B, p=1))
         assert len(moved.vertices) == len(poly.vertices)
-        assert (Counter(map(len, moved.incidence.values()))
-                == Counter(map(len, poly.incidence.values())))
+        assert (Counter(map(len, moved.incidence))
+                == Counter(map(len, poly.incidence)))
         assert moved.is_bounded == poly.is_bounded
 
     @settings(max_examples=100, derandomize=True, deadline=None,
@@ -635,20 +639,72 @@ class TestFacetWalk:
     @given(walk_polytopes())
     def test_matches_the_subset_loops(self, poly):
         expected = subset_incidence(poly)
-        assert list(poly.incidence.items()) == list(expected.items())
-        assert poly.vertices == tuple(expected)
+        assert list(vertex_incidence(poly).items()) == list(expected.items())
+        assert as_fractions(poly.vertices) == tuple(expected)
         assert poly.is_bounded == subset_is_bounded(poly)
 
     def test_named_cases(self):
         assert not HALF_PLANE.is_bounded and not HALF_PLANE.vertices
         assert not SLAB.is_bounded and not SLAB.vertices
-        assert not CONE.is_bounded and list(CONE.incidence.items()) == [
+        assert not CONE.is_bounded and list(vertex_incidence(CONE).items()) == [
             ((0, 0, 0), (0, 1, 2))]
         assert EMPTY_SLAB.is_bounded and EMPTY_SLAB.is_empty
         assert not FEWER_THAN_N.is_bounded
-        assert TWICE_CUT_SQUARE.vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
-        assert TWICE_CUT_SQUARE.incidence[0, 1] == (0, 4, 5)
+        assert as_fractions(TWICE_CUT_SQUARE.vertices) == (
+            (0, 0), (0, 1), (1, 0), (1, 1))
+        assert vertex_incidence(TWICE_CUT_SQUARE)[0, 1] == (0, 4, 5)
         assert REVERSED_PIVOTS.is_bounded
-        assert REVERSED_PIVOTS.incidence == {
+        assert vertex_incidence(REVERSED_PIVOTS) == {
             (0, 0, 0): (0, 1, 2), (0, 0, 2): (1, 2, 3), (0, 2, 0): (0, 2, 3),
             (2, 0, 0): (0, 1, 3)}
+
+
+class TestIntegerVertexRows:
+    """The integer vertex rows (X, L) against the Fraction geometry that
+    toricq computed before them."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(EMPTY_SLAB)
+    @example(TWICE_CUT_SQUARE)
+    @example(SQUARE_PYRAMID)
+    @example(REVERSED_PIVOTS)
+    @given(walk_polytopes())
+    def test_matches_the_fraction_oracles(self, poly):
+        n, incidence = poly.dim, fraction_incidence(poly)
+        verts = tuple(incidence)
+        # one common positive denominator, and the order of the Fractions
+        assert all(type(c) is int for v in poly.vertices for c in v)
+        assert len({v[-1] for v in poly.vertices}) <= 1
+        assert all(v[-1] > 0 for v in poly.vertices)
+        assert as_fractions(poly.vertices) == verts
+        assert poly.incidence == tuple(incidence.values())
+        assert poly.is_full_dimensional == (
+            fraction_affine_rank(list(verts), n) == n)
+        # the facets that validate_delzant calls redundant
+        assert [r for r in range(len(poly.facets)) if _affine_rank(
+            [v for v, a in zip(poly.vertices, poly.incidence) if r in a],
+            n) < n - 1] == [r for r in range(len(poly.facets))
+                            if fraction_affine_rank(
+                                [v for v, a in incidence.items() if r in a],
+                                n) < n - 1]
+        if not verts:
+            with pytest.raises(PolytopeError, match="barycenter"):
+                poly.barycenter
+            with pytest.raises(PolytopeError, match="bounding box"):
+                poly.bounding_box()
+            return
+        coords = list(zip(*verts))
+        assert poly.barycenter == tuple(sum(c) / len(verts) for c in coords)
+        assert poly.bounding_box() == (tuple(map(min, coords)),
+                                       tuple(map(max, coords)))
+        assert poly.lattice_box() == [(math.ceil(min(c)), math.floor(max(c)))
+                                      for c in coords]
+        if poly.is_bounded and poly.is_full_dimensional:
+            region = triangulate(poly)
+            fan = fraction_face_fan(poly, verts, n)
+            assert [as_fractions(s) for s in region.simplices] == fan
+            assert region.volumes == [fraction_simplex_volume(s) for s in fan]
+            # X / D rounds as float(Fraction) does, bit for bit
+            assert region.float_simplices.tolist() == [
+                [[float(c) for c in v] for v in s] for s in fan]

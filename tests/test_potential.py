@@ -182,8 +182,10 @@ class TestAbreuCurvature:
         # the simplex of size lam is CP^n with constant S = n(n+1)/lam
         facets = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
         facets.append((tuple(-1 for _ in range(n)), lam))
-        pot = guillemin_potential(HPolytope.from_data(n, facets))
-        for x in (pot.barycenter, lam * np.linspace(0.15, 0.3, n)):
+        poly = HPolytope.from_data(n, facets)
+        pot = guillemin_potential(poly)
+        barycenter = np.array([float(c) for c in poly.barycenter])
+        for x in (barycenter, lam * np.linspace(0.15, 0.3, n)):
             assert abreu_scalar_curvature(pot, x) == pytest.approx(
                 S, rel=1e-13, abs=0.0)
 

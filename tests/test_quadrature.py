@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_oracles import cofactor_det
+from exact_oracles import as_fractions, cofactor_det
 from toricq import library
-from toricq.polytope import DelzantPolytope, PolytopeError
+from toricq.polytope import DelzantPolytope, PolytopeError, _scaled
 from toricq.quadrature import (
     _bisect_many,
     _exact_simplex_volume,
@@ -73,7 +73,7 @@ class TestTriangulate:
     def test_exact_volumes_match_cofactor_determinants(self):
         for poly in shipped_polytopes() + [box(3), box(4)]:
             region = triangulate(poly)
-            assert region.volumes == [self.cofactor_volume(s)
+            assert region.volumes == [self.cofactor_volume(as_fractions(s))
                                       for s in region.simplices]
         rng = random.Random(7)
         for dim in (1, 2, 3, 4):
@@ -83,7 +83,9 @@ class TestTriangulate:
                 if rng.random() < 0.1:
                     # a repeated vertex: a degenerate simplex of volume 0
                     verts[-1] = verts[rng.randrange(dim)]
-                assert (_exact_simplex_volume(verts)
+                # each vertex as the integer row (X, D) of X / D
+                rows = [_scaled(v + (Fraction(1),)) for v in verts]
+                assert (_exact_simplex_volume(rows)
                         == self.cofactor_volume(verts))
 
     def test_3d_simplex(self):
