@@ -487,6 +487,10 @@ def polytope_from_json(data) -> DelzantPolytope:
     for i, f in enumerate(data["facets"]):
         if "normal" not in f or "offset" not in f:
             raise PolytopeError(f"facet {i}: missing 'normal' or 'offset'")
+        if not isinstance(f["normal"], list) or not all(
+                type(c) is int for c in f["normal"]):
+            raise PolytopeError(f"facet {i}: normal entries must be JSON "
+                                f"integers, got {f['normal']!r}")
         facet_data.append((f["normal"], _parse_offset(f["offset"])))
     return DelzantPolytope.from_data(dim, facet_data,
                                      name=data.get("name", ""))

@@ -174,9 +174,13 @@ class DetTerms:
         self._columns = _columns(subsets, facets)
         self._rest = None           # the complements' columns, on first use
 
-    def det(self, w):
-        """The determinant at each node of w = facet_rows(l)."""
-        return _subset_sum(w, np.reciprocal, self._columns, self.coeffs)
+    def det(self, w, table=None, starts=None):
+        """The determinant at each node of w = facet_rows(l); with a
+        (subsets, K) table of coefficients for K shifts over the same
+        subsets, at the nodes from starts[j] to starts[j + 1] those of
+        column j."""
+        table = self.coeffs[:, None] if table is None else table
+        return _subset_sum(w, np.reciprocal, self._columns, table, starts)
 
     def det_times_facet_product(self, w):
         """det * prod_r l_r = sum_T c_T prod_{r not in T} l_r at each node
@@ -184,7 +188,7 @@ class DetTerms:
         self._rest = self._rest or _columns(
             [tuple(r for r in range(self.facets) if r not in T)
              for T in self.subsets], self.facets)
-        return _subset_sum(w, np.positive, self._rest, self.coeffs)
+        return _subset_sum(w, np.positive, self._rest, self.coeffs[:, None])
 
 
 def _columns(subsets, facets):
@@ -207,20 +211,24 @@ def facet_rows(l):
 _BLOCK = 2048
 
 
-def _subset_sum(w, op, columns, coeffs):
-    """sum_T coeffs_T prod_{r in T} op(w_r) at the nodes of w = facet_rows(l)
-    for the subsets' facet `columns`, R meaning a factor 1.  A block of nodes
-    writes op(w) into a factor block whose last row is ones, gathers it once
-    per column and folds the rows of terms in halves, so each node's sum has
-    a fixed order and a batch gives the same bits as its nodes one by one."""
+def _subset_sum(w, op, columns, table, starts=None):
+    """sum_T c_T prod_{r in T} op(w_r) at the nodes of w = facet_rows(l)
+    for the subsets' facet `columns`, R meaning a factor 1, with c column
+    j of the coefficient table from node starts[j] to starts[j + 1] (all
+    nodes take column 0 if starts is None).  A block of nodes writes op(w)
+    into a factor block whose last row is ones, gathers it once per column
+    and folds the rows of terms in halves, so each node's sum has a fixed
+    order and a batch gives the same bits as its nodes one by one."""
     R, N = w.shape
-    out = np.empty(N)
+    out, starts = np.empty(N), (0, N) if starts is None else starts
     for a in range(0, N, _BLOCK):
         factors = np.empty((R + 1, min(_BLOCK, N - a)))
         op(w[:, a:a + _BLOCK], out=factors[:R])
         factors[R] = 1.0
         terms = factors[columns[0]]
-        terms *= coeffs[:, None]
+        for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+            if max(lo, a) < min(hi, a + _BLOCK):
+                terms[:, max(lo - a, 0):hi - a] *= table[:, j:j + 1]
         for c in columns[1:]:
             terms *= factors[c]
         k = len(terms)

@@ -19,8 +19,10 @@ it bisects the cell with the largest error estimate.  The first call
 evaluates the roots with their splits, and the splits greedy is certain
 to make before the estimates sum to the tolerance are evaluated ahead,
 up to 64 cells per call, which changes neither the splits nor their
-order.  Values and errors are summed with math.fsum, which is correctly
-rounded, so the totals do not depend on cell order.
+order.  Integrals over one region can refine in lockstep, each round
+sharing one integrand call, with each result unchanged.  Values and
+errors are summed with math.fsum, which is correctly rounded, so the
+totals do not depend on cell order.
 """
 
 from __future__ import annotations
@@ -196,6 +198,8 @@ class IntegralResult:
     hit_budget: bool = False
     # integrand nodes evaluated
     nodes: int = 0
+    # integrand calls that evaluated cells of this integral
+    integrand_calls: int = 0
 
 
 @functools.cache
@@ -234,20 +238,21 @@ def _rule_sums(vals, idx, weights):
     return (vals.take(idx, axis=-1) * weights).sum(-1)
 
 
-def _evaluate(f, verts, volumes, coarse=None):
+def _evaluate(f, verts, volumes, counts, coarse=None):
     """The cells (pair, err, half values) of the (K, k, d) stack of the
-    given volumes, from one call of f, and the number of nodes passed.
+    given volumes, counts[j] of them from integral j in turn, from one call
+    of f, and the number of nodes passed.
 
     A cell's value is the sum of its two half values, the high rule on
     each half.  Its error estimate bounds that sum: the distance to the
     companion rule on the same halves, plus the distance to the coarse
     value, the high rule on the whole cell, which its parent computed as
     one of its half values.  Each half of the bisection takes the shared
-    node set of the two rules, so f sees each node once.  Cells' pairs,
-    their two halves as (2, k, d) arrays, are the rows of one copy that
-    holds only the pairs, not the batch.  For roots (coarse None) f also
-    gets the whole cells, for their coarse values, and the halves of
-    their children, which end each root's tuple as `_split` gives them.
+    node set of the two rules, so f sees each node once, cell by cell.
+    Cells' pairs, their two halves as (2, k, d) arrays, are the rows of one
+    copy that holds only the pairs, not the batch.  For roots (coarse None)
+    f also gets the whole cells, for their coarse values, and the halves of
+    their children, which end each root's tuple as `_greedy` takes them.
     """
     dim = verts.shape[2]
     bary, (idx_high, idx_low) = _nodes(dim)
@@ -261,54 +266,35 @@ def _evaluate(f, verts, volumes, coarse=None):
         pairs = split.swapaxes(0, 1).copy()
         return list(zip(pairs, errs.tolist(), zip(*halves.tolist()))), halves
 
-    split = blocks = _bisect_many(verts)
+    split = _bisect_many(verts)
+    blocks = split.swapaxes(0, 1)
     if coarse is None:
         k, d = verts.shape[1:]
-        grand = _bisect_many(split.swapaxes(0, 1).reshape(-1, k, d))
-        blocks = np.concatenate((split, [verts], grand.reshape(4, -1, k, d)))
+        grand = _bisect_many(blocks.reshape(-1, k, d))
+        blocks = np.concatenate((blocks, verts[:, None], grand.reshape(
+            2, -1, 2, k, d).swapaxes(0, 1).reshape(-1, 4, k, d)), axis=1)
     points = np.matmul(bary, blocks).reshape(-1, dim)
-    vals = np.asarray(f(points), float).reshape(len(blocks), len(verts), -1)
+    per_cell = len(points) // len(verts)
+    starts = [c * per_cell for c in itertools.accumulate(counts, initial=0)]
+    vals = np.asarray(f(points, starts), float).reshape(
+        len(verts), -1, len(bary)).swapaxes(0, 1)
     if coarse is not None:
         return cells(split, vals, volumes, np.asarray(coarse))[0], len(points)
     roots, halves = cells(split, vals[:2], volumes,
                           _rule_sums(vals[2], idx_high, w_high) * volumes)
-    kids, _ = cells(grand, vals[3:].reshape(2, -1, len(bary)),
-                    np.repeat(volumes / 2, 2), halves.T.ravel())
+    kids, _ = cells(grand, vals[3:].reshape(2, 2, -1, len(bary)).swapaxes(
+        1, 2).reshape(2, -1, len(bary)), np.repeat(volumes / 2, 2),
+        halves.T.ravel())
     return [root + (kids[2 * i:2 * i + 2],)
             for i, root in enumerate(roots)], len(points)
 
 
-def _split(f, cells):
-    """The two children (pair, err, half values) of each heap entry, as a
-    root carries them or else from one call of f, and the nodes passed."""
-    todo = [cell for cell in cells if cell[5] is None]
-    if not todo:
-        return [cell[5] for cell in cells], 0
-    out, nodes = _evaluate(
-        f, np.concatenate([cell[3] for cell in todo]),
-        np.repeat([cell[2] / 2 for cell in todo], 2),
-        [h for cell in todo for h in cell[4]])
-    out = iter(out)
-    return [cell[5] or [next(out), next(out)] for cell in cells], nodes
-
-
-def integrate(f, region: IntegrationRegion, tol: float,
-              budget: int | None = None) -> IntegralResult:
-    """Adaptively integrate the vectorized evaluator f over the region.
-
-    Refinement is greedy: it splits the cell of largest error estimate
-    until the estimates sum to at most tol or the cells reach the budget.
-    Splits that greedy is certain to make are evaluated ahead in batches,
-    which changes neither the splits nor their order.  f maps an (N, dim)
-    array of strictly interior points to (N,) values and must be
-    pointwise: it is called once per batch, with the distinct nodes of
-    the rules on all its cells stacked in one array.  The first call also
-    evaluates each root's split: without a budget stop, nodes = 4q cells -
-    q roots + 4q u for the q shared nodes and the u roots never split, and
-    an integral that converges on its roots calls f once.
+def _greedy(region, tol, budget):
+    """One integral's greedy refinement, as a generator: it yields the
+    arguments (verts, volumes, coarse values) of `_evaluate` for its roots
+    and then for the children of the cells it splits, is sent the cells
+    that come back, and returns the errors and values of its last cells.
     """
-    if budget is None:
-        budget = cell_budget()
     # a cell is the heap entry (-err, id, volume, pair, half values,
     # children), where pair is the (2, k, d) stack of the two cells its
     # bisection gives, which become its children when it is split.  Its
@@ -318,9 +304,9 @@ def integrate(f, region: IntegrationRegion, tol: float,
     # the split is evaluated, as a root's is with the root.
     heap = []
     ids = itertools.count()
-    volumes = np.array([float(v) for v in region.volumes])
-    roots, nodes = _evaluate(f, region.float_simplices, volumes)
-    for (pair, e, h, children), volume in zip(roots, volumes.tolist()):
+    volumes = [float(v) for v in region.volumes]
+    roots = yield region.float_simplices, np.array(volumes), None
+    for (pair, e, h, children), volume in zip(roots, volumes):
         heapq.heappush(heap, (-e, next(ids), volume, pair, h, children))
     err = math.fsum(-cell[0] for cell in heap)
     # cells whose split is already evaluated, and their summed error.
@@ -341,9 +327,13 @@ def integrate(f, region: IntegrationRegion, tol: float,
             while heap and len(batch) < limit and walked < err - tol:
                 batch.append(heapq.heappop(heap))
                 walked -= batch[-1][0]
-            split, batch_nodes = _split(f, batch)
-            nodes += batch_nodes
-            for cell, children in zip(batch, split):
+            todo = [cell for cell in batch if cell[5] is None]
+            out = iter((yield (
+                np.concatenate([cell[3] for cell in todo]),
+                np.repeat([cell[2] / 2 for cell in todo], 2),
+                [h for cell in todo for h in cell[4]])) if todo else ())
+            for cell in batch:
+                children = cell[5] or [next(out), next(out)]
                 heapq.heappush(ahead, cell[:5] + (children,))
                 ahead_err -= cell[0]
         neg_err, _, volume, _, _, children = heapq.heappop(ahead)
@@ -354,17 +344,79 @@ def integrate(f, region: IntegrationRegion, tol: float,
             heapq.heappush(heap, (-child_err, next(ids), volume / 2, pair,
                                   child_halves, None))
             err += child_err
-
     cells = heap + ahead
-    err = math.fsum(-cell[0] for cell in cells)
-    value = math.fsum(sum(cell[4]) for cell in cells)
-    hit_budget = err > tol and len(cells) >= budget
-    if hit_budget:
-        logger.warning("cell budget %d reached with error estimate %.3g "
-                       "above tol %.3g", budget, err, tol)
-    return IntegralResult(value=value, error_estimate=err,
-                          cells_used=len(cells), converged=err <= tol,
-                          hit_budget=hit_budget, nodes=nodes)
+    return [-cell[0] for cell in cells], [sum(cell[4]) for cell in cells]
+
+
+def integrate_lockstep(f, region: IntegrationRegion, tols, budgets):
+    """Integrate len(tols) integrands over the region, yielding their
+    IntegralResults in order.  Each refines greedily until its estimates
+    sum to at most its tol or its cells reach its budget (None for
+    `cell_budget()`), and the splits greedy is certain to make are
+    evaluated ahead in batches, which changes neither the splits nor
+    their order.  The integrals share their calls of f(points, starts),
+    which must be pointwise and maps the points of integral j, rows
+    starts[j] to starts[j + 1], to their values.  A call takes at most the
+    nodes of _BATCH splits, or one integral's roots; integrand_calls
+    counts the calls an integral took part in.  A result is summed, and
+    its budget warning logged, when it is taken, so a caller that stops
+    at a failing integral sees what one integral after another gives.
+    """
+    budgets = [cell_budget() if b is None else b for b in budgets]
+    runs = [_greedy(region, tol, budget) for tol, budget in zip(tols, budgets)]
+    k = len(runs)
+    calls, nodes, cells = [0] * k, [0] * k, [None] * k
+    replies = dict.fromkeys(range(k))
+    while replies:
+        asks, packs = {}, []
+        for i, reply in replies.items():
+            try:
+                asks[i] = verts, _, coarse = runs[i].send(reply)
+            except StopIteration as stop:
+                cells[i] = stop.value
+                continue
+            # node blocks per cell: 7 for a root, 2 for a child
+            size = len(verts) * (7 if coarse is None else 2)
+            if not packs or packs[-1][0] + size > 4 * _BATCH:
+                packs.append([0])
+            packs[-1][0] += size
+            packs[-1].append(i)
+        replies = {}
+        for _, *pack in packs:
+            verts, volumes, coarse = zip(*(asks[i] for i in pack))
+            counts = [0] * k
+            for i, v in zip(pack, verts):
+                counts[i] = len(v)
+            out, n = _evaluate(f, np.concatenate(verts),
+                               np.concatenate(volumes), counts,
+                               None if coarse[0] is None else sum(coarse, []))
+            for i in pack:
+                replies[i], out = out[:counts[i]], out[counts[i]:]
+                calls[i] += 1
+                nodes[i] += n * counts[i] // sum(counts)
+    for (errs, values), tol, budget, n, c in zip(cells, tols, budgets,
+                                                 nodes, calls):
+        err, value = math.fsum(errs), math.fsum(values)
+        hit_budget = err > tol and len(errs) >= budget
+        if hit_budget:
+            logger.warning("cell budget %d reached with error estimate %.3g "
+                           "above tol %.3g", budget, err, tol)
+        yield IntegralResult(value=value, error_estimate=err,
+                             cells_used=len(errs), converged=err <= tol,
+                             hit_budget=hit_budget, nodes=n,
+                             integrand_calls=c)
+
+
+def integrate(f, region: IntegrationRegion, tol: float,
+              budget: int | None = None) -> IntegralResult:
+    """Adaptively integrate the vectorized evaluator f, which maps an
+    (N, dim) array of strictly interior points to (N,) values and must be
+    pointwise, over the region: `integrate_lockstep` for one integral.
+    Without a budget stop, nodes = 4q cells - q roots + 4q u for the q
+    shared nodes and the u roots never split, and an integral that
+    converges on its roots calls f once."""
+    return next(integrate_lockstep(lambda x, starts: f(x), region, [tol],
+                                   [budget]))
 
 
 def integrate_slice(f, poly, p: int, c, tol: float,
@@ -376,7 +428,7 @@ def integrate_slice(f, poly, p: int, c, tol: float,
     if p == n:
         val = float(np.asarray(f(np.zeros((1, 0))))[0])
         return IntegralResult(value=val, error_estimate=0.0, cells_used=0,
-                              converged=True, nodes=1)
+                              converged=True, nodes=1, integrand_calls=1)
     sl = axis_slice(poly, p, c)
     if sl.is_empty:
         return IntegralResult(value=0.0, error_estimate=0.0, cells_used=0,

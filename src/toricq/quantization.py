@@ -12,11 +12,13 @@ which equals exp(-2((x - m).y - g(x))) on the interior and stays bounded up
 to the boundary because every exponent l_r(m) is at least 1/2.  Together
 with the sqrt(det G_s) half-form factor the integrand behaves like
 prod_r l_r^{l_r(m) - 1/2}, so open quadrature rules converge without any
-boundary regularization.
+boundary regularization.  The norms of one m at all its s are integrated
+in lockstep, one integrand call per refinement round.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +27,8 @@ import numpy as np
 from .polytope import PolytopeError
 from .potential import (DomainError, SymplecticPotential, facet_rows,
                         guillemin_potential, to_float)
-from .quadrature import IntegralResult, integrate, integrate_slice, triangulate
+from .quadrature import (IntegralResult, integrate_lockstep, integrate_slice,
+                         triangulate)
 
 # relative distance from the limit within which the extrapolated norms pass
 LIMIT_REL_TOL = 0.02
@@ -71,50 +74,84 @@ def stable_density(pot: SymplecticPotential, m):
         """The density at the nodes x; l, if given, is facet_values(x).T."""
         if l is None:
             l = pot.facet_values(np.atleast_2d(x)).T
-        # sum adds the facet rows in order, for any number of nodes
-        return np.exp(sum(lm * np.log(l) + (lm - l)))
+        # sum adds the facet rows in order, for any number of nodes, and
+        # takes temporaries of one row at a time
+        return np.exp(sum(a * np.log(r) + (a - r) for a, r in zip(lm, l)))
 
     return density
 
 
-def norm_integrand(pot: SymplecticPotential, p: int, m, s: float):
-    """Vectorized x -> e^{-s sum_{j<=p}(x_j - m_j)^2} * stable density
-    * sqrt(det G_s), with G_s the Hessian of g plus s on the first p axes.
-
-    det G_s is the Cauchy-Binet sum of `pot.det_terms`, built once here.
-    Each call copies its facet values once into the facet-major rows that
-    both read; a batch gives the same bits as its nodes one by one."""
-    density = stable_density(pot, m)
-    mm = np.asarray(m, dtype=float)[:p]
+def _det_terms(pot: SymplecticPotential, p: int, s):
+    """The Cauchy-Binet terms of det G_s; a DomainError naming s if a
+    coefficient overflows."""
     try:
-        det = pot.det_terms([s] * p + [0.0] * (pot.dim - p)).det
+        return pot.det_terms([s] * p + [0.0] * (pot.dim - p))
     except OverflowError:
         raise DomainError(f"s = {s!r}: a coefficient of det G_s overflows")
 
-    def f(x):
+
+def norm_integrand(pot: SymplecticPotential, p: int, m, s, terms=None):
+    """Vectorized (x, starts=None) -> e^{-s sum_{j<=p}(x_j - m_j)^2} *
+    stable density * sqrt(det G_s), with G_s the Hessian of g plus s on the
+    first p axes; s is a time, or a list of times with s[j] at rows
+    starts[j] to starts[j + 1] of x.  det G_s is the Cauchy-Binet sum of
+    `_det_terms`, built once here or given as terms, over one set of facet
+    subsets.  Each call copies its facet values once into the facet-major
+    rows that the density and every det read; a batch gives the same bits
+    as its nodes one by one."""
+    density = stable_density(pot, m)
+    mm = np.asarray(m, dtype=float)[:p]
+    times = list(s) if np.ndim(s) else [s]
+    terms = terms or [_det_terms(pot, p, t) for t in times]
+    ts, table = np.array(times, float), np.array([t.coeffs for t in terms]).T
+
+    def f(x, starts=None):
         w = facet_rows(pot.facet_values(x))
-        gauss = np.exp(-s * sum((x[:, j] - mm[j]) ** 2 for j in range(p)))
-        return gauss * density(x, w) * np.sqrt(det(w))
+        # det first: its blocks' temporaries are the largest of a call
+        root = np.sqrt(terms[0].det(w, table, starts))
+        t = ts[0] if starts is None else ts.repeat(np.diff(starts))
+        gauss = np.exp(-t * sum((x[:, j] - mm[j]) ** 2 for j in range(p)))
+        return gauss * density(x, w) * root
 
     return f
 
 
-def _norm_integral(pot, region, p, m, s, tol, budget):
-    """The norm integral at s over the region, with numpy's floating-point
-    warnings off; a value that is not finite is a DomainError naming s."""
-    with np.errstate(all="ignore"):
-        res = integrate(norm_integrand(pot, p, m, s), region, tol, budget)
-    if not math.isfinite(res.value):
-        raise DomainError(f"s = {s!r}: the norm integral is not finite")
-    return res
+def _norm_integrals(pot, region, p, m, s_values, tol, budget):
+    """The norm integrals at s_values over the region, in lockstep for
+    each run of times whose det G_s share their facet subsets, with numpy's
+    floating-point warnings off.  The first s at which a coefficient of
+    det G_s overflows or the integral is not finite names a DomainError."""
+    terms, error = [], None
+    for s in s_values:
+        try:
+            terms.append(_det_terms(pot, p, s))
+        except DomainError as exc:
+            error = exc
+            break
+    results = []
+    for _, run in itertools.groupby(zip(s_values, terms),
+                                    key=lambda st: st[1].subsets):
+        times, run_terms = zip(*run)
+        f = norm_integrand(pot, p, m, times, run_terms)
+        with np.errstate(all="ignore"):
+            for s, res in zip(times, integrate_lockstep(
+                    f, region, [tol] * len(times), [budget] * len(times))):
+                if not math.isfinite(res.value):
+                    raise DomainError(
+                        f"s = {s!r}: the norm integral is not finite")
+                results.append(res)
+    if error:
+        raise error
+    return tuple(results)
 
 
 def tilde_norm_squared(poly, p: int, m, s: float, tol: float = 1e-9,
                        budget=None) -> IntegralResult:
-    """Rescaled squared norm: the x-integral of the norm integrand.  No
-    caller in the package; bench/tracing.py times the norms through it."""
-    return _norm_integral(guillemin_potential(poly), triangulate(poly), p, m,
-                          s, tol, budget)
+    """Rescaled squared norm at one s, the x-integral of the norm
+    integrand: a reference, as `verify_norm_limit` runs its whole s-grid
+    in lockstep; bench/tracing.py patches it by name."""
+    return _norm_integrals(guillemin_potential(poly), triangulate(poly), p,
+                           m, [s], tol, budget)[0]
 
 
 def norm_from_tilde(p: int, m, s: float, tilde: float) -> float:
@@ -190,8 +227,7 @@ def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
     c_m, converged; budget caps the cells of each integral."""
     # norms first: c_m sees only m_{>p}, and a bad shift should name all of m
     pot, region = guillemin_potential(poly), triangulate(poly)
-    results = tuple(_norm_integral(pot, region, p, m, s, tol, budget)
-                    for s in s_values)
+    results = _norm_integrals(pot, region, p, m, s_values, tol, budget)
     c_m = limit_constant(poly, p, m, tol=tol, budget=budget, as_result=True,
                          _pot=pot)
     target = math.pi ** (p / 2.0) * c_m.value

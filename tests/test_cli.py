@@ -640,6 +640,41 @@ class TestFlagValidation:
         assert proc.stderr.startswith("error: s = 1e+308")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("grid, first", [
+        # the integral at 5e307 is not finite, and at 1e308 the
+        # coefficient 2 s of det G_s overflows: 5e307 fails first
+        ("10,5e307,1e308", "s = 5e+307: the norm integral is not finite"),
+        ("10,1e308", "s = 1e+308: a coefficient of det G_s overflows"),
+        ("5e307,6e307", "s = 5e+307: the norm integral is not finite"),
+    ], ids=["not-finite-first", "overflow", "not-finite-twice"])
+    def test_norms_name_the_first_failing_s(self, tmp_path, capsys, grid,
+                                            first):
+        # s-integrals run in lockstep, yet the first s in grid order that
+        # fails names the error, as when they ran one after the other
+        rect = {"dim": 2, "facets": [
+            {"normal": [1, 0], "offset": "1/2"},
+            {"normal": [-1, 0], "offset": "3/2"},
+            {"normal": [0, 2], "offset": 1},
+            {"normal": [0, -2], "offset": 3}]}
+        code, err = run_err(capsys, ["--input", write(tmp_path, rect),
+                                     "--command", "norms", "--p", "1",
+                                     "--m", "0;0", "--s-grid", grid])
+        assert code == 1
+        assert err == f"error: {first}\n"
+
+    @pytest.mark.parametrize("entry", ['"1"', "1.0", "true"])
+    def test_normal_entries_must_be_json_integers(self, tmp_path, capsys,
+                                                  entry):
+        path = tmp_path / "poly.json"
+        path.write_text('{"dim": 1, "facets": [{"normal": [%s], "offset": 0},'
+                        ' {"normal": [-1], "offset": 2}]}' % entry)
+        for command in ("validate", "points"):
+            code, err = run_err(capsys, ["--input", str(path),
+                                         "--command", command])
+            assert code == 2
+            assert err.startswith("error: malformed polytope JSON")
+            assert "JSON integers" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_tol_must_be_finite(self, tmp_path, capsys, tol):
         code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),

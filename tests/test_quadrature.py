@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import logging
@@ -7,17 +8,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exact_oracles import as_fractions, cofactor_det
 from toricq import library
 from toricq.polytope import DelzantPolytope, PolytopeError, _scaled
 from toricq.quadrature import (
+    _BATCH,
     _bisect_many,
     _exact_simplex_volume,
     _nodes,
     _rule_sums,
     _rules,
+    cell_budget,
     integrate,
+    integrate_lockstep,
     integrate_slice,
     triangulate,
 )
@@ -452,6 +458,93 @@ class TestGreedyOracle:
             integrate(peaked, region, tol=1e-3)
         assert [r.name for r in caplog.records] == ["toricq.quadrature"]
         assert "budget 8" in caplog.records[0].getMessage()
+
+
+def shifted_peak(c):
+    return lambda x: np.exp(-8 * np.sum((x - c) ** 2, axis=-1)) * (1 + x[:, 0])
+
+
+def blows_up(x):
+    # inf on part of the region: its cells' estimates are inf or nan
+    return np.where(x[:, 0] > 0.7, np.inf, 1 + x[:, 0])
+
+
+# integrands of one lockstep member each: peaks at different places, so
+# that the members refine differently, and one whose values are not finite
+MEMBERS = [shifted_peak(0.2), shifted_peak(0.6), first_coordinate, blows_up]
+LOCKSTEP_REGIONS = {1: library.segment(0, 1), 2: library.corrected_square(),
+                    3: box(3), 4: box(4)}
+
+
+def fields(res):
+    # repr keeps every bit of a float and makes nan equal to nan
+    return repr(dataclasses.astuple(res))
+
+
+class TestLockstep:
+    """Integrals refined in lockstep share their integrand calls; each must
+    give the result of `integrate` alone, and of greedy refinement one
+    cell at a time, on every field."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(dim=st.integers(1, 4), members=st.lists(st.tuples(
+        st.sampled_from([1e-2, 1e-4, 1e-6]),
+        st.sampled_from([None, 3, 40, 300]),
+        st.integers(0, len(MEMBERS) - 1)), min_size=1, max_size=4))
+    # a budget that stops one member but not the others
+    @example(dim=2, members=[(1e-6, None, 0), (1e-9, 40, 1), (1e-3, None, 2)])
+    # a member whose values are not finite, between finite ones
+    @example(dim=1, members=[(1e-6, None, 0), (1e-6, 50, 3), (1e-8, None, 1)])
+    def test_each_member_as_alone(self, dim, members):
+        region = triangulate(LOCKSTEP_REGIONS[dim])
+        tols, budgets, which = zip(*members)
+        fs = [MEMBERS[i] for i in which]
+        sizes = []
+
+        def f(x, starts):
+            sizes.append(len(x))
+            return np.concatenate([g(x[a:b]) for g, a, b in
+                                   zip(fs, starts, starts[1:])])
+
+        with np.errstate(all="ignore"):
+            results = list(integrate_lockstep(f, region, tols, budgets))
+            alone = [integrate(g, region, tol, budget)
+                     for g, tol, budget in zip(fs, tols, budgets)]
+        assert list(map(fields, results)) == list(map(fields, alone))
+        for res, g, tol, budget in zip(results, fs, tols, budgets):
+            budget = budget or cell_budget()
+            assert math.isfinite(res.value) == (g is not blows_up)
+            if region.dim == 4 and budget > 300:
+                continue
+            with np.errstate(all="ignore"):
+                value, err, cells, converged, _ = greedy_reference(
+                    g, region, tol, budget)
+            assert repr((res.value, res.error_estimate, res.cells_used,
+                         res.converged)) == repr((value, err, cells, converged))
+            assert res.hit_budget == (err > tol and cells >= budget)
+        # each call holds the splits of at most _BATCH cells or the roots
+        # of one integral, unless one integral asks for more alone
+        q = SHARED_NODES[region.dim]
+        cap = max(4 * q * _BATCH, 7 * q * len(region.simplices))
+        assert max(sizes) <= cap
+        assert len(sizes) <= sum(r.integrand_calls for r in results)
+        assert len(sizes) >= max(r.integrand_calls for r in results)
+        assert sum(sizes) == sum(r.nodes for r in results)
+
+    def test_one_call_per_round(self):
+        # small batches of three members share every call
+        region = triangulate(library.corrected_square())
+        fs = [shifted_peak(0.1), shifted_peak(0.5), shifted_peak(0.9)]
+        calls = []
+
+        def f(x, starts):
+            calls.append(starts)
+            return np.concatenate([g(x[a:b]) for g, a, b in
+                                   zip(fs, starts, starts[1:])])
+
+        results = list(integrate_lockstep(f, region, [1e-4] * 3, [None] * 3))
+        assert len(calls) == max(r.integrand_calls for r in results) > 1
+        assert sum(r.integrand_calls for r in results) > len(calls)
 
 
 class TestNodeCount:

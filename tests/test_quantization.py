@@ -8,8 +8,9 @@ import pytest
 from toricq import library
 from toricq.polytope import DelzantPolytope, HPolytope
 from toricq.potential import facet_rows, guillemin_potential
-from toricq.quadrature import integrate_slice
+from toricq.quadrature import integrate_slice, triangulate
 from toricq.quantization import (
+    _norm_integrals,
     hamiltonian_value,
     limit_constant,
     norm_from_tilde,
@@ -289,3 +290,56 @@ class TestConvergence:
         tilde = tilde_norm_squared(poly, 1, (5,), 40.0, tol=1.0).value
         assert 0.0 < tilde < math.inf
         assert norm_from_tilde(1, (5,), 40.0, tilde) == math.inf
+
+
+class TestNormCounts:
+    """The counts of the s-integrals, read from `ConvergenceReport.results`:
+    they run in lockstep, outside the `integrate` that bench/tracing.py
+    wraps."""
+
+    def test_norms_command_counts_cells(self):
+        # p = n: two norms integrals, and c_m in closed form
+        report = verify_norm_limit(library.corrected_segment(), 1, (0,),
+                                   (10.0, 20.0), tol=1e-6)
+        assert len(report.results) == 2
+        assert all(r.cells_used > 0 for r in report.results)
+        assert report.c_m_result.integrand_calls == 1
+
+    def test_each_new_cell_reuses_its_parent_half_value(self):
+        # the segment rules share q = 13 distinct nodes.  Without a budget
+        # stop an integral passes nodes = 4q cells - q roots + 4q u, where u
+        # counts the roots never split.  A segment integral has one root,
+        # which these integrals split (u = 0), so nodes = 52 cells - 13.
+        # Evaluating one split per call, and the root in two, would take
+        # 2 + (cells - 1) calls per integral; the splits are evaluated in
+        # batches, in far fewer calls.  The tolerance is tight enough for
+        # the integrals to need batches.
+        report = verify_norm_limit(library.corrected_segment(), 1, (0,),
+                                   (10.0, 20.0), tol=1e-10)
+        for r in report.results:
+            assert r.cells_used > 1 and not r.hit_budget
+            assert r.nodes == 52 * r.cells_used - 13
+            assert r.integrand_calls <= (r.cells_used + 1) // 2
+
+
+class TestLockstepNorms:
+    @pytest.mark.parametrize("poly, p, m, grid", [
+        (library.corrected_segment(), 1, (1,), (10.0, 20.0, 40.0)),
+        (library.corrected_square(), 1, (0, 1), (10.0, 20.0, 40.0, 80.0)),
+        (library.corrected_square(), 2, (1, 0), (1e-3, 1.0, 1e3)),
+    ], ids=["segment", "square", "square-p2"])
+    def test_equals_one_s_at_a_time(self, poly, p, m, grid):
+        report = verify_norm_limit(poly, p, m, grid, tol=1e-7)
+        alone = [tilde_norm_squared(poly, p, m, s, tol=1e-7) for s in grid]
+        assert [repr(r) for r in report.results] == [repr(r) for r in alone]
+
+    def test_times_whose_det_subsets_differ(self):
+        # at s = 0 only the facet subsets of full size remain in det G_s,
+        # so s = 0 and s > 0 run in two locksteps
+        poly = library.corrected_square()
+        grid = (0.0, 10.0, 20.0)
+        got = _norm_integrals(guillemin_potential(poly), triangulate(poly), 2,
+                              (0, 0), grid, 1e-7, None)
+        alone = [tilde_norm_squared(poly, 2, (0, 0), s, tol=1e-7)
+                 for s in grid]
+        assert [repr(r) for r in got] == [repr(r) for r in alone]

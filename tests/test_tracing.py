@@ -17,19 +17,25 @@ from toricq import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["--input", sys.argv[2], "--command", "norms", "--p", "1",
-                     "--m", "0", "--s-grid", "10,20", "--tol", sys.argv[3]])
+                     "--m", "0;0", "--s-grid", "10,20", "--tol", sys.argv[3]])
 metrics = tracing.layer_metrics(tr, len(out.getvalue().encode()))
 print(json.dumps({"code": code, "metrics": metrics}))
 """
 
-SEGMENT = {"dim": 1, "facets": [
-    {"normal": [1], "offset": "1/2"},
-    {"normal": [-1], "offset": "3/2"}]}
+# the half-form shifted square [-1/2, 3/2]^2
+SQUARE = {"dim": 2, "facets": [
+    {"normal": [1, 0], "offset": "1/2"},
+    {"normal": [0, 1], "offset": "1/2"},
+    {"normal": [-1, 0], "offset": "3/2"},
+    {"normal": [0, -1], "offset": "3/2"}]}
 
 
 def test_traced_norms_command_counts_cells(tmp_path):
-    poly = tmp_path / "segment.json"
-    poly.write_text(json.dumps(SEGMENT))
+    # the s-integrals run in lockstep, which the tracer does not wrap, and
+    # their counts are checked in test_quantization.TestNormCounts; c_m at
+    # p = 1 is a slice integral through the wrapped `integrate`
+    poly = tmp_path / "square.json"
+    poly.write_text(json.dumps(SQUARE))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT), str(poly), "1e-6"],
         capture_output=True, text=True, timeout=120, check=True)
@@ -37,32 +43,12 @@ def test_traced_norms_command_counts_cells(tmp_path):
     assert result["code"] == 0
     metrics = result["metrics"]
     assert metrics["quadrature.cells"] > 0
-    # p = n: two norms integrals, and c_m in closed form
-    assert metrics["quadrature.integrate.calls"] == 2
+    # one slice integral, for c_m
+    assert metrics["quadrature.integrate.calls"] == 1
+    assert metrics["quadrature.integrate_slice.s"] > 0
     assert metrics["quantization.limit_constant.calls"] == 1
     # the half-form factor comes from facet values, with no Hessian
     assert metrics["potential.hess.points"] == 0
-
-
-def test_each_new_cell_reuses_its_parent_half_value(tmp_path):
-    # the segment rules share q = 13 distinct nodes.  Without a budget
-    # stop an integral passes nodes = 4q cells - q roots + 4q u, where u
-    # counts the roots never split.  A segment integral has one root, which
-    # these integrals split (u = 0), so nodes = 52 cells - 13 per integral.
-    # Evaluating one split per call, and the root in two, would take
-    # 2 + (cells - 1) calls per integral; the splits are evaluated in
-    # batches, in far fewer calls.  The tolerance is tight enough for the
-    # integrals to need batches.
-    poly = tmp_path / "segment.json"
-    poly.write_text(json.dumps(SEGMENT))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT), str(poly), "1e-10"],
-        capture_output=True, text=True, timeout=120, check=True)
-    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
-    cells = metrics["quadrature.cells"]
-    integrals = metrics["quadrature.integrate.calls"]
-    assert metrics["quadrature.nodes"] == 52 * cells - 13 * integrals
-    assert metrics["quadrature.integrand_calls"] <= (cells + integrals) // 2
 
 
 REDUCE_SCRIPT = """
