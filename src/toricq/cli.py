@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -23,6 +24,9 @@ from . import geodesic, polytope, quantization, reduction
 from .potential import (DomainError, PointError, abreu_scalar_curvature,
                         guillemin_potential, to_float)
 from .quadrature import cell_budget
+
+# a command's cyclic collections skip the heap that the imports built
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1

@@ -12,8 +12,8 @@ only ever compared through principal angles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,22 +24,16 @@ class BlockError(ValueError):
     """Invalid Hessian block structure."""
 
 
-@dataclass(frozen=True)
 class MabuchiRay:
     """Base symplectic potential plus the number p of convex directions."""
 
-    base: SymplecticPotential
-    p: int
-    _points: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-
-    def __post_init__(self):
-        if not 1 <= self.p <= self.base.dim:
+    def __init__(self, base: SymplecticPotential, p: int):
+        if not 1 <= p <= base.dim:
             raise ValueError("p must satisfy 1 <= p <= n")
+        self.base, self.p, self._points = base, p, {}
 
 
-@dataclass(frozen=True)
-class HessianBlocks:
+class HessianBlocks(NamedTuple):
     """Blocks [[a1, a2], [a2^T, d]] of a symmetric positive-definite Hessian
     split after the first p rows."""
 
@@ -108,13 +102,12 @@ def inverse_hessian_limit(blocks: HessianBlocks):
 # polarization frames
 
 
-@dataclass(frozen=True)
 class PolarizationFrame:
     """n generators (rows) of a complex subspace of the complexified tangent
     space, coordinates ordered (x directions, theta directions)."""
 
-    basepoint: np.ndarray
-    vectors: np.ndarray  # (n, 2n) complex
+    def __init__(self, basepoint, vectors):
+        self.basepoint, self.vectors = basepoint, vectors  # (n, 2n) complex
 
     @property
     def n(self):
@@ -187,8 +180,7 @@ def grassmann_distance(f1: PolarizationFrame, f2: PolarizationFrame) -> float:
 # connection forms
 
 
-@dataclass(frozen=True)
-class ConnectionFormValue:
+class ConnectionFormValue(NamedTuple):
     """Theta = sum_k coeffs[k] dtheta^k at the basepoint."""
 
     basepoint: np.ndarray

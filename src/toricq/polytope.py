@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
-logger = logging.getLogger(__name__)
+from . import warn
 
 
 class PolytopeError(ValueError):
@@ -146,8 +145,7 @@ def _primitive(nu):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """Affine facet function l(x) = <x, normal> + offset."""
 
     normal: tuple
@@ -157,17 +155,13 @@ class Facet:
         return _dot(self.normal, x) + self.offset
 
 
-@dataclass(frozen=True)
 class HPolytope:
     """Bounded-or-not intersection of half spaces with rational data."""
 
-    dim: int
-    facets: tuple
-
-    def __post_init__(self):
-        for f in self.facets:
-            if len(f.normal) != self.dim:
-                raise PolytopeError("normal dimension mismatch")
+    def __init__(self, dim, facets):
+        self.dim, self.facets = dim, facets
+        if any(len(f.normal) != dim for f in facets):
+            raise PolytopeError("normal dimension mismatch")
 
     @classmethod
     def from_data(cls, dim, facet_data, **fields):
@@ -320,49 +314,49 @@ class HPolytope:
         yield from walk(0, (), columns[n])
 
 
-@dataclass(frozen=True)
 class DelzantPolytope(HPolytope):
     """H-polytope with integer primitive normals (candidate Delzant data)."""
 
-    name: str = ""
-
-    def __post_init__(self):
-        super().__post_init__()
-        for f in self.facets:
+    def __init__(self, dim, facets, name=""):
+        super().__init__(dim, facets)
+        self.name = name
+        for f in facets:
             if any(c.denominator != 1 for c in f.normal):
                 raise PolytopeError("Delzant normals must be integer vectors")
             if all(c == 0 for c in f.normal):
                 raise PolytopeError("zero normal vector")
 
 
-@dataclass(frozen=True)
 class FrameChange:
     """Element B of SL(n, Z) whose first p rows pick the subtorus directions."""
 
-    B: tuple
-    p: int
-
-    def __post_init__(self):
-        n = len(self.B)
-        if any(len(row) != n for row in self.B):
+    def __init__(self, B, p):
+        n = len(B)
+        if any(len(row) != n for row in B):
             raise PolytopeError("frame change matrix must be square")
-        if any(int(e) != e for row in self.B for e in row):
+        if any(int(e) != e for row in B for e in row):
             raise PolytopeError("frame change matrix must be integer")
-        object.__setattr__(self, "B", tuple(tuple(map(int, r)) for r in self.B))
+        self.B, self.p = tuple(tuple(map(int, r)) for r in B), p
         if _det(self.B) != 1:
             raise PolytopeError("frame change must have determinant 1")
-        if not 1 <= self.p <= n:
+        if not 1 <= p <= n:
             raise PolytopeError("p out of range")
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    verdict: str                 # "ok" | "unbounded" | "empty" | "not delzant" | "redundant" | "bad normals"
-    vertex_determinants: list = field(default_factory=list)  # det or None, in vertex order
-    violations: list = field(default_factory=list)           # (vertex, det or None)
-    redundant_facets: list = field(default_factory=list)
-    messages: list = field(default_factory=list)
+    """Verdict ("ok", "unbounded", "empty", "not delzant", "redundant",
+    "bad normals"), a det or None per vertex, and (vertex, det) violations."""
+
+    def __init__(self, ok, verdict, vertex_determinants=None,
+                 violations=None, redundant_facets=None, messages=None):
+        self.ok, self.verdict = ok, verdict
+        self.vertex_determinants = vertex_determinants or []
+        self.violations = violations or []
+        self.redundant_facets = redundant_facets or []
+        self.messages = messages or []
+
+    def __eq__(self, other):
+        return type(other) is ValidationReport and vars(self) == vars(other)
 
 
 def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
@@ -465,7 +459,7 @@ def _parse_offset(v):
     if isinstance(v, (int, float)):
         q = Fraction(v).limit_denominator(10**9)
         if q != v:
-            logger.warning("offset %r rationalised to %s", v, q)
+            warn(__name__, "offset %r rationalised to %s", v, q)
         return q
     raise PolytopeError(f"cannot parse offset {v!r}")
 

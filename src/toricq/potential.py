@@ -90,18 +90,21 @@ class SymplecticPotential:
         entry per axis (zeros if None).
 
         With d the shifted diagonal, c_T = 2^-|T| sum_C det(A[T, C])^2
-        prod_{j not in C} d_j over the column sets C with |C| = |T|.  Each
-        c_T is the correctly rounded value of that exact sum; the subsets
-        with c_T = 0 are dropped."""
+        prod_{j not in C} d_j over the column sets C with |C| = |T|; a C
+        whose complement holds an axis with d_j = 0 adds 0 and is skipped.
+        Each c_T is the correctly rounded value of that exact sum; the
+        subsets with c_T = 0 are dropped."""
         d = np.zeros(self.dim) if shift is None else np.asarray(
             shift, dtype=float)
         d, e = _dyadic(d.tolist())      # d_j = d[j] / 2^e
+        zero = {j for j, dj in enumerate(d) if not dj}
         self._minors = self._minors or _squared_minors(self.A)
         e_A, table = self._minors
         subsets, coeffs = [], []
         for T, terms in table:
             k = len(T)
-            c = sum(m2 * math.prod(d[j] for j in J) for J, m2 in terms)
+            c = sum(m2 * math.prod(map(d.__getitem__, J)) for J, m2 in terms
+                    if zero.isdisjoint(J))
             if c:
                 # c_T is c / 2^bits, and int division rounds correctly
                 bits = e * (self.dim - k) + k + 2 * k * e_A

@@ -30,22 +30,20 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import logging
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
+from . import warn
 from .polytope import PolytopeError, _affine_rank, _det, axis_slice
 
 DEFAULT_CELL_BUDGET = 200_000
 _BUDGET_ENV = "TORICQ_CELL_BUDGET"
 # most cells whose splits one integrand call evaluates
 _BATCH = 64
-
-logger = logging.getLogger(__name__)
 
 
 def cell_budget():
@@ -133,13 +131,12 @@ def _exact_simplex_volume(verts):
 # triangulation
 
 
-@dataclass
 class IntegrationRegion:
-    """Simplicial cover of a polytope or slice."""
+    """Simplicial cover of a polytope or slice: the simplices, their
+    vertices as integer rows (X, D), and the exact volume of each."""
 
-    dim: int
-    simplices: list                       # vertices as integer rows (X, D)
-    volumes: list                         # exact volume of each simplex
+    def __init__(self, dim, simplices, volumes):
+        self.dim, self.simplices, self.volumes = dim, simplices, volumes
 
     @property
     def exact_volume(self):
@@ -188,8 +185,7 @@ def triangulate(poly) -> IntegrationRegion:
 # adaptive integration
 
 
-@dataclass
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     error_estimate: float
     cells_used: int
@@ -399,8 +395,8 @@ def integrate_lockstep(f, region: IntegrationRegion, tols, budgets):
         err, value = math.fsum(errs), math.fsum(values)
         hit_budget = err > tol and len(errs) >= budget
         if hit_budget:
-            logger.warning("cell budget %d reached with error estimate %.3g "
-                           "above tol %.3g", budget, err, tol)
+            warn(__name__, "cell budget %d reached with error estimate %.3g "
+                 "above tol %.3g", budget, err, tol)
         yield IntegralResult(value=value, error_estimate=err,
                              cells_used=len(errs), converged=err <= tol,
                              hit_budget=hit_budget, nodes=n,

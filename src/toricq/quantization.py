@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .quadrature import (IntegralResult, integrate_lockstep, integrate_slice,
 LIMIT_REL_TOL = 0.02
 
 
-@dataclass(frozen=True)
-class QuantumBasisElement:
+class QuantumBasisElement(NamedTuple):
     """Monomial section label: lattice point m and its ray energy H(m)."""
 
     m: tuple
@@ -184,8 +183,7 @@ def limit_constant(poly, p: int, m, tol: float = 1e-10, budget=None, *,
 # limit verification
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """The rescaled norms of m along s_values, their extrapolation to
     s = oo, and the limit pi^{p/2} c_m they are checked against."""
 
@@ -209,14 +207,22 @@ class ConvergenceReport:
 
 
 def richardson_extrapolate(s_values, values) -> float:
-    """Fit values(s) = a0 + a1/s + ... and return the constant term a0."""
+    """Fit values(s) = a0 + a1/s + ... and return the constant term a0, with
+    numpy's warnings off; a system in 1/s that is singular in floats, or an a0
+    that is not finite (a power of 1/s overflows), is a DomainError."""
     s = np.asarray(s_values, dtype=float)
     if len(s) != len(set(s_values)) or np.any(s <= 0):
         raise ValueError("s values must be positive and distinct")
-    eps = 1.0 / s
-    V = np.vander(eps, N=len(eps), increasing=True)
-    coeffs = np.linalg.solve(V, np.asarray(values, dtype=float))
-    return float(coeffs[0])
+    try:
+        with np.errstate(all="ignore"):
+            V = np.vander(1.0 / s, N=len(s), increasing=True)
+            a0 = float(np.linalg.solve(V, np.asarray(values, float))[0])
+    except np.linalg.LinAlgError:
+        a0 = math.nan
+    if not math.isfinite(a0):
+        raise DomainError(f"s-grid {','.join(map(repr, s.tolist()))}: the "
+                          "extrapolation to s = oo is singular or not finite")
+    return a0
 
 
 def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def classify_polytope(poly: HPolytope) -> str:
     return worst
 
 
-@dataclass(frozen=True)
-class ReducedStructure:
+class ReducedStructure(NamedTuple):
     """Slice polytope, restricted potential, and smoothness class."""
 
     slice: HPolytope

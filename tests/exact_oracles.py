@@ -6,7 +6,9 @@ slice on its own.  Independent of the facet-subset walk: the vertex
 enumeration and boundedness test that eliminate every facet subset on its
 own.  Independent of the integer vertex rows: the vertex incidence, affine
 ranks, face fans and simplex volumes in Fractions, as toricq computed them
-before its vertices stayed integer rows."""
+before its vertices stayed integer rows.  Independent of the memoized
+minors: every Cauchy-Binet term of a shifted Hessian, summed over all
+column sets in Fractions."""
 
 import itertools
 import math
@@ -25,6 +27,23 @@ def cofactor_det(rows):
     return sum((-1) ** j * c * cofactor_det([r[:j] + r[j + 1:]
                                               for r in rows[1:]])
                for j, c in enumerate(rows[0]) if c)
+
+
+def cauchy_binet_terms(A, d):
+    """[(T, c_T)] for the facet subsets T with c_T != 0, by size and then in
+    combinations order, of det(1/2 A^T diag(1/l) A + diag(d)): c_T =
+    2^-|T| sum_C det(A[T, C])^2 prod_{j not in C} d_j over every column
+    set C with |C| = |T|, summed exactly from cofactor determinants and
+    rounded once.  A is an integer matrix and d a list of floats."""
+    n, out = len(d), []
+    for k in range(n + 1):
+        for T in itertools.combinations(range(len(A)), k):
+            c = sum(cofactor_det([[A[t][j] for j in C] for t in T]) ** 2
+                    * math.prod(Fraction(d[j]) for j in range(n) if j not in C)
+                    for C in itertools.combinations(range(n), k))
+            if c:
+                out.append((T, float(Fraction(c, 2 ** k))))
+    return out
 
 
 def gauss_jordan(rows, ncols):

@@ -662,6 +662,30 @@ class TestFlagValidation:
         assert code == 1
         assert err == f"error: {first}\n"
 
+    @pytest.mark.parametrize("grid", [
+        "1e-320,1",             # 1/s overflows
+        "1e-200,1,2",           # a power of 1/s overflows
+        "1.9999999999999996,1.9999999999999998",    # one 1/s: singular
+    ])
+    def test_norms_extrapolation_that_is_not_finite(self, tmp_path, capsys,
+                                                    grid):
+        # the limit row never prints nan: the grid names a domain failure,
+        # with numpy silent
+        code = main(["--input", write(tmp_path, SQUARE), "--command",
+                     "norms", "--p", "1", "--m", "0;0", "--s-grid", grid])
+        out, err = capsys.readouterr()
+        named = ",".join(repr(float(s)) for s in grid.split(","))
+        assert (code, out) == (1, "")
+        assert err == (f"error: s-grid {named}: the extrapolation to s = oo "
+                       "is singular or not finite\n")
+
+    def test_norms_finite_extrapolation_of_a_small_s(self, tmp_path, capsys):
+        code, out = run(capsys, ["--input", write(tmp_path, SQUARE),
+                                 "--command", "norms", "--p", "1", "--m",
+                                 "0;0", "--s-grid", "1e-10,1,2"])
+        assert code == 0
+        assert rows_of(out)[-1][:4] == ["0;0", "inf", "", "4.4270248400841581"]
+
     @pytest.mark.parametrize("entry", ['"1"', "1.0", "true"])
     def test_normal_entries_must_be_json_integers(self, tmp_path, capsys,
                                                   entry):

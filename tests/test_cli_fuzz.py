@@ -146,8 +146,9 @@ def check_exit_code_contract(data, options):
         json.loads(text)
     elif text:
         list(csv.reader(io.StringIO(text), strict=True))
-    if code == 0 and options[1] in ("curvature", "reduce"):
-        # a curvature that is not finite is a failure, never a result
+    if code == 0 and options[1] in ("curvature", "reduce", "norms"):
+        # a curvature or a norm limit that is not finite is a failure,
+        # never a result
         assert "nan" not in text.lower()
 
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import cofactor_det
+from exact_oracles import cauchy_binet_terms
 from toricq import library
 from toricq.polytope import HPolytope
 from toricq.potential import (
@@ -288,23 +287,18 @@ def shifted_potentials(draw):
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(shifted_potentials())
-def test_cauchy_binet_terms(case):
+@given(shifted_potentials(), st.booleans())
+def test_cauchy_binet_terms(case, unshifted):
     pot, d, x = case
-    n = pot.dim
-    terms = pot.det_terms(d)
-    # c_T = 2^-|T| sum_C det(A[T, C])^2 prod_{j not in C} d_j, exactly, and
-    # correctly rounded; the zero ones are dropped
+    terms = pot.det_terms(None if unshifted else d)
+    d = [0.0] * pot.dim if unshifted else d
+    # c_T = 2^-|T| sum_C det(A[T, C])^2 prod_{j not in C} d_j over every
+    # column set C, exactly, and correctly rounded, in the same order; the
+    # zero ones are dropped, and det_terms skips the C whose product holds
+    # a zero shift
     A = [[int(v) for v in row] for row in pot.A.tolist()]
-    exact = {}
-    for k in range(n + 1):
-        for T in itertools.combinations(range(len(A)), k):
-            c = sum(cofactor_det([[A[t][j] for j in C] for t in T]) ** 2
-                    * math.prod(Fraction(d[j]) for j in range(n) if j not in C)
-                    for C in itertools.combinations(range(n), k))
-            if c:
-                exact[T] = float(Fraction(c, 2 ** k))
-    assert dict(zip(terms.subsets, terms.coeffs.tolist())) == exact
+    assert (list(zip(terms.subsets, terms.coeffs.tolist()))
+            == cauchy_binet_terms(A, d))
     # and they sum to the determinant of the shifted Hessian
     lu = np.linalg.det(pot.hess(x) + np.diag(d))
     det = terms.det(facet_rows(pot.facet_values(x)))[0]

@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import itertools
 import logging
@@ -478,7 +477,7 @@ LOCKSTEP_REGIONS = {1: library.segment(0, 1), 2: library.corrected_square(),
 
 def fields(res):
     # repr keeps every bit of a float and makes nan equal to nan
-    return repr(dataclasses.astuple(res))
+    return repr(tuple(res))
 
 
 class TestLockstep:

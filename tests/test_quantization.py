@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -270,7 +269,7 @@ class TestConvergence:
         from toricq import quantization
 
         def unconverged(*args, **kwargs):
-            return replace(integrate_slice(*args, **kwargs), converged=False)
+            return integrate_slice(*args, **kwargs)._replace(converged=False)
 
         monkeypatch.setattr(quantization, "integrate_slice", unconverged)
         for p, m in ((1, (0,)), (1, (0, 0))):
