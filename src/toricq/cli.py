@@ -39,8 +39,8 @@ class UsageError(ValueError):
 
 def fmt(x) -> str:
     """17-significant-digit float formatting; integers stay integers."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     return "%.17g" % float(x)
 
 
@@ -128,14 +128,16 @@ def check_p(poly, p):
         raise UsageError(f"--p {p} out of range for dimension {poly.dim}")
 
 
-def check_point(x, dim):
-    if len(x) != dim:
-        raise UsageError(f"--point has {len(x)} coordinates, expected {dim}")
-
-
-def default_point(pot, poly=None):
-    """The barycenter of the polytope's vertices (the potential's reference
-    point without a polytope), used when --point is not given."""
+def point_arg(args, pot, poly=None):
+    """The --point, with one coordinate per axis; without it, the barycenter
+    of the polytope's vertices (the potential's reference point without a
+    polytope), which must be interior."""
+    if args.point is not None:
+        x = np.array(parse_values("--point", args.point, float))
+        if len(x) != pot.dim:
+            raise UsageError(
+                f"--point has {len(x)} coordinates, expected {pot.dim}")
+        return x
     x = (pot.barycenter if poly is None
          else np.array([to_float(c) for c in poly.barycenter]))
     if not pot.is_interior(x):
@@ -248,28 +250,23 @@ def cmd_flow(args):
     poly = load_input(args)
     check_p(poly, args.p)
     grid = parse_s_grid(getattr(args, "s_grid"))
-    base = guillemin_potential(poly)
-    ray = geodesic.MabuchiRay(base, args.p)
-    if args.point is not None:
-        pts = [np.array(parse_values("--point", args.point, float))]
-        check_point(pts[0], poly.dim)
-    else:
-        pts = [default_point(base, poly)]
-    columns = ["point", "s", "frame_distance", "connection_gap"]
-    rows = []
-    for x in pts:
-        ptxt = ";".join(fmt(v) for v in x)
-        if not base.is_interior(x):
-            rows.append([ptxt, "", "error: point not interior", ""])
-            continue
+    ray = geodesic.MabuchiRay(guillemin_potential(poly), args.p)
+    x = point_arg(args, ray.base, poly)
+    try:
+        # the first evaluation at x checks that x is interior
         limit_frame = geodesic.polarization_frame_limit(ray, x)
-        limit_conn = geodesic.connection_form_limit(ray, x)
-        for s in grid:
-            dist = geodesic.grassmann_distance(
-                geodesic.polarization_frame_s(ray, x, s), limit_frame)
-            gap = geodesic.connection_form_gap(
-                geodesic.connection_form_s(ray, x, s), limit_conn)
-            rows.append([ptxt, fmt(s), fmt(dist), fmt(gap)])
+    except PointError as exc:
+        raise UsageError(str(exc))
+    limit_conn = geodesic.connection_form_limit(ray, x)
+    columns = ["point", "s", "frame_distance", "connection_gap"]
+    ptxt = ";".join(fmt(v) for v in x)
+    rows = []
+    for s in grid:
+        dist = geodesic.grassmann_distance(
+            geodesic.polarization_frame_s(ray, x, s), limit_frame)
+        gap = geodesic.connection_form_gap(
+            geodesic.connection_form_s(ray, x, s), limit_conn)
+        rows.append([ptxt, fmt(s), fmt(dist), fmt(gap)])
     write_output(emit(columns, rows, args), args)
     return EXIT_OK
 
@@ -303,11 +300,7 @@ def cmd_curvature(args):
     else:
         poly = load_input(args)
         pot = guillemin_potential(poly)
-    if args.point is not None:
-        x = np.array(parse_values("--point", args.point, float))
-        check_point(x, pot.dim)
-    else:
-        x = default_point(pot, poly)
+    x = point_arg(args, pot, poly)
     try:
         S = abreu_scalar_curvature(pot, x)
     except PointError as exc:

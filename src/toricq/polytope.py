@@ -151,9 +151,6 @@ class Facet(NamedTuple):
     normal: tuple
     offset: Fraction
 
-    def value(self, x):
-        return _dot(self.normal, x) + self.offset
-
 
 class HPolytope:
     """Bounded-or-not intersection of half spaces with rational data."""
@@ -404,9 +401,6 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
             + ", ".join(f"{v} det={d}" for v, d in report.violations)
         )
     return report
-
-
-lattice_points = HPolytope.lattice_points
 
 
 def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytope:

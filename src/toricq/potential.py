@@ -1,9 +1,9 @@
 """Symplectic potentials and the Kahler data they induce.
 
 The Guillemin potential of a polytope with facet functions l_r is
-g(x) = 1/2 sum_r l_r(x) log l_r(x).  Value, gradient, Hessian, third
-derivatives and the Abreu scalar curvature are closed-form; `restrict` fixes
-the leading coordinates to a level.  Boundary behaviour is only ever probed
+g(x) = 1/2 sum_r l_r(x) log l_r(x).  Its Hessian, third derivatives and
+Abreu scalar curvature are closed-form; `restrict` fixes the leading
+coordinates to a level.  Boundary behaviour is only ever probed
 through the dedicated limit paths of the quadrature and quantization modules.
 
 Hess g + diag(d) = 1/2 A^T diag(1/l) A + diag(d), so by Cauchy-Binet its
@@ -40,7 +40,7 @@ def to_float(q):
 
 
 class SymplecticPotential:
-    """Evaluator bundle (g, grad g, Hess g, third derivatives) on the open
+    """Evaluators of g (Hess g, third derivatives, det Hess g) on the open
     interior of a polytope given by float facet data A x + b >= 0."""
 
     def __init__(self, normals, offsets, barycenter=None):
@@ -71,14 +71,6 @@ class SymplecticPotential:
             raise PointError(f"point {np.asarray(x)} is not interior")
 
     # -- evaluators (broadcast over leading axes) ---------------------------
-
-    def value(self, x):
-        l = self.facet_values(x)
-        return 0.5 * np.sum(l * np.log(l), axis=-1)
-
-    def grad(self, x):
-        l = self.facet_values(x)
-        return 0.5 * (np.log(l) + 1.0) @ self.A
 
     def hess(self, x):
         """Hess g at x."""
@@ -119,12 +111,11 @@ class SymplecticPotential:
         return -0.5 * np.einsum('...r,rj,rk,rl->...jkl',
                                 1.0 / l ** 2, self.A, self.A, self.A)
 
-    def restrict(self, p: int, c, barycenter=None) -> "SymplecticPotential":
+    def restrict(self, p: int, c) -> "SymplecticPotential":
         """y -> g(c, y) up to a constant, with facet data (A[:, p:],
         A[:, :p] c + b); a facet with zero trailing normal stays a constant."""
         c = np.asarray(c, dtype=float)
-        return SymplecticPotential(self.A[:, p:], self.A[:, :p] @ c + self.b,
-                                   barycenter=barycenter)
+        return SymplecticPotential(self.A[:, p:], self.A[:, :p] @ c + self.b)
 
 
 def _dyadic(values):
@@ -174,8 +165,8 @@ class DetTerms:
         self.subsets = subsets
         self.coeffs = coeffs
         self.facets = facets
-        self._columns = _columns(subsets, facets)
-        self._rest = None           # the complements' columns, on first use
+        # the subsets' and the complements' columns, on first use
+        self._columns = self._rest = None
 
     def det(self, w, table=None, starts=None):
         """The determinant at each node of w = facet_rows(l); with a
@@ -183,6 +174,7 @@ class DetTerms:
         subsets, at the nodes from starts[j] to starts[j + 1] those of
         column j."""
         table = self.coeffs[:, None] if table is None else table
+        self._columns = self._columns or _columns(self.subsets, self.facets)
         return _subset_sum(w, np.reciprocal, self._columns, table, starts)
 
     def det_times_facet_product(self, w):

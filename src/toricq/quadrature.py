@@ -138,10 +138,6 @@ class IntegrationRegion:
     def __init__(self, dim, simplices, volumes):
         self.dim, self.simplices, self.volumes = dim, simplices, volumes
 
-    @property
-    def exact_volume(self):
-        return sum(self.volumes, Fraction(0))
-
     @functools.cached_property
     def float_simplices(self):
         return np.array([[[c / v[-1] for c in v[:-1]] for v in s]

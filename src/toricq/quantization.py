@@ -18,7 +18,6 @@ in lockstep, one integrand call per refinement round.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -62,20 +61,19 @@ def quantum_basis(poly, p: int):
 
 
 def stable_density(pot: SymplecticPotential, m):
-    """Vectorized x -> prod_r l_r(x)^{l_r(m)} e^{l_r(m) - l_r(x)}."""
+    """Vectorized prod_r l_r(x)^{l_r(m)} e^{l_r(m) - l_r(x)}, read from the
+    facet-major rows of the facet values at the nodes x."""
     lm = pot.facet_values(np.asarray(m, dtype=float))[:, None]
     if np.any(lm < 0.5 - 1e-12):
         raise PolytopeError(
             f"lattice point {m} has a facet value below 1/2; "
             "the polytope is not half-form shifted")
 
-    def density(x, l=None):
-        """The density at the nodes x; l, if given, is facet_values(x).T."""
-        if l is None:
-            l = pot.facet_values(np.atleast_2d(x)).T
+    def density(w):
+        """The density at the nodes of w = facet_rows(facet_values(x))."""
         # sum adds the facet rows in order, for any number of nodes, and
         # takes temporaries of one row at a time
-        return np.exp(sum(a * np.log(r) + (a - r) for a, r in zip(lm, l)))
+        return np.exp(sum(a * np.log(r) + (a - r) for a, r in zip(lm, w)))
 
     return density
 
@@ -110,16 +108,17 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s, terms=None):
         root = np.sqrt(terms[0].det(w, table, starts))
         t = ts[0] if starts is None else ts.repeat(np.diff(starts))
         gauss = np.exp(-t * sum((x[:, j] - mm[j]) ** 2 for j in range(p)))
-        return gauss * density(x, w) * root
+        return gauss * density(w) * root
 
     return f
 
 
 def _norm_integrals(pot, region, p, m, s_values, tol, budget):
-    """The norm integrals at s_values over the region, in lockstep for
-    each run of times whose det G_s share their facet subsets, with numpy's
-    floating-point warnings off.  The first s at which a coefficient of
-    det G_s overflows or the integral is not finite names a DomainError."""
+    """The norm integrals at the positive s_values over the region, in
+    lockstep, with numpy's floating-point warnings off.  For every s > 0
+    the zero shifts are the trailing n - p axes, so every det G_s has the
+    same facet subsets.  The first s at which a coefficient of det G_s
+    overflows or the integral is not finite names a DomainError."""
     terms, error = [], None
     for s in s_values:
         try:
@@ -127,18 +126,15 @@ def _norm_integrals(pot, region, p, m, s_values, tol, budget):
         except DomainError as exc:
             error = exc
             break
+    times = s_values[:len(terms)]
+    f = norm_integrand(pot, p, m, times, terms)
     results = []
-    for _, run in itertools.groupby(zip(s_values, terms),
-                                    key=lambda st: st[1].subsets):
-        times, run_terms = zip(*run)
-        f = norm_integrand(pot, p, m, times, run_terms)
-        with np.errstate(all="ignore"):
-            for s, res in zip(times, integrate_lockstep(
-                    f, region, [tol] * len(times), [budget] * len(times))):
-                if not math.isfinite(res.value):
-                    raise DomainError(
-                        f"s = {s!r}: the norm integral is not finite")
-                results.append(res)
+    with np.errstate(all="ignore"):
+        for s, res in zip(times, integrate_lockstep(
+                f, region, [tol] * len(times), [budget] * len(times))):
+            if not math.isfinite(res.value):
+                raise DomainError(f"s = {s!r}: the norm integral is not finite")
+            results.append(res)
     if error:
         raise error
     return tuple(results)
@@ -163,20 +159,19 @@ def norm_from_tilde(p: int, m, s: float, tilde: float) -> float:
 
 
 def limit_constant(poly, p: int, m, tol: float = 1e-10, budget=None, *,
-                   as_result: bool = False, _pot=None):
-    """c_m: the s = 0 squared norm of m_{>p} for the potential restricted to
-    the level x_{<=p} = m_{<=p}, i.e. the stable density against the
-    sqrt(det D) half-form factor of the trailing block, over the slice.
+                   _pot=None) -> IntegralResult:
+    """The slice IntegralResult whose value is c_m: the s = 0 squared norm
+    of m_{>p} for the potential restricted to the level x_{<=p} = m_{<=p},
+    i.e. the stable density against the sqrt(det D) half-form factor of
+    the trailing block, over the slice.
 
     For p = n the slice is the point m and c_m = prod_r l_r(m)^{l_r(m)}.
-    With as_result, the slice IntegralResult whose value is c_m, which
-    also tells whether it converged.  _pot is poly's Guillemin potential.
+    _pot is poly's Guillemin potential.
     """
     c = tuple(m)[:p]
     pot = (_pot or guillemin_potential(poly)).restrict(p, c)
     f = norm_integrand(pot, 0, tuple(m)[p:], 0.0)
-    res = integrate_slice(f, poly, p, c, tol, budget=budget)
-    return res if as_result else res.value
+    return integrate_slice(f, poly, p, c, tol, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +206,6 @@ def richardson_extrapolate(s_values, values) -> float:
     numpy's warnings off; a system in 1/s that is singular in floats, or an a0
     that is not finite (a power of 1/s overflows), is a DomainError."""
     s = np.asarray(s_values, dtype=float)
-    if len(s) != len(set(s_values)) or np.any(s <= 0):
-        raise ValueError("s values must be positive and distinct")
     try:
         with np.errstate(all="ignore"):
             V = np.vander(1.0 / s, N=len(s), increasing=True)
@@ -231,11 +224,12 @@ def verify_norm_limit(poly, p: int, m, s_values, tol: float = 1e-9,
     slice-integral limit pi^{p/2} c_m.  It passes when the extrapolation is
     within max(tol, 2 % of the limit) and every integral, the norms and
     c_m, converged; budget caps the cells of each integral."""
+    if len(s_values) != len(set(s_values)) or any(s <= 0 for s in s_values):
+        raise ValueError("s values must be positive and distinct")
     # norms first: c_m sees only m_{>p}, and a bad shift should name all of m
     pot, region = guillemin_potential(poly), triangulate(poly)
     results = _norm_integrals(pot, region, p, m, s_values, tol, budget)
-    c_m = limit_constant(poly, p, m, tol=tol, budget=budget, as_result=True,
-                         _pot=pot)
+    c_m = limit_constant(poly, p, m, tol=tol, budget=budget, _pot=pot)
     target = math.pi ** (p / 2.0) * c_m.value
     extrap = richardson_extrapolate(s_values, [r.value for r in results])
     passed = (abs(extrap - target) <= max(tol, LIMIT_REL_TOL * abs(target))

@@ -1,11 +1,10 @@
 """Symplectic reduction of the torus action on the leading coordinates.
 
 Fixing the first p moment coordinates to a level c produces a slice
-polytope in the trailing coordinates.  The reduced potential is the plain
-restriction of the ambient potential, including facets whose trailing
-normal vanishes (they contribute affine terms and keep the restriction
-identity g_red(y) = g(c, y) exact).  The slice is classified by the exact
+polytope in the trailing coordinates.  The slice is classified by the exact
 vertex structure of its facet normals: smooth, finite-quotient, or worse.
+Level reports classify the slice of every integer level; the weighted-C^3
+family carries its reduced potential for curvature probes.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ import numpy as np
 
 from .polytope import (HPolytope, PolytopeError, _det, _primitive,
                        _slice_incidence, axis_slice)
-from .potential import (SymplecticPotential, abreu_scalar_curvature,
-                        guillemin_potential)
+from .potential import SymplecticPotential, abreu_scalar_curvature
 
 CLASS_DELZANT = "delzant"
 CLASS_ORBIFOLD = "orbifold"
@@ -48,36 +46,13 @@ def classify_polytope(poly: HPolytope) -> str:
 
 
 class ReducedStructure(NamedTuple):
-    """Slice polytope, restricted potential, and smoothness class."""
+    """Slice polytope, reduced potential, and smoothness class."""
 
     slice: HPolytope
     potential: SymplecticPotential
     classification: str
     level: tuple
     p: int
-
-
-def reduced_potential(poly, p: int, c) -> SymplecticPotential:
-    """Restriction of the ambient potential to x_{1..p} = c, as a potential
-    in the trailing coordinates; affine facets are kept."""
-    c = [Fraction(v) for v in c]
-    for f in poly.facets:
-        if (all(e == 0 for e in f.normal[p:])
-                and sum(ci * ai for ci, ai in zip(c, f.normal)) + f.offset <= 0):
-            raise PolytopeError("level outside the moment polytope projection")
-    sl = axis_slice(poly, p, c)
-    bary = None if sl.is_empty else [float(v) for v in sl.barycenter]
-    return guillemin_potential(poly).restrict(p, c, barycenter=bary)
-
-
-def reduce(poly, p: int, c) -> ReducedStructure:
-    sl = axis_slice(poly, p, c)
-    if sl.is_empty:
-        raise PolytopeError(f"slice at level {tuple(c)} is empty")
-    return ReducedStructure(slice=sl,
-                            potential=reduced_potential(poly, p, c),
-                            classification=classify_polytope(sl),
-                            level=tuple(Fraction(v) for v in c), p=p)
 
 
 def reduced_scalar_curvature(structure: ReducedStructure, y) -> float:

@@ -8,15 +8,37 @@ own.  Independent of the integer vertex rows: the vertex incidence, affine
 ranks, face fans and simplex volumes in Fractions, as toricq computed them
 before its vertices stayed integer rows.  Independent of the memoized
 minors: every Cauchy-Binet term of a shifted Hessian, summed over all
-column sets in Fractions."""
+column sets in Fractions.  Independent of the evaluators, which need only
+second and higher derivatives: the Guillemin potential and its gradient
+in closed form, from the float facet data."""
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from toricq.polytope import _det, _fraction_free, axis_slice
 from toricq.reduction import CLASS_DELZANT, classify_polytope
+
+
+def guillemin_value(pot, x):
+    """g(x) = 1/2 sum_r l_r(x) log l_r(x) for l = A x + b."""
+    l = np.asarray(x) @ pot.A.T + pot.b
+    return 0.5 * np.sum(l * np.log(l), axis=-1)
+
+
+def guillemin_gradient(pot, x):
+    """grad g(x) = 1/2 sum_r (log l_r(x) + 1) a_r."""
+    l = np.asarray(x) @ pot.A.T + pot.b
+    return 0.5 * (np.log(l) + 1.0) @ pot.A
+
+
+def facet_value(facet, x):
+    """The facet function l(x) = <x, normal> + offset, in exact arithmetic
+    for int or Fraction points."""
+    return sum(a * b for a, b in zip(facet.normal, x)) + facet.offset
 
 
 def cofactor_det(rows):

@@ -317,10 +317,13 @@ class TestFlow:
         assert rows_of(out)[1:] == expected
 
     def test_exterior_point_marked(self, tmp_path, capsys):
-        code, out = run(capsys, ["--input", write(tmp_path, SQUARE),
-                                 "--command", "flow", "--point", "9,9"])
-        assert code == 0
-        assert "error: point not interior" in out
+        # a --point that is not interior is a usage error, as for curvature
+        code = main(["--input", write(tmp_path, SQUARE), "--command", "flow",
+                     "--point", "9,9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: point [9. 9.] is not interior\n"
 
     def test_default_point_not_interior(self, tmp_path, capsys):
         # the only vertex of the quadrant is the origin, on its boundary

@@ -1,5 +1,6 @@
-"""No module imports a name it never uses: the unused-import check of a
-linter, on the standard library's ast alone."""
+"""No module imports a name it never uses, and the package defines nothing
+that nothing reads: the unused-import and dead-code checks of a linter, on
+the standard library's ast alone."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "toricq").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "toricq").glob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+TRACER = ROOT / "bench" / "tracing.py"
+
+# definitions of src/toricq that no module there reads, and why each stays
+KEEP = {
+    "corrected_segment": "library.py example polytope of the tests",
+    "corrected_square": "library.py example polytope of the tests",
+    "simplex": "library.py example polytope of the tests",
+    "square": "library.py example polytope of the tests",
+    "regularity_delta": "README names it and oracle tests check it",
+}
 
 
 def unused_imports(source):
@@ -44,3 +55,62 @@ def test_the_check_sees_unused_names():
               "from __future__ import annotations\n__all__ = ['z']\n"
               "print(os.sep, a.b)\n")
     assert unused_imports(source) == [(1, "system"), (3, "y")]
+
+
+def identifiers(tree):
+    """Each name and attribute name that the tree reads, with repeats."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            yield node.attr
+
+
+def dead_definitions(sources, tracer):
+    """(module, line, name) of each function, class and non-dunder method
+    of the sources, a dict of module name to text, whose name is read
+    nowhere in them outside its own definition and is not named by the
+    tracer's source (as an identifier, or a string that getattr reads)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = [i for tree in trees.values() for i in identifiers(tree)]
+    tracer = ast.parse(tracer)
+    named = set(identifiers(tracer)) | {
+        node.value for node in ast.walk(tracer)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = sum(i == name for i in identifiers(node))
+            if reads.count(name) == own and name not in named:
+                dead.append((module, node.lineno, name))
+    return sorted(dead)
+
+
+def test_no_dead_definitions():
+    # every definition that nothing reads is kept on purpose, and every
+    # kept one is still unread
+    sources = {p.name: p.read_text() for p in SOURCES}
+    dead = dead_definitions(sources, TRACER.read_text())
+    assert {name for _, _, name in dead} == set(KEEP)
+
+
+def test_the_check_sees_dead_definitions():
+    sources = {
+        "a.py": ("def loop(n):\n    return loop(n - 1)\n"
+                 "def used():\n    pass\n"
+                 "class C:\n    def __init__(self):\n        pass\n"
+                 "    def method(self):\n        pass\n"
+                 "    def traced(self):\n        pass\n"
+                 "def unread():\n    pass\n"),
+        "b.py": "from a import C, used\nused()\nC()\n",
+    }
+    tracer = "patch(C, 'traced', 'a.C.traced')\n"
+    assert dead_definitions(sources, tracer) == [
+        ("a.py", 1, "loop"), ("a.py", 8, "method"), ("a.py", 12, "unread")]

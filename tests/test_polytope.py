@@ -11,10 +11,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from exact_oracles import (as_fractions, cofactor_det, fraction_affine_rank,
-                           fraction_face_fan, fraction_incidence,
-                           fraction_simplex_volume, gauss_jordan,
-                           subset_incidence, subset_is_bounded,
+from exact_oracles import (as_fractions, cofactor_det, facet_value,
+                           fraction_affine_rank, fraction_face_fan,
+                           fraction_incidence, fraction_simplex_volume,
+                           gauss_jordan, subset_incidence, subset_is_bounded,
                            vertex_incidence)
 from toricq import library
 from toricq.polytope import (
@@ -28,7 +28,6 @@ from toricq.polytope import (
     _fraction_free,
     apply_frame_change,
     axis_slice,
-    lattice_points,
     polytope_from_json,
     validate_delzant,
 )
@@ -167,10 +166,11 @@ class TestBoundedness:
 
 class TestLatticePoints:
     def test_segment(self):
-        assert lattice_points(library.segment(0, 3)) == [(0,), (1,), (2,), (3,)]
+        pts = library.segment(0, 3).lattice_points()
+        assert pts == [(0,), (1,), (2,), (3,)]
 
     def test_scaled_simplex(self):
-        pts = lattice_points(library.simplex(2))
+        pts = library.simplex(2).lattice_points()
         # brute-force oracle over the bounding box
         expected = [
             (i, j) for i in range(0, 3) for j in range(0, 3) if i + j <= 2
@@ -179,7 +179,7 @@ class TestLatticePoints:
         assert len(pts) == 6
 
     def test_corrected_square(self):
-        pts = lattice_points(library.corrected_square())
+        pts = library.corrected_square().lattice_points()
         assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     @pytest.mark.parametrize("n, k", [(4, 30), (3, 40)])
@@ -187,7 +187,7 @@ class TestLatticePoints:
         # k times the standard n-simplex has C(n + k, n) lattice points
         poly = HPolytope.from_data(
             n, [(unit(n, i), 0) for i in range(n)] + [((-1,) * n, k)])
-        assert len(lattice_points(poly)) == math.comb(n + k, n)
+        assert len(poly.lattice_points()) == math.comb(n + k, n)
 
     def test_unbounded_is_rejected(self):
         poly = DelzantPolytope.from_data(2, [((1, 0), 0), ((0, 1), 0)])
@@ -234,13 +234,13 @@ class TestFrameChange:
         poly = library.corrected_square()
         fc = FrameChange(B=((1, 1), (0, 1)), p=1)
         sheared = apply_frame_change(poly, fc)
-        assert len(lattice_points(sheared)) == 4
+        assert len(sheared.lattice_points()) == 4
 
     def test_simplex_count_preserved(self):
         poly = standard_simplex()
         fc = FrameChange(B=((2, 1), (1, 1)), p=1)
         out = apply_frame_change(poly, fc)
-        assert len(lattice_points(out)) == len(lattice_points(poly))
+        assert len(out.lattice_points()) == len(poly.lattice_points())
 
     def test_det_not_one_rejected(self):
         with pytest.raises(PolytopeError):
@@ -254,7 +254,8 @@ class TestFrameChange:
             B = random_sl2(rng)
             for poly in polys:
                 out = apply_frame_change(poly, FrameChange(B=B, p=1))
-                assert len(lattice_points(out)) == len(lattice_points(poly))
+                assert (len(out.lattice_points())
+                        == len(poly.lattice_points()))
 
     def test_random_sl3_invariance(self):
         rng = random.Random(11)
@@ -269,7 +270,7 @@ class TestFrameChange:
             B[i][j] = rng.randint(-3, 3)
             out = apply_frame_change(
                 poly, FrameChange(B=tuple(map(tuple, B)), p=1))
-            assert len(lattice_points(out)) == len(lattice_points(poly))
+            assert len(out.lattice_points()) == len(poly.lattice_points())
 
 
 class TestAxisSlice:
@@ -290,10 +291,10 @@ class TestAxisSlice:
 
     def test_slice_commutes_with_enumeration(self):
         poly = library.simplex(2)
-        full = lattice_points(poly)
+        full = poly.lattice_points()
         for c in range(-1, 4):
             sl = axis_slice(poly, 1, (c,))
-            sliced = lattice_points(sl)
+            sliced = sl.lattice_points()
             expected = sorted(m[1:] for m in full if m[0] == c)
             assert sliced == expected
 
@@ -374,7 +375,7 @@ def oracle_incidence(poly):
         if x in tried:
             continue
         tried.add(x)
-        values = [f.value(x) for f in poly.facets]
+        values = [facet_value(f, x) for f in poly.facets]
         if all(v >= 0 for v in values):
             out[x] = tuple(r for r, v in enumerate(values) if v == 0)
     return {x: out[x] for x in sorted(out)}
@@ -408,7 +409,7 @@ def oracle_lattice_points(poly, incidence):
     box = [range(math.ceil(min(c)), math.floor(max(c)) + 1)
            for c in zip(*incidence)]
     return [m for m in itertools.product(*box)
-            if all(f.value(m) >= 0 for f in poly.facets)]
+            if all(facet_value(f, m) >= 0 for f in poly.facets)]
 
 
 def oracle_primitive(normal):

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_oracles import guillemin_gradient, guillemin_value
 from toricq import library
 from toricq.polytope import DelzantPolytope, HPolytope
 from toricq.potential import facet_rows, guillemin_potential
-from toricq.quadrature import integrate_slice, triangulate
+from toricq.quadrature import integrate_slice
 from toricq.quantization import (
-    _norm_integrals,
     hamiltonian_value,
     limit_constant,
     norm_from_tilde,
@@ -80,16 +80,17 @@ class TestStableDensity:
                 if not pot.is_interior(x, margin=0.05):
                     continue
                 count += 1
-                y = pot.grad(x)
+                y = guillemin_gradient(pot, x)
                 direct = math.exp(-2.0 * (float((x - np.asarray(m)) @ y)
-                                          - pot.value(x)))
-                assert density(x[None, :])[0] == pytest.approx(direct,
-                                                               rel=1e-12)
+                                          - guillemin_value(pot, x)))
+                w = facet_rows(pot.facet_values(x[None, :]))
+                assert density(w)[0] == pytest.approx(direct, rel=1e-12)
 
     def test_bounded_at_boundary(self):
         pot = guillemin_potential(library.corrected_segment())
         density = stable_density(pot, (0,))
-        vals = density(np.array([[-0.5 + 1e-12], [1.5 - 1e-12]]))
+        x = np.array([[-0.5 + 1e-12], [1.5 - 1e-12]])
+        vals = density(facet_rows(pot.facet_values(x)))
         assert np.all(np.isfinite(vals))
 
     def test_rejects_shallow_point(self):
@@ -196,17 +197,17 @@ class TestNorms:
     def test_limit_constant_closed_form(self):
         poly = library.corrected_segment()
         for m in ((0,), (1,)):
-            assert limit_constant(poly, 1, m) == pytest.approx(SEG_CM,
-                                                               rel=1e-12)
-        assert math.pi ** 0.5 * limit_constant(poly, 1, (0,)) == pytest.approx(
-            SEG_LIMIT, rel=1e-12)
+            assert limit_constant(poly, 1, m).value == pytest.approx(
+                SEG_CM, rel=1e-12)
+        c_m = limit_constant(poly, 1, (0,)).value
+        assert math.pi ** 0.5 * c_m == pytest.approx(SEG_LIMIT, rel=1e-12)
 
     def test_square_product_identity(self):
         # P = I x I, p = 1: the rescaled norm factors through the trailing
         # segment, so tilde_sq(s) * c_seg = tilde_seg(s) * c_sq
         sq = library.corrected_square()
         seg = library.corrected_segment()
-        c_sq = limit_constant(sq, 1, (0, 0), tol=1e-11)
+        c_sq = limit_constant(sq, 1, (0, 0), tol=1e-11).value
         for s in (1.0, 10.0):
             t2 = tilde_norm_squared(sq, 1, (0, 0), s, tol=1e-6).value
             t1 = tilde_norm_squared(seg, 1, (0,), s, tol=1e-10).value
@@ -215,8 +216,8 @@ class TestNorms:
     def test_square_p2_point_limit(self):
         # p = n: c_m is the closed-form product over the facets
         sq = library.corrected_square()
-        assert limit_constant(sq, 2, (0, 0)) == pytest.approx(SEG_CM ** 2,
-                                                              rel=1e-12)
+        assert limit_constant(sq, 2, (0, 0)).value == pytest.approx(
+            SEG_CM ** 2, rel=1e-12)
 
 
 class TestConvergence:
@@ -239,7 +240,7 @@ class TestConvergence:
     def test_report_rows_match_the_norm_functions(self):
         poly = library.corrected_segment()
         report = verify_norm_limit(poly, 1, (1,), (10.0, 20.0), tol=1e-8)
-        assert report.c_m == limit_constant(poly, 1, (1,), tol=1e-8)
+        assert report.c_m_result == limit_constant(poly, 1, (1,), tol=1e-8)
         assert report.target == math.pi ** 0.5 * report.c_m
         tildes = [tilde_norm_squared(poly, 1, (1,), s, tol=1e-8).value
                   for s in (10.0, 20.0)]
@@ -332,13 +333,41 @@ class TestLockstepNorms:
         alone = [tilde_norm_squared(poly, p, m, s, tol=1e-7) for s in grid]
         assert [repr(r) for r in report.results] == [repr(r) for r in alone]
 
-    def test_times_whose_det_subsets_differ(self):
-        # at s = 0 only the facet subsets of full size remain in det G_s,
-        # so s = 0 and s > 0 run in two locksteps
-        poly = library.corrected_square()
-        grid = (0.0, 10.0, 20.0)
-        got = _norm_integrals(guillemin_potential(poly), triangulate(poly), 2,
-                              (0, 0), grid, 1e-7, None)
-        alone = [tilde_norm_squared(poly, 2, (0, 0), s, tol=1e-7)
-                 for s in grid]
-        assert [repr(r) for r in got] == [repr(r) for r in alone]
+    def test_det_columns_built_once_per_point(self, monkeypatch):
+        # each s has its own det G_s coefficients, but the s-integrals read
+        # the index arrays of the first s only, and c_m those of its own
+        from toricq import potential
+
+        calls = []
+        real = potential._columns
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(potential, "_columns", counted)
+        verify_norm_limit(library.corrected_square(), 1, (0, 0),
+                          (10.0, 20.0, 40.0, 80.0), tol=1e-6)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("grid", [(0.0, 10.0), (10.0, 10.0)])
+    def test_grid_checked_before_any_integral(self, monkeypatch, grid):
+        from toricq import quantization
+
+        calls = []
+        real = quantization.norm_integrand
+
+        def counted(*args, **kwargs):
+            f = real(*args, **kwargs)
+
+            def integrand(*x):
+                calls.append(len(x[0]))
+                return f(*x)
+
+            return integrand
+
+        monkeypatch.setattr(quantization, "norm_integrand", counted)
+        with pytest.raises(ValueError, match="positive and distinct"):
+            verify_norm_limit(library.corrected_square(), 1, (0, 0), grid,
+                              tol=1e-6)
+        assert calls == []

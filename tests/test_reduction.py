@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import per_level_report
+from exact_oracles import guillemin_gradient, guillemin_value, per_level_report
 from test_polytope import unimodular, unit
 from toricq import library, reduction
 from toricq.polytope import (DelzantPolytope, FrameChange, HPolytope,
@@ -21,10 +21,9 @@ from toricq.reduction import (
     CLASS_DELZANT,
     CLASS_ORBIFOLD,
     CLASS_WORSE,
+    ReducedStructure,
     c3_reduction,
     classify_polytope,
-    reduce,
-    reduced_potential,
     reduced_scalar_curvature,
     reduction_level_report,
 )
@@ -54,36 +53,28 @@ class TestClassification:
 
 class TestReducedPotential:
     def test_restriction_identity(self):
-        poly = library.corrected_square()
-        amb = guillemin_potential(poly)
-        red = reduced_potential(poly, 1, (0,))
+        # the restriction to x_1 = 0 is g(0, y) up to a constant: its
+        # gradient and Hessian are the trailing ones of the ambient g
+        amb = guillemin_potential(library.corrected_square())
+        red = amb.restrict(1, (0,))
         rng = np.random.default_rng(9)
         for _ in range(25):
             y = -0.4 + 1.8 * rng.random(1)
-            full = amb.value(np.array([0.0, y[0]]))
-            assert red.value(y) == pytest.approx(full, rel=1e-14)
-            assert red.grad(y)[0] == pytest.approx(
-                amb.grad(np.array([0.0, y[0]]))[1], rel=1e-13)
-            assert red.hess(y)[0, 0] == pytest.approx(
-                amb.hess(np.array([0.0, y[0]]))[1, 1], rel=1e-13)
-
-    def test_level_outside_projection(self):
-        with pytest.raises(PolytopeError):
-            reduced_potential(library.corrected_square(), 1, (7,))
-
-    def test_reduce_bundles(self):
-        structure = reduce(library.corrected_square(), 1, (0,))
-        assert structure.classification == CLASS_DELZANT
-        assert structure.slice.dim == 1
-        assert structure.p == 1
-
-    def test_empty_slice_rejected(self):
-        with pytest.raises(PolytopeError):
-            reduce(library.simplex(2), 1, (5,))
+            x = np.array([0.0, y[0]])
+            full = guillemin_value(amb, x)
+            assert guillemin_value(red, y) == pytest.approx(full, rel=1e-14)
+            assert guillemin_gradient(red, y)[0] == pytest.approx(
+                guillemin_gradient(amb, x)[1], rel=1e-13)
+            assert red.hess(y)[0, 0] == pytest.approx(amb.hess(x)[1, 1],
+                                                      rel=1e-13)
 
     def test_reduced_curvature_segment(self):
         # the slice of the shifted square is a length-2 segment: S = 2/2 = 1
-        structure = reduce(library.corrected_square(), 1, (0,))
+        poly = library.corrected_square()
+        structure = ReducedStructure(
+            slice=axis_slice(poly, 1, (0,)),
+            potential=guillemin_potential(poly).restrict(1, (0,)),
+            classification=CLASS_DELZANT, level=(0,), p=1)
         S = reduced_scalar_curvature(structure, np.array([0.5]))
         assert S == pytest.approx(1.0, abs=1e-6)
 
