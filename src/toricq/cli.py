@@ -250,22 +250,21 @@ def cmd_flow(args):
     poly = load_input(args)
     check_p(poly, args.p)
     grid = parse_s_grid(getattr(args, "s_grid"))
-    ray = geodesic.MabuchiRay(guillemin_potential(poly), args.p)
-    x = point_arg(args, ray.base, poly)
+    base = guillemin_potential(poly)
+    x = point_arg(args, base, poly)
     try:
-        # the first evaluation at x checks that x is interior
-        limit_frame = geodesic.polarization_frame_limit(ray, x)
+        ray = geodesic.MabuchiRay(base, args.p, x)
     except PointError as exc:
         raise UsageError(str(exc))
-    limit_conn = geodesic.connection_form_limit(ray, x)
+    limit_frame = geodesic.polarization_frame_limit(ray)
+    limit_conn = geodesic.connection_form_limit(ray)
     columns = ["point", "s", "frame_distance", "connection_gap"]
     ptxt = ";".join(fmt(v) for v in x)
     rows = []
     for s in grid:
         dist = geodesic.grassmann_distance(
-            geodesic.polarization_frame_s(ray, x, s), limit_frame)
-        gap = geodesic.connection_form_gap(
-            geodesic.connection_form_s(ray, x, s), limit_conn)
+            geodesic.polarization_frame_s(ray, s), limit_frame)
+        gap = np.linalg.norm(geodesic.connection_form_s(ray, s) - limit_conn)
         rows.append([ptxt, fmt(s), fmt(dist), fmt(gap)])
     write_output(emit(columns, rows, args), args)
     return EXIT_OK

@@ -2,155 +2,70 @@
 
 H = 1/2 sum_{j<=p} x_j^2 deforms only the leading p x p Hessian block, so the
 deformed inverse Hessian has a Schur-complement closed form whose s -> oo
-limit is block-diagonal in the trailing (n-p) x (n-p) block D.  Frames and
-connection forms take G_s^(-1) and its limit from the blocks of the base
-Hessian, which a ray evaluates once per point for every s.  Polarization
-frames are generator matrices of complex n-dimensional subspaces of C^(2n)
-in the coordinate order (d/dx^1..d/dx^n, d/dtheta^1..d/dtheta^n) and are
+limit is block-diagonal in the trailing (n-p) x (n-p) block D.  A
+`MabuchiRay` is the ray at one interior point: it holds the blocks of the
+base Hessian and the third derivatives there, which frames and connection
+forms share for every s and the limit.  A polarization frame is an
+orthonormal basis of a complex n-dimensional subspace of C^(2n), in the
+coordinate order (d/dx^1..d/dx^n, d/dtheta^1..d/dtheta^n), and frames are
 only ever compared through principal angles.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import NamedTuple
-
 import numpy as np
 
-from .potential import SymplecticPotential
-
-
-class BlockError(ValueError):
-    """Invalid Hessian block structure."""
+from .potential import DomainError, SymplecticPotential
 
 
 class MabuchiRay:
-    """Base symplectic potential plus the number p of convex directions."""
+    """The ray of a base potential with p convex directions at the interior
+    point x.  Hess g_0(x) must be symmetric positive-definite; then so are
+    G + sT and its Schur complement S_s for every s >= 0."""
 
-    def __init__(self, base: SymplecticPotential, p: int):
+    def __init__(self, base: SymplecticPotential, p: int, x):
         if not 1 <= p <= base.dim:
             raise ValueError("p must satisfy 1 <= p <= n")
-        self.base, self.p, self._points = base, p, {}
+        base._require_interior(x)
+        self.p, self.x = p, np.asarray(x, dtype=float)
+        # s H is quadratic, so g_s has the third derivatives of g_0
+        with np.errstate(divide="ignore", over="ignore"):
+            G, self.third = base.hess(self.x), base.third(self.x)
+        if not (np.isfinite(G).all() and np.isfinite(self.third).all()):
+            raise DomainError(f"the derivatives of g at {self.x} are not "
+                              "finite in floats")
+        if not np.allclose(G, G.T, atol=1e-10):
+            raise DomainError(f"the Hessian at {self.x} is not symmetric")
+        try:
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            raise DomainError(f"the Hessian at {self.x} is not "
+                              "positive-definite in floats") from None
+        self.a1, self.a2, self.d = G[:p, :p], G[:p, p:], G[p:, p:]
+        self.dinv = np.linalg.inv(self.d)
 
-
-class HessianBlocks(NamedTuple):
-    """Blocks [[a1, a2], [a2^T, d]] of a symmetric positive-definite Hessian
-    split after the first p rows."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-    d: np.ndarray
-    p: int
-
-    @property
-    def n(self):
-        return self.p + self.d.shape[0]
-
-
-def hessian_blocks(G, p: int) -> HessianBlocks:
-    """Split a symmetric matrix after the first p rows.  G must be
-    positive-definite; then so are G + sT and its Schur complement S_s for
-    every s >= 0."""
-    G = np.asarray(G, dtype=float)
-    n = G.shape[0]
-    if not 1 <= p <= n:
-        raise BlockError("p out of range")
-    if not np.allclose(G, G.T, atol=1e-10):
-        raise BlockError("Hessian must be symmetric")
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise BlockError("Hessian is not positive-definite")
-    return HessianBlocks(a1=G[:p, :p], a2=G[:p, p:], d=G[p:, p:], p=p)
-
-
-def schur_complement(blocks: HessianBlocks, s: float):
-    p = blocks.p
-    if p == blocks.n:
-        return blocks.a1 + s * np.eye(p)
-    return blocks.a1 + s * np.eye(p) - blocks.a2 @ np.linalg.solve(
-        blocks.d, blocks.a2.T)
-
-
-def inverse_hessian_s(blocks: HessianBlocks, s: float):
-    """Inverse of G + sT by the block Schur-complement formula."""
-    if s < 0:
-        raise ValueError("geodesic parameter s must be nonnegative")
-    n, p = blocks.n, blocks.p
-    Sinv = np.linalg.inv(schur_complement(blocks, s))
-    if p == n:
-        return Sinv
-    dinv = np.linalg.inv(blocks.d)
-    out = np.zeros((n, n))
-    out[:p, :p] = Sinv
-    out[:p, p:] = -Sinv @ blocks.a2 @ dinv
-    out[p:, :p] = -dinv @ blocks.a2.T @ Sinv
-    out[p:, p:] = dinv + dinv @ blocks.a2.T @ Sinv @ blocks.a2 @ dinv
-    return out
-
-
-def inverse_hessian_limit(blocks: HessianBlocks):
-    """lim_{s->oo} (G + sT)^(-1) = diag(0, D^(-1))."""
-    n, p = blocks.n, blocks.p
-    out = np.zeros((n, n))
-    if p < n:
-        out[p:, p:] = np.linalg.inv(blocks.d)
-    return out
+    def inverse_hessian(self, s=None):
+        """(G + sT)^(-1) by the block Schur-complement formula; for s None
+        its s -> oo limit diag(0, D^(-1))."""
+        p, n = self.p, len(self.x)
+        out = np.zeros((n, n))
+        if s is None:
+            out[p:, p:] = self.dinv
+            return out
+        if s < 0:
+            raise ValueError("geodesic parameter s must be nonnegative")
+        a2, dinv = self.a2, self.dinv
+        Sinv = np.linalg.inv(self.a1 + s * np.eye(p)
+                             - a2 @ np.linalg.solve(self.d, a2.T))
+        out[:p, :p] = Sinv
+        out[:p, p:] = -Sinv @ a2 @ dinv
+        out[p:, :p] = -dinv @ a2.T @ Sinv
+        out[p:, p:] = dinv + dinv @ a2.T @ Sinv @ a2 @ dinv
+        return out
 
 
 # ---------------------------------------------------------------------------
 # polarization frames
-
-
-class PolarizationFrame:
-    """n generators (rows) of a complex subspace of the complexified tangent
-    space, coordinates ordered (x directions, theta directions)."""
-
-    def __init__(self, basepoint, vectors):
-        self.basepoint, self.vectors = basepoint, vectors  # (n, 2n) complex
-
-    @property
-    def n(self):
-        return self.vectors.shape[0]
-
-    @cached_property
-    def basis(self):
-        """Orthonormal columns spanning the subspace."""
-        return _orth(self.vectors.conj().T)
-
-
-def _inverse_hessian(ray: MabuchiRay, x, s):
-    """(x, G_s^(-1), third derivatives of g) at the interior point x, for
-    s None the limit diag(0, D^(-1)); the interior check, Schur blocks and
-    third derivatives are evaluated once per ray and point."""
-    key = np.asarray(x, dtype=float).tobytes()
-    if key not in ray._points:
-        ray.base._require_interior(x)
-        x = np.asarray(x, dtype=float)
-        ray._points[key] = (x, hessian_blocks(ray.base.hess(x), ray.p),
-                            ray.base.third(x))
-    x, blocks, third = ray._points[key]
-    if s is None:
-        return x, inverse_hessian_limit(blocks), third
-    return x, inverse_hessian_s(blocks, s), third
-
-
-def _frame(ray: MabuchiRay, x, s) -> PolarizationFrame:
-    x, Ginv, _ = _inverse_hessian(ray, x, s)
-    return PolarizationFrame(basepoint=x,
-                             vectors=np.hstack([Ginv, 1j * np.eye(len(x))]))
-
-
-def polarization_frame_s(ray: MabuchiRay, x, s: float) -> PolarizationFrame:
-    """Frame rows [G_s^(-1) | i I], spanning the antiholomorphic directions
-    of the s-deformed complex structure."""
-    return _frame(ray, x, s)
-
-
-def polarization_frame_limit(ray: MabuchiRay, x) -> PolarizationFrame:
-    """Limit frame [diag(0, D^(-1)) | i I]: p vertical directions plus n-p
-    holomorphic directions built from the trailing Hessian block."""
-    return _frame(ray, x, None)
 
 
 def _orth(A):
@@ -162,15 +77,28 @@ def _orth(A):
     return u[:, sv > tol]
 
 
-def grassmann_distance(f1: PolarizationFrame, f2: PolarizationFrame) -> float:
-    """Largest principal angle between the spanned complex subspaces."""
-    if f1.vectors.shape != f2.vectors.shape:
-        raise ValueError("frames live in different ambient spaces")
-    if not np.allclose(f1.basepoint, f2.basepoint, atol=1e-12):
-        raise ValueError("frames have different basepoints")
-    Q1, Q2 = f1.basis, f2.basis
-    if Q1.shape[1] < f1.n or Q2.shape[1] < f2.n:
-        raise ValueError("rank-deficient frame")
+def _frame(ray: MabuchiRay, s):
+    Ginv = ray.inverse_hessian(s)
+    return _orth(np.hstack([Ginv, 1j * np.eye(len(Ginv))]).conj().T)
+
+
+def polarization_frame_s(ray: MabuchiRay, s: float):
+    """Orthonormal basis of the span of the rows [G_s^(-1) | i I], the
+    antiholomorphic directions of the s-deformed complex structure."""
+    return _frame(ray, s)
+
+
+def polarization_frame_limit(ray: MabuchiRay):
+    """The limit frame, rows [diag(0, D^(-1)) | i I]: p vertical directions
+    plus n-p holomorphic directions built from the trailing Hessian block."""
+    return _frame(ray, None)
+
+
+def grassmann_distance(Q1, Q2) -> float:
+    """Largest principal angle between the complex n-dimensional subspaces
+    of C^(2n) with the orthonormal bases Q1 and Q2."""
+    if any(2 * Q.shape[1] < Q.shape[0] for Q in (Q1, Q2)):
+        raise DomainError("a polarization frame is rank-deficient in floats")
     sigma = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
     sigma = np.clip(sigma, -1.0, 1.0)
     return float(np.arccos(sigma.min()))
@@ -180,32 +108,20 @@ def grassmann_distance(f1: PolarizationFrame, f2: PolarizationFrame) -> float:
 # connection forms
 
 
-class ConnectionFormValue(NamedTuple):
-    """Theta = sum_k coeffs[k] dtheta^k at the basepoint."""
-
-    basepoint: np.ndarray
-    coeffs: np.ndarray  # (n,) complex
-
-
-def _connection_form(ray: MabuchiRay, x, s) -> ConnectionFormValue:
-    # s H is quadratic, so g_s has the third derivatives of g_0
-    x, Ginv, third = _inverse_hessian(ray, x, s)
-    u = np.einsum('jkl,kl->j', third, Ginv)
-    return ConnectionFormValue(basepoint=x,
-                               coeffs=-1j * x + 0.25j * (u @ Ginv))
+def _connection_form(ray: MabuchiRay, s):
+    """Coefficients c of Theta = sum_k c[k] dtheta^k at the ray's point."""
+    Ginv = ray.inverse_hessian(s)
+    u = np.einsum('jkl,kl->j', ray.third, Ginv)
+    return -1j * ray.x + 0.25j * (u @ Ginv)
 
 
-def connection_form_s(ray: MabuchiRay, x, s: float) -> ConnectionFormValue:
+def connection_form_s(ray: MabuchiRay, s: float):
     """Theta_0^s = -i x . dtheta + (i/4)(d log det G_s) . G_s^(-1) dtheta."""
-    return _connection_form(ray, x, s)
+    return _connection_form(ray, s)
 
 
-def connection_form_limit(ray: MabuchiRay, x) -> ConnectionFormValue:
+def connection_form_limit(ray: MabuchiRay):
     """s -> oo limit, the same formula with diag(0, D^(-1)) in place of
     G_s^(-1): the first p coefficients are exactly -i x_k; the rest pick up
     (i/4) sum_{j>p} (d_j log det D) D^(-1) terms."""
-    return _connection_form(ray, x, None)
-
-
-def connection_form_gap(a: ConnectionFormValue, b: ConnectionFormValue) -> float:
-    return float(np.linalg.norm(a.coeffs - b.coeffs))
+    return _connection_form(ray, None)

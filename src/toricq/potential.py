@@ -63,11 +63,11 @@ class SymplecticPotential:
         """l_r(x) for every facet; x is (..., n)."""
         return np.asarray(x) @ self.A.T + self.b
 
-    def is_interior(self, x, margin=0.0):
-        return bool(np.all(self.facet_values(x) > margin))
+    def is_interior(self, x):
+        return bool(np.all(self.facet_values(x) > 0))
 
     def _require_interior(self, x):
-        if not np.all(self.facet_values(x) > 0):
+        if not self.is_interior(x):
             raise PointError(f"point {np.asarray(x)} is not interior")
 
     # -- evaluators (broadcast over leading axes) ---------------------------
@@ -168,12 +168,11 @@ class DetTerms:
         # the subsets' and the complements' columns, on first use
         self._columns = self._rest = None
 
-    def det(self, w, table=None, starts=None):
-        """The determinant at each node of w = facet_rows(l); with a
-        (subsets, K) table of coefficients for K shifts over the same
-        subsets, at the nodes from starts[j] to starts[j + 1] those of
-        column j."""
-        table = self.coeffs[:, None] if table is None else table
+    def det(self, w, table, starts=None):
+        """The determinant at each node of w = facet_rows(l), for a
+        (subsets, K) table of coefficients of K shifts over the same
+        subsets (`coeffs[:, None]` for these terms alone): at the nodes from
+        starts[j] to starts[j + 1] those of column j."""
         self._columns = self._columns or _columns(self.subsets, self.facets)
         return _subset_sum(w, np.reciprocal, self._columns, table, starts)
 

@@ -10,7 +10,8 @@ before its vertices stayed integer rows.  Independent of the memoized
 minors: every Cauchy-Binet term of a shifted Hessian, summed over all
 column sets in Fractions.  Independent of the evaluators, which need only
 second and higher derivatives: the Guillemin potential and its gradient
-in closed form, from the float facet data."""
+in closed form, from the float facet data.  Independent of any polytope:
+a potential whose Hessian is a given matrix at every point."""
 
 import itertools
 import math
@@ -33,6 +34,24 @@ def guillemin_gradient(pot, x):
     """grad g(x) = 1/2 sum_r (log l_r(x) + 1) a_r."""
     l = np.asarray(x) @ pot.A.T + pot.b
     return 0.5 * (np.log(l) + 1.0) @ pot.A
+
+
+class ConstantHessian:
+    """A potential with Hessian G and zero third derivatives at every
+    point, all of them interior."""
+
+    def __init__(self, G):
+        self.G = np.asarray(G, dtype=float)
+        self.dim = len(self.G)
+
+    def hess(self, x):
+        return self.G
+
+    def third(self, x):
+        return np.zeros((self.dim,) * 3)
+
+    def _require_interior(self, x):
+        pass
 
 
 def facet_value(facet, x):

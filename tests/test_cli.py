@@ -43,6 +43,10 @@ QUADRANT = {"dim": 2, "facets": [
     {"normal": [1, 0], "offset": 0},
     {"normal": [0, 1], "offset": 0}]}
 
+STRIP = {"dim": 2, "facets": [
+    {"normal": [1, 0], "offset": 0},
+    {"normal": [-1, 0], "offset": 1}]}
+
 SQUARE = {"dim": 2, "facets": [
     {"normal": [1, 0], "offset": "1/2"},
     {"normal": [0, 1], "offset": "1/2"},
@@ -304,16 +308,16 @@ class TestFlow:
         def ray():
             base = potential.guillemin_potential(
                 polytope.polytope_from_json(SQUARE))
-            return geodesic.MabuchiRay(base, p)
+            return geodesic.MabuchiRay(base, p, x)
 
         expected = [[
             "0.29999999999999999;0.59999999999999998", fmt(s),
             fmt(geodesic.grassmann_distance(
-                geodesic.polarization_frame_s(ray(), x, s),
-                geodesic.polarization_frame_limit(ray(), x))),
-            fmt(geodesic.connection_form_gap(
-                geodesic.connection_form_s(ray(), x, s),
-                geodesic.connection_form_limit(ray(), x)))] for s in grid]
+                geodesic.polarization_frame_s(ray(), s),
+                geodesic.polarization_frame_limit(ray()))),
+            fmt(np.linalg.norm(geodesic.connection_form_s(ray(), s)
+                               - geodesic.connection_form_limit(ray())))]
+            for s in grid]
         assert rows_of(out)[1:] == expected
 
     def test_exterior_point_marked(self, tmp_path, capsys):
@@ -324,6 +328,26 @@ class TestFlow:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: point [9. 9.] is not interior\n"
+
+    @pytest.mark.parametrize("data,point,message", [
+        # Hess g = diag(g11, 0) on a strip is only positive semi-definite
+        (STRIP, "0.5,0.5", "not positive-definite"),
+        # G^(-1) = 2e300 I drowns the i I of the frame rows
+        (QUADRANT, "1e300,1e300", "rank-deficient"),
+        # 1/x1^2 overflows in the third derivatives, 1/x1 in the Hessian
+        (QUADRANT, "1e-300,1", "not finite"),
+        (QUADRANT, "1e-320,1", "not finite")],
+        ids=["semidefinite", "rank-deficient", "third-overflow",
+             "hessian-overflow"])
+    def test_degenerate_point_is_a_domain_failure(self, tmp_path, capsys,
+                                                   data, point, message):
+        code = main(["--input", write(tmp_path, data), "--command", "flow",
+                     "--point", point])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
 
     def test_default_point_not_interior(self, tmp_path, capsys):
         # the only vertex of the quadrant is the origin, on its boundary

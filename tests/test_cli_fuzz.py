@@ -1,6 +1,6 @@
 """Fuzz the CLI exit-code contract: exit 0, 1 or 2, never a traceback,
 stdout that is empty or parses in the requested format, and no nan in a
-successful curvature or reduce."""
+successful curvature, reduce, norms or flow."""
 
 import contextlib
 import csv
@@ -82,7 +82,7 @@ def shears(draw, dim):
     return ";".join(",".join(map(str, r)) for r in rows)
 
 POINTS = st.lists(
-    st.sampled_from([0.25, 0.5, 1.0, 1.5, -0.5, 5.0, float("nan"),
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, -0.5, 5.0, 1e-300, float("nan"),
                      float("inf")]),
     min_size=1, max_size=3).map(lambda xs: ",".join(repr(x) for x in xs))
 
@@ -146,9 +146,9 @@ def check_exit_code_contract(data, options):
         json.loads(text)
     elif text:
         list(csv.reader(io.StringIO(text), strict=True))
-    if code == 0 and options[1] in ("curvature", "reduce", "norms"):
-        # a curvature or a norm limit that is not finite is a failure,
-        # never a result
+    if code == 0 and options[1] in ("curvature", "reduce", "norms", "flow"):
+        # a curvature, a norm limit or a flow distance or gap that is not
+        # finite is a failure, never a result
         assert "nan" not in text.lower()
 
 

@@ -1,6 +1,6 @@
 """Under the benchmark's layer tracing (bench/tracing.py): `flow` and
 `curvature` enumerate the vertices only for their default point, the
-barycenter of the vertices."""
+barycenter of the vertices, and `flow` runs every traced geodesic layer."""
 
 import json
 import subprocess
@@ -49,3 +49,19 @@ def test_only_the_default_point_enumerates_vertices(tmp_path, argv):
     default = traced(poly, argv)
     assert default["code"] == 0
     assert default["metrics"]["polytope.vertices.s"] > 0
+
+
+def test_flow_reaches_every_traced_geodesic_layer(tmp_path):
+    # the tracer wraps the geodesic functions by name; flow must call each
+    # of them, and evaluate Hess g at its one point only
+    poly = tmp_path / "simplex.json"
+    poly.write_text(json.dumps(SIMPLEX))
+    run = traced(poly, ["--command", "flow", "--point", "1,1",
+                        "--s-grid", "1,10"])
+    assert run["code"] == 0
+    metrics = run["metrics"]
+    for name in ("polarization_frame_s", "polarization_frame_limit",
+                 "connection_form_s", "connection_form_limit",
+                 "grassmann_distance"):
+        assert metrics[f"geodesic.{name}.s"] > 0, name
+    assert metrics["potential.hess.points"] == 1
