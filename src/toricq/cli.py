@@ -116,10 +116,10 @@ def load_input(args):
         try:
             B = parse_values("--B", args.B, lambda row: tuple(
                 int(v) for v in row.split(",")), ";")
-            fc = polytope.FrameChange(B=B, p=args.p)
-            poly = polytope.apply_frame_change(poly, fc)
+            poly = polytope.apply_frame_change(poly, polytope.FrameChange(B))
         except polytope.PolytopeError as exc:
             raise UsageError(f"bad --B: {exc}")
+        check_p(poly, args.p)
     return poly
 
 
@@ -216,7 +216,7 @@ def cmd_points(args):
 def cmd_norms(args):
     poly = load_input(args)
     check_p(poly, args.p)
-    grid = parse_s_grid(getattr(args, "s_grid"))
+    grid = parse_s_grid(args.s_grid)
     if 0 in grid:
         raise UsageError("--s-grid for norms needs positive values")
     if args.m is None:
@@ -249,13 +249,10 @@ def cmd_norms(args):
 def cmd_flow(args):
     poly = load_input(args)
     check_p(poly, args.p)
-    grid = parse_s_grid(getattr(args, "s_grid"))
+    grid = parse_s_grid(args.s_grid)
     base = guillemin_potential(poly)
     x = point_arg(args, base, poly)
-    try:
-        ray = geodesic.MabuchiRay(base, args.p, x)
-    except PointError as exc:
-        raise UsageError(str(exc))
+    ray = geodesic.MabuchiRay(base, args.p, x)
     limit_frame = geodesic.polarization_frame_limit(ray)
     limit_conn = geodesic.connection_form_limit(ray)
     columns = ["point", "s", "frame_distance", "connection_gap"]
@@ -272,7 +269,7 @@ def cmd_flow(args):
 
 def cmd_reduce(args):
     if args.alpha is not None:
-        structure = reduction.c3_reduction(args.alpha, args.alpha, 0)
+        structure = reduction.c3_reduction(args.alpha)
         s11 = reduction.reduced_scalar_curvature(structure, [1.0, 1.0])
         s22 = reduction.reduced_scalar_curvature(structure, [2.0, 2.0])
         columns = ["alpha", "class", "S_at_1_1", "S_at_2_2"]
@@ -294,17 +291,13 @@ def cmd_reduce(args):
 def cmd_curvature(args):
     poly = None
     if args.alpha is not None:
-        structure = reduction.c3_reduction(args.alpha, args.alpha, 0)
+        structure = reduction.c3_reduction(args.alpha)
         pot = structure.potential
     else:
         poly = load_input(args)
         pot = guillemin_potential(poly)
     x = point_arg(args, pot, poly)
-    try:
-        S = abreu_scalar_curvature(pot, x)
-    except PointError as exc:
-        # a numerical failure at a usable point stays a domain failure
-        raise UsageError(str(exc))
+    S = abreu_scalar_curvature(pot, x)
     columns = ["point", "scalar_curvature"]
     rows = [[";".join(fmt(v) for v in x), fmt(S)]]
     write_output(emit(columns, rows, args), args)
@@ -332,7 +325,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, PointError) as exc:
+        # a --point outside the interior, or too near a facet for S
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (polytope.PolytopeError, DomainError) as exc:

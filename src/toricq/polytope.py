@@ -161,12 +161,12 @@ class HPolytope:
             raise PolytopeError("normal dimension mismatch")
 
     @classmethod
-    def from_data(cls, dim, facet_data, **fields):
+    def from_data(cls, dim, facet_data):
         facets = tuple(Facet(
             tuple(c if type(c) is int else Fraction(c) for c in normal),
             offset if type(offset) is Fraction else Fraction(offset))
             for normal, offset in facet_data)
-        return cls(dim=dim, facets=facets, **fields)
+        return cls(dim, facets)
 
     @cached_property
     def integer_facets(self):
@@ -314,9 +314,8 @@ class HPolytope:
 class DelzantPolytope(HPolytope):
     """H-polytope with integer primitive normals (candidate Delzant data)."""
 
-    def __init__(self, dim, facets, name=""):
+    def __init__(self, dim, facets):
         super().__init__(dim, facets)
-        self.name = name
         for f in facets:
             if any(c.denominator != 1 for c in f.normal):
                 raise PolytopeError("Delzant normals must be integer vectors")
@@ -327,29 +326,24 @@ class DelzantPolytope(HPolytope):
 class FrameChange:
     """Element B of SL(n, Z) whose first p rows pick the subtorus directions."""
 
-    def __init__(self, B, p):
+    def __init__(self, B):
         n = len(B)
         if any(len(row) != n for row in B):
             raise PolytopeError("frame change matrix must be square")
         if any(int(e) != e for row in B for e in row):
             raise PolytopeError("frame change matrix must be integer")
-        self.B, self.p = tuple(tuple(map(int, r)) for r in B), p
+        self.B = tuple(tuple(map(int, r)) for r in B)
         if _det(self.B) != 1:
             raise PolytopeError("frame change must have determinant 1")
-        if not 1 <= p <= n:
-            raise PolytopeError("p out of range")
 
 
 class ValidationReport:
     """Verdict ("ok", "unbounded", "empty", "not delzant", "redundant",
-    "bad normals"), a det or None per vertex, and (vertex, det) violations."""
+    "bad normals"), (vertex, det or None) violations, and messages."""
 
-    def __init__(self, ok, verdict, vertex_determinants=None,
-                 violations=None, redundant_facets=None, messages=None):
+    def __init__(self, ok, verdict, violations=None, messages=None):
         self.ok, self.verdict = ok, verdict
-        self.vertex_determinants = vertex_determinants or []
         self.violations = violations or []
-        self.redundant_facets = redundant_facets or []
         self.messages = messages or []
 
     def __eq__(self, other):
@@ -377,18 +371,15 @@ def validate_delzant(poly: DelzantPolytope) -> ValidationReport:
 
     report = ValidationReport(ok=True, verdict="ok")
     vertices = list(zip(poly.vertices, poly.incidence))
-    for r in range(len(poly.facets)):
-        on_facet = [v for v, active in vertices if r in active]
-        if _affine_rank(on_facet, n) < n - 1:
-            report.redundant_facets.append(r)
-    if report.redundant_facets:
+    redundant = [r for r in range(len(poly.facets)) if _affine_rank(
+        [v for v, active in vertices if r in active], n) < n - 1]
+    if redundant:
         report.ok = False
         report.verdict = "redundant"
-        report.messages.append(f"redundant facets: {report.redundant_facets}")
+        report.messages.append(f"redundant facets: {redundant}")
 
     for v, active in vertices:
         det = _det([normals[r] for r in active]) if len(active) == n else None
-        report.vertex_determinants.append(det)
         if det is None or abs(det) != 1:
             report.violations.append(
                 (tuple(Fraction(c, v[-1]) for c in v[:-1]), det))
@@ -416,7 +407,7 @@ def apply_frame_change(poly: DelzantPolytope, fc: FrameChange) -> DelzantPolytop
     d = M[-1][n - 1]
     facets = tuple(Facet(tuple(d * row[n + k] for row in M), f.offset)
                    for k, f in enumerate(poly.facets))
-    return DelzantPolytope(dim=n, facets=facets, name=poly.name)
+    return DelzantPolytope(n, facets)
 
 
 def axis_slice(poly: HPolytope, p: int, c) -> HPolytope:
@@ -460,7 +451,7 @@ def _parse_offset(v):
 
 def polytope_from_json(data) -> DelzantPolytope:
     """Build a polytope from {"dim": n, "facets": [{"normal": [...],
-    "offset": "p/q" | number}], "name": optional}."""
+    "offset": "p/q" | number}]}; other keys are ignored."""
     if isinstance(data, str):
         data = json.loads(data)
     for key in ("dim", "facets"):
@@ -480,8 +471,7 @@ def polytope_from_json(data) -> DelzantPolytope:
             raise PolytopeError(f"facet {i}: normal entries must be JSON "
                                 f"integers, got {f['normal']!r}")
         facet_data.append((f["normal"], _parse_offset(f["offset"])))
-    return DelzantPolytope.from_data(dim, facet_data,
-                                     name=data.get("name", ""))
+    return DelzantPolytope.from_data(dim, facet_data)
 
 
 def load_polytope(path) -> DelzantPolytope:

@@ -273,12 +273,14 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
         H = np.linalg.inv(pot.hess(x))
     except np.linalg.LinAlgError:
         raise DomainError(f"the Hessian at {x} is singular in floats") from None
-    HT = np.einsum('ab,jbc->jac', H, pot.third(x))      # H T_j
-    HTHTH = np.einsum('jab,kbc,cd->jkad', HT, HT, H)     # H T_j H T_k H
-    aHa = np.einsum('rj,jk,rk->r', pot.A, H, pot.A)      # a_r . H a_r
-    # sum_jk (H d_j d_k G H)_jk = sum_r (a_r . H a_r)^2 / l_r^3
-    S = -0.5 * float(np.einsum('jkjk->', HTHTH) + np.einsum('jkkj->', HTHTH)
-                     - np.sum(aHa ** 2 / l ** 3))
+    # far from the facets l_r^2 and l_r^3 overflow, and S can be inf / inf
+    with np.errstate(all="ignore"):
+        HT = np.einsum('ab,jbc->jac', H, pot.third(x))      # H T_j
+        HTHTH = np.einsum('jab,kbc,cd->jkad', HT, HT, H)     # H T_j H T_k H
+        aHa = np.einsum('rj,jk,rk->r', pot.A, H, pot.A)      # a_r . H a_r
+        # sum_jk (H d_j d_k G H)_jk = sum_r (a_r . H a_r)^2 / l_r^3
+        S = -0.5 * float(np.einsum('jkjk->', HTHTH) + np.einsum(
+            'jkkj->', HTHTH) - np.sum(aHa ** 2 / l ** 3))
     if not math.isfinite(S):
         raise DomainError(f"the scalar curvature at {x} is not finite in "
                           "floats")

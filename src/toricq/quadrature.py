@@ -135,8 +135,8 @@ class IntegrationRegion:
     """Simplicial cover of a polytope or slice: the simplices, their
     vertices as integer rows (X, D), and the exact volume of each."""
 
-    def __init__(self, dim, simplices, volumes):
-        self.dim, self.simplices, self.volumes = dim, simplices, volumes
+    def __init__(self, simplices, volumes):
+        self.simplices, self.volumes = simplices, volumes
 
     @functools.cached_property
     def float_simplices(self):
@@ -172,9 +172,8 @@ def triangulate(poly) -> IntegrationRegion:
     if not poly.is_full_dimensional:
         raise PolytopeError("cannot triangulate a region without interior")
     simplices = _face_fan(poly, range(len(poly.vertices)), poly.dim)
-    return IntegrationRegion(dim=poly.dim, simplices=simplices,
-                             volumes=[_exact_simplex_volume(s)
-                                      for s in simplices])
+    return IntegrationRegion(simplices, [_exact_simplex_volume(s)
+                                         for s in simplices])
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +339,24 @@ def _greedy(region, tol, budget):
     return [-cell[0] for cell in cells], [sum(cell[4]) for cell in cells]
 
 
-def integrate_lockstep(f, region: IntegrationRegion, tols, budgets):
-    """Integrate len(tols) integrands over the region, yielding their
+def integrate_lockstep(f, region: IntegrationRegion, tol, count):
+    """Integrate count integrands over the region, yielding their
     IntegralResults in order.  Each refines greedily until its estimates
-    sum to at most its tol or its cells reach its budget (None for
-    `cell_budget()`), and the splits greedy is certain to make are
-    evaluated ahead in batches, which changes neither the splits nor
-    their order.  The integrals share their calls of f(points, starts),
-    which must be pointwise and maps the points of integral j, rows
-    starts[j] to starts[j + 1], to their values.  A call takes at most the
-    nodes of _BATCH splits, or one integral's roots; integrand_calls
-    counts the calls an integral took part in.  A result is summed, and
-    its budget warning logged, when it is taken, so a caller that stops
-    at a failing integral sees what one integral after another gives.
+    sum to at most tol or its cells reach `cell_budget()`, and the splits
+    greedy is certain to make are evaluated ahead in batches, which
+    changes neither the splits nor their order.  The integrals share their
+    calls of f(points, starts), which must be pointwise and maps the
+    points of integral j, rows starts[j] to starts[j + 1], to their
+    values.  A call takes at most the nodes of _BATCH splits, or one
+    integral's roots; integrand_calls counts the calls an integral took
+    part in.  A result is summed, and its budget warning logged, when it
+    is taken, so a caller that stops at a failing integral sees what one
+    integral after another gives.
     """
-    budgets = [cell_budget() if b is None else b for b in budgets]
-    runs = [_greedy(region, tol, budget) for tol, budget in zip(tols, budgets)]
-    k = len(runs)
-    calls, nodes, cells = [0] * k, [0] * k, [None] * k
-    replies = dict.fromkeys(range(k))
+    budget = cell_budget()
+    runs = [_greedy(region, tol, budget) for _ in range(count)]
+    calls, nodes, cells = [0] * count, [0] * count, [None] * count
+    replies = dict.fromkeys(range(count))
     while replies:
         asks, packs = {}, []
         for i, reply in replies.items():
@@ -376,7 +374,7 @@ def integrate_lockstep(f, region: IntegrationRegion, tols, budgets):
         replies = {}
         for _, *pack in packs:
             verts, volumes, coarse = zip(*(asks[i] for i in pack))
-            counts = [0] * k
+            counts = [0] * count
             for i, v in zip(pack, verts):
                 counts[i] = len(v)
             out, n = _evaluate(f, np.concatenate(verts),
@@ -386,8 +384,7 @@ def integrate_lockstep(f, region: IntegrationRegion, tols, budgets):
                 replies[i], out = out[:counts[i]], out[counts[i]:]
                 calls[i] += 1
                 nodes[i] += n * counts[i] // sum(counts)
-    for (errs, values), tol, budget, n, c in zip(cells, tols, budgets,
-                                                 nodes, calls):
+    for (errs, values), n, c in zip(cells, nodes, calls):
         err, value = math.fsum(errs), math.fsum(values)
         hit_budget = err > tol and len(errs) >= budget
         if hit_budget:
@@ -399,20 +396,17 @@ def integrate_lockstep(f, region: IntegrationRegion, tols, budgets):
                              integrand_calls=c)
 
 
-def integrate(f, region: IntegrationRegion, tol: float,
-              budget: int | None = None) -> IntegralResult:
+def integrate(f, region: IntegrationRegion, tol: float) -> IntegralResult:
     """Adaptively integrate the vectorized evaluator f, which maps an
     (N, dim) array of strictly interior points to (N,) values and must be
     pointwise, over the region: `integrate_lockstep` for one integral.
     Without a budget stop, nodes = 4q cells - q roots + 4q u for the q
     shared nodes and the u roots never split, and an integral that
     converges on its roots calls f once."""
-    return next(integrate_lockstep(lambda x, starts: f(x), region, [tol],
-                                   [budget]))
+    return next(integrate_lockstep(lambda x, starts: f(x), region, tol, 1))
 
 
-def integrate_slice(f, poly, p: int, c, tol: float,
-                    budget: int | None = None) -> IntegralResult:
+def integrate_slice(f, poly, p: int, c, tol: float) -> IntegralResult:
     """Integrate f over the axis slice x_{1..p} = c with Lebesgue measure on
     the trailing coordinates.  f receives the (N, n-p) trailing coordinates;
     for p = n the slice is a point and f is evaluated once."""
@@ -425,5 +419,4 @@ def integrate_slice(f, poly, p: int, c, tol: float,
     if sl.is_empty:
         return IntegralResult(value=0.0, error_estimate=0.0, cells_used=0,
                               converged=True)
-    region = triangulate(sl)
-    return integrate(f, region, tol, budget=budget)
+    return integrate(f, triangulate(sl), tol)

@@ -46,13 +46,10 @@ def classify_polytope(poly: HPolytope) -> str:
 
 
 class ReducedStructure(NamedTuple):
-    """Slice polytope, reduced potential, and smoothness class."""
+    """Reduced potential and smoothness class of a reduction."""
 
-    slice: HPolytope
     potential: SymplecticPotential
     classification: str
-    level: tuple
-    p: int
 
 
 def reduced_scalar_curvature(structure: ReducedStructure, y) -> float:
@@ -63,26 +60,24 @@ def reduced_scalar_curvature(structure: ReducedStructure, y) -> float:
 # the weighted-C^3 family
 
 
-def c3_reduction(alpha1: int, alpha2: int, c=0) -> ReducedStructure:
-    """Reduction of flat C^3 by the circle of weights (-alpha1, -alpha2, 1)
-    at level c: the quadrant with the extra facet alpha1 x1 + alpha2 x2 + c.
+def c3_reduction(alpha: int, c=0) -> ReducedStructure:
+    """Reduction of flat C^3 by the circle of weights (-alpha, -alpha, 1)
+    at level c: the quadrant with the extra facet alpha (x1 + x2) + c.
 
     For c = 0 three facets meet at the origin, so the reduced space is
     never a manifold or orbifold there.
     """
-    if alpha1 <= 0 or alpha2 <= 0:
-        raise ValueError("weights must be positive integers")
+    if alpha <= 0:
+        raise ValueError("the weight must be a positive integer")
     c = Fraction(c)
     if c < 0:
         raise ValueError("level must be nonnegative")
     quadrant = HPolytope.from_data(
-        2, [((1, 0), 0), ((0, 1), 0), ((alpha1, alpha2), c)])
+        2, [((1, 0), 0), ((0, 1), 0), ((alpha, alpha), c)])
     potential = SymplecticPotential(
-        [(1.0, 0.0), (0.0, 1.0), (float(alpha1), float(alpha2))],
+        [(1.0, 0.0), (0.0, 1.0), (float(alpha), float(alpha))],
         [0.0, 0.0, float(c)], barycenter=[1.0, 1.0])
-    return ReducedStructure(slice=quadrant, potential=potential,
-                            classification=classify_polytope(quadrant),
-                            level=(c,), p=1)
+    return ReducedStructure(potential, classify_polytope(quadrant))
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,18 @@ class TestPoints:
         assert rows[0] == ["index", "m", "H"]
         assert [r[1] for r in rows[1:]] == ["0", "1"]
 
+    @pytest.mark.parametrize("command", ["points", "norms"])
+    def test_h_beyond_the_float_range(self, tmp_path, capsys, command):
+        # the segment [10^200 - 1/2, 10^200 + 3/2]: 1/2 m^2 overflows
+        big = {"dim": 1, "facets": [
+            {"normal": [1], "offset": f"{1 - 2 * 10**200}/2"},
+            {"normal": [-1], "offset": f"{2 * 10**200 + 3}/2"}]}
+        code = main(["--input", write(tmp_path, big), "--command", command])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == ("error: H(m) = 1/2 |m_{<=p}|^2 is beyond "
+                                "the float range\n")
+
 
 class TestNorms:
     def test_segment_rows_and_limits(self, tmp_path, capsys):
@@ -430,6 +442,20 @@ class TestCurvature:
         assert code == 1
         assert "not interior" in err and "--point" in err
         assert err.count("\n") == 1
+
+    def test_far_interior_point(self, tmp_path, capsys):
+        # l^3 overflows, and S is -0 there (the true S is 0)
+        code = main(["--input", write(tmp_path, QUADRANT), "--command",
+                     "curvature", "--point", "1e150,1"])
+        assert (code, *capsys.readouterr()) == (
+            0, "point,scalar_curvature\n9.9999999999999998e+149;1,-0\n", "")
+
+    def test_point_where_the_curvature_is_not_finite(self, tmp_path, capsys):
+        code = main(["--input", write(tmp_path, QUADRANT), "--command",
+                     "curvature", "--point", "1e200,1e200"])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: the scalar curvature at [1.e+200 1.e+200] is not "
+            "finite in floats\n")
 
 
 COLD_START = """
@@ -826,18 +852,28 @@ class TestInputErrors:
         assert err.startswith("error: cannot write")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["--B", "1,0;0"],
-        ["--B", "2,0;0,1"],
-        ["--B", "1,0,0;0,1,0;0,0,1"],
-        ["--p", "5", "--B", "1,0;0,1"]],
+    @pytest.mark.parametrize("argv, error", [
+        (["--B", "1,0;0"], "error: bad --B"),
+        (["--B", "2,0;0,1"], "error: bad --B"),
+        (["--B", "1,0,0;0,1,0;0,0,1"], "error: bad --B"),
+        (["--p", "5", "--B", "1,0;0,1"], "error: --p 5 out of range")],
         ids=["ragged", "det-2", "3x3-on-2d", "p-out-of-range"])
-    def test_bad_frame_change_is_a_usage_error(self, tmp_path, capsys, argv):
+    def test_bad_frame_change_is_a_usage_error(self, tmp_path, capsys, argv,
+                                               error):
         code, err = run_err(capsys, ["--input", write(tmp_path, SIMPLEX),
                                      "--command", "points"] + argv)
         assert code == 2
-        assert err.startswith("error: bad --B")
+        assert err.startswith(error)
         assert err.count("\n") == 1
+
+    def test_bad_p_under_a_frame_change_stops_validate(self, tmp_path,
+                                                       capsys):
+        # validate reads no --p, but a frame change checks it
+        code, err = run_err(capsys, ["--input", write(tmp_path, SIMPLEX),
+                                     "--command", "validate", "--p", "0",
+                                     "--B", "1,1;0,1"])
+        assert (code, err) == (2, "error: --p 0 out of range for dimension "
+                                  "2\n")
 
     def test_reduce_on_empty_polytope(self, tmp_path, capsys):
         code, err = run_err(capsys, ["--input", write(tmp_path, EMPTY_SEGMENT),

@@ -201,17 +201,19 @@ class TestIntegrate:
             * h * h
         assert res.value == pytest.approx(oracle, abs=1e-6)
 
-    def test_budget_exhaustion_flagged(self):
+    def test_budget_exhaustion_flagged(self, monkeypatch):
+        monkeypatch.setenv("TORICQ_CELL_BUDGET", "8")
         region = triangulate(library.square(1))
-        res = integrate(lambda x: np.exp(-200 * x[:, 0]), region, tol=1e-15,
-                        budget=8)
+        res = integrate(lambda x: np.exp(-200 * x[:, 0]), region, tol=1e-15)
         assert not res.converged
 
-    def test_refinement_monotone(self):
+    def test_refinement_monotone(self, monkeypatch):
         region = triangulate(library.square(1))
         f = lambda x: np.exp(-30 * (x[:, 0] - 0.2) ** 2)
-        errs = [integrate(f, region, tol=0.0, budget=b).error_estimate
-                for b in (16, 32, 64, 128)]
+        errs = []
+        for budget in ("16", "32", "64", "128"):
+            monkeypatch.setenv("TORICQ_CELL_BUDGET", budget)
+            errs.append(integrate(f, region, tol=0.0).error_estimate)
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
     def test_determinism(self):
@@ -275,12 +277,17 @@ def rule_sum(values, weights):
     return float((values * weights).sum())
 
 
+def region_dim(region):
+    """The dimension of the region's simplices."""
+    return len(region.simplices[0]) - 1
+
+
 def greedy_reference(f, region, tol, budget):
     """Greedy refinement one cell at a time, as `integrate` defines it:
     split the cell of largest error (lowest id on ties) along its longest
     edge until the errors sum to tol or the cells reach the budget.
     Returns (value, error estimate, cells, converged, roots never split)."""
-    high, low = _rules(region.dim)
+    high, low = _rules(region_dim(region))
     ids = itertools.count()
 
     def rule(verts, volume, r):
@@ -401,7 +408,9 @@ class TestGreedyOracle:
 
     def check(self, g, region, tol, budget):
         f, nodes = counting(g)
-        res = integrate(f, region, tol, budget=budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("TORICQ_CELL_BUDGET", str(budget))
+            res = integrate(f, region, tol)
         f_ref, ref_nodes = counting(g)
         value, err, cells, converged, unsplit = greedy_reference(
             f_ref, region, tol, budget)
@@ -409,7 +418,7 @@ class TestGreedyOracle:
                 res.converged) == (value, err, cells, converged)
         assert res.hit_budget == (cells >= budget and not converged)
         if not res.hit_budget:
-            q = SHARED_NODES[region.dim]
+            q = SHARED_NODES[region_dim(region)]
             assert sum(nodes) == (4 * q * cells - q * len(region.simplices)
                                   + 4 * q * unsplit)
         return res, len(nodes), len(ref_nodes)
@@ -450,10 +459,12 @@ class TestGreedyOracle:
                                0.0, 400)
         assert res.hit_budget
 
-    def test_budget_warning(self, caplog):
+    def test_budget_warning(self, caplog, monkeypatch):
         region = triangulate(library.square(1))
         with caplog.at_level(logging.WARNING, logger="toricq.quadrature"):
-            integrate(peaked, region, tol=1e-12, budget=8)
+            monkeypatch.setenv("TORICQ_CELL_BUDGET", "8")
+            integrate(peaked, region, tol=1e-12)
+            monkeypatch.delenv("TORICQ_CELL_BUDGET")
             integrate(peaked, region, tol=1e-3)
         assert [r.name for r in caplog.records] == ["toricq.quadrature"]
         assert "budget 8" in caplog.records[0].getMessage()
@@ -486,17 +497,16 @@ class TestLockstep:
     cell at a time, on every field."""
 
     @settings(max_examples=25, derandomize=True, deadline=None)
-    @given(dim=st.integers(1, 4), members=st.lists(st.tuples(
-        st.sampled_from([1e-2, 1e-4, 1e-6]),
-        st.sampled_from([None, 3, 40, 300]),
-        st.integers(0, len(MEMBERS) - 1)), min_size=1, max_size=4))
-    # a budget that stops one member but not the others
-    @example(dim=2, members=[(1e-6, None, 0), (1e-9, 40, 1), (1e-3, None, 2)])
+    @given(dim=st.integers(1, 4), tol=st.sampled_from([1e-2, 1e-4, 1e-6]),
+           budget=st.sampled_from([None, 3, 40, 300]),
+           which=st.lists(st.integers(0, len(MEMBERS) - 1), min_size=1,
+                          max_size=4))
+    # a budget that stops two members but not the third, which converges
+    @example(dim=2, tol=1e-6, budget=30, which=[0, 2, 1])
     # a member whose values are not finite, between finite ones
-    @example(dim=1, members=[(1e-6, None, 0), (1e-6, 50, 3), (1e-8, None, 1)])
-    def test_each_member_as_alone(self, dim, members):
+    @example(dim=1, tol=1e-6, budget=50, which=[0, 3, 1])
+    def test_each_member_as_alone(self, dim, tol, budget, which):
         region = triangulate(LOCKSTEP_REGIONS[dim])
-        tols, budgets, which = zip(*members)
         fs = [MEMBERS[i] for i in which]
         sizes = []
 
@@ -505,15 +515,16 @@ class TestLockstep:
             return np.concatenate([g(x[a:b]) for g, a, b in
                                    zip(fs, starts, starts[1:])])
 
-        with np.errstate(all="ignore"):
-            results = list(integrate_lockstep(f, region, tols, budgets))
-            alone = [integrate(g, region, tol, budget)
-                     for g, tol, budget in zip(fs, tols, budgets)]
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            if budget:
+                mp.setenv("TORICQ_CELL_BUDGET", str(budget))
+            results = list(integrate_lockstep(f, region, tol, len(fs)))
+            alone = [integrate(g, region, tol) for g in fs]
         assert list(map(fields, results)) == list(map(fields, alone))
-        for res, g, tol, budget in zip(results, fs, tols, budgets):
-            budget = budget or cell_budget()
+        budget = budget or cell_budget()
+        for res, g in zip(results, fs):
             assert math.isfinite(res.value) == (g is not blows_up)
-            if region.dim == 4 and budget > 300:
+            if dim == 4 and budget > 300:
                 continue
             with np.errstate(all="ignore"):
                 value, err, cells, converged, _ = greedy_reference(
@@ -523,7 +534,7 @@ class TestLockstep:
             assert res.hit_budget == (err > tol and cells >= budget)
         # each call holds the splits of at most _BATCH cells or the roots
         # of one integral, unless one integral asks for more alone
-        q = SHARED_NODES[region.dim]
+        q = SHARED_NODES[dim]
         cap = max(4 * q * _BATCH, 7 * q * len(region.simplices))
         assert max(sizes) <= cap
         assert len(sizes) <= sum(r.integrand_calls for r in results)
@@ -541,7 +552,7 @@ class TestLockstep:
             return np.concatenate([g(x[a:b]) for g, a, b in
                                    zip(fs, starts, starts[1:])])
 
-        results = list(integrate_lockstep(f, region, [1e-4] * 3, [None] * 3))
+        results = list(integrate_lockstep(f, region, 1e-4, 3))
         assert len(calls) == max(r.integrand_calls for r in results) > 1
         assert sum(r.integrand_calls for r in results) > len(calls)
 
@@ -573,9 +584,10 @@ class TestNodeCount:
         (library.corrected_square(), 10 ** 6),
         (library.corrected_square(), 64),
         (box(3), 10 ** 6)], ids=["2d", "2d-budget", "3d"])
-    def test_counts_what_f_is_given(self, poly, budget):
+    def test_counts_what_f_is_given(self, monkeypatch, poly, budget):
+        monkeypatch.setenv("TORICQ_CELL_BUDGET", str(budget))
         f, nodes = counting(peaked)
-        res = integrate(f, triangulate(poly), 1e-6, budget=budget)
+        res = integrate(f, triangulate(poly), 1e-6)
         assert res.nodes == sum(nodes) > 0
 
     def test_slices(self):

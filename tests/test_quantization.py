@@ -196,10 +196,11 @@ class TestNorms:
 
     def test_limit_constant_closed_form(self):
         poly = library.corrected_segment()
+        pot = guillemin_potential(poly)
         for m in ((0,), (1,)):
-            assert limit_constant(poly, 1, m).value == pytest.approx(
-                SEG_CM, rel=1e-12)
-        c_m = limit_constant(poly, 1, (0,)).value
+            assert limit_constant(poly, pot, 1, m, tol=1e-10).value \
+                == pytest.approx(SEG_CM, rel=1e-12)
+        c_m = limit_constant(poly, pot, 1, (0,), tol=1e-10).value
         assert math.pi ** 0.5 * c_m == pytest.approx(SEG_LIMIT, rel=1e-12)
 
     def test_square_product_identity(self):
@@ -207,7 +208,8 @@ class TestNorms:
         # segment, so tilde_sq(s) * c_seg = tilde_seg(s) * c_sq
         sq = library.corrected_square()
         seg = library.corrected_segment()
-        c_sq = limit_constant(sq, 1, (0, 0), tol=1e-11).value
+        c_sq = limit_constant(sq, guillemin_potential(sq), 1, (0, 0),
+                              tol=1e-11).value
         for s in (1.0, 10.0):
             t2 = tilde_norm_squared(sq, 1, (0, 0), s, tol=1e-6).value
             t1 = tilde_norm_squared(seg, 1, (0,), s, tol=1e-10).value
@@ -216,8 +218,9 @@ class TestNorms:
     def test_square_p2_point_limit(self):
         # p = n: c_m is the closed-form product over the facets
         sq = library.corrected_square()
-        assert limit_constant(sq, 2, (0, 0)).value == pytest.approx(
-            SEG_CM ** 2, rel=1e-12)
+        assert limit_constant(sq, guillemin_potential(sq), 2, (0, 0),
+                              tol=1e-10).value == pytest.approx(SEG_CM ** 2,
+                                                                rel=1e-12)
 
 
 class TestConvergence:
@@ -240,7 +243,8 @@ class TestConvergence:
     def test_report_rows_match_the_norm_functions(self):
         poly = library.corrected_segment()
         report = verify_norm_limit(poly, 1, (1,), (10.0, 20.0), tol=1e-8)
-        assert report.c_m_result == limit_constant(poly, 1, (1,), tol=1e-8)
+        assert report.c_m_result == limit_constant(
+            poly, guillemin_potential(poly), 1, (1,), tol=1e-8)
         assert report.target == math.pi ** 0.5 * report.c_m
         tildes = [tilde_norm_squared(poly, 1, (1,), s, tol=1e-8).value
                   for s in (10.0, 20.0)]
@@ -248,19 +252,20 @@ class TestConvergence:
         assert report.squared_norms == tuple(
             norm_from_tilde(1, (1,), s, t) for s, t in zip((10.0, 20.0), tildes))
 
-    def test_unconverged_integral_does_not_pass(self):
+    def test_unconverged_integral_does_not_pass(self, monkeypatch):
+        monkeypatch.setenv("TORICQ_CELL_BUDGET", "20")
         report = verify_norm_limit(library.corrected_segment(), 1, (0,),
-                                   (10.0, 20.0, 40.0), tol=1e-13, budget=20)
+                                   (10.0, 20.0, 40.0), tol=1e-13)
         assert not any(r.converged for r in report.results)
         assert not report.passed
 
-    def test_budget_bounds_the_limit_constant(self):
+    def test_budget_bounds_the_limit_constant(self, monkeypatch):
         # the corrected Hirzebruch trapezoid 0 <= y <= 1, x + y <= 2
+        monkeypatch.setenv("TORICQ_CELL_BUDGET", "8")
         h = Fraction(1, 2)
         poly = DelzantPolytope.from_data(2, [
             ((1, 0), h), ((0, 1), h), ((0, -1), 1 + h), ((-1, -1), 2 + h)])
-        report = verify_norm_limit(poly, 1, (0, 0), (10.0, 20.0),
-                                   tol=1e-13, budget=8)
+        report = verify_norm_limit(poly, 1, (0, 0), (10.0, 20.0), tol=1e-13)
         assert all(r.cells_used == 8 for r in report.results)
         assert report.c_m_result.cells_used == 8
         assert report.c_m_result.hit_budget

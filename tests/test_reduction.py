@@ -72,33 +72,32 @@ class TestReducedPotential:
         # the slice of the shifted square is a length-2 segment: S = 2/2 = 1
         poly = library.corrected_square()
         structure = ReducedStructure(
-            slice=axis_slice(poly, 1, (0,)),
             potential=guillemin_potential(poly).restrict(1, (0,)),
-            classification=CLASS_DELZANT, level=(0,), p=1)
+            classification=CLASS_DELZANT)
         S = reduced_scalar_curvature(structure, np.array([0.5]))
         assert S == pytest.approx(1.0, abs=1e-6)
 
 
 class TestC3Family:
     def test_zero_level_is_worse(self):
-        assert c3_reduction(2, 2, 0).classification == CLASS_WORSE
-        assert c3_reduction(1, 1, 0).classification == CLASS_WORSE
+        assert c3_reduction(2, 0).classification == CLASS_WORSE
+        assert c3_reduction(1, 0).classification == CLASS_WORSE
 
     def test_positive_level_is_smooth(self):
-        assert c3_reduction(2, 2, 1).classification == CLASS_DELZANT
+        assert c3_reduction(2, 1).classification == CLASS_DELZANT
 
     def test_curvature_closed_form(self):
         # equal weights alpha: S = 2 alpha / ((alpha + 1)(x1 + x2))
-        structure = c3_reduction(2, 2, 0)
+        structure = c3_reduction(2, 0)
         assert reduced_scalar_curvature(
             structure, [1.0, 1.0]) == pytest.approx(2.0 / 3.0, abs=1e-6)
         assert reduced_scalar_curvature(
             structure, [2.0, 2.0]) == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert reduced_scalar_curvature(
-            c3_reduction(1, 1, 0), [1.0, 1.0]) == pytest.approx(0.5, abs=1e-6)
+            c3_reduction(1, 0), [1.0, 1.0]) == pytest.approx(0.5, abs=1e-6)
 
     def test_curvature_blows_up_toward_corner(self):
-        structure = c3_reduction(2, 2, 0)
+        structure = c3_reduction(2, 0)
         vals = [reduced_scalar_curvature(structure, [t, t]) * t
                 for t in (1.0, 0.5, 0.25, 0.125)]
         # S(t, t) * t is constant, so S itself blows up like 1/t
@@ -106,9 +105,9 @@ class TestC3Family:
 
     def test_bad_weights(self):
         with pytest.raises(ValueError):
-            c3_reduction(0, 1, 0)
+            c3_reduction(0)
         with pytest.raises(ValueError):
-            c3_reduction(1, 1, -1)
+            c3_reduction(1, -1)
 
 
 def fibre_sizes(poly, p):
@@ -128,7 +127,7 @@ class TestDimensionAudit:
 
     def test_random_frame_changes_preserve_dims_total(self):
         poly = library.simplex(2)
-        shear = FrameChange(B=((1, 1), (0, 1)), p=1)
+        shear = FrameChange(B=((1, 1), (0, 1)))
         moved = apply_frame_change(poly, shear)
         _, dims0 = fibre_sizes(poly, 1)
         _, dims1 = fibre_sizes(moved, 1)
@@ -147,13 +146,13 @@ class TestFibreCounts:
     @pytest.mark.parametrize("poly,p", [
         (rectangle(3, 50), 1), (rectangle(2, 7), 2), (library.simplex(6), 1),
         (library.simplex(6), 2), (library.corrected_square(), 1),
-        (apply_frame_change(rectangle(4, 9), FrameChange(((1, 3), (0, 1)),
-                                                         1)), 1),
+        (apply_frame_change(rectangle(4, 9), FrameChange(((1, 3), (0, 1)))),
+         1),
         (DelzantPolytope.from_data(3, [(unit(3, i, s), 2 + i)
                                        for i in range(3) for s in (1, -1)]),
          2),
         (apply_frame_change(library.simplex(5),
-                            FrameChange(((1, 0), (-2, 1)), 1)), 1)],
+                            FrameChange(((1, 0), (-2, 1)))), 1)],
         ids=["rect-p1", "rect-p2", "simplex-p1", "simplex-p2",
              "corrected-square", "sheared-rect", "box3-p2",
              "sheared-simplex"])
@@ -210,7 +209,7 @@ def level_report_inputs(draw):
         k = draw(st.integers(1, 2))
         facets.append((tuple(k * a for a in normal), k * offset + 1))
     poly = apply_frame_change(DelzantPolytope.from_data(n, facets),
-                              FrameChange(B=draw(unimodular(n)), p=1))
+                              FrameChange(B=draw(unimodular(n))))
     return poly, draw(st.integers(1, n - 1))
 
 

@@ -37,11 +37,12 @@ def test_first_warnings_reach_logging(monkeypatch, caplog):
     # first warning, then exactly one NullHandler however many follow
     package = logging.getLogger("toricq")
     monkeypatch.setattr(package, "handlers", [])
+    monkeypatch.setenv("TORICQ_CELL_BUDGET", "8")
     with caplog.at_level(logging.WARNING, logger="toricq"):
         polytope_from_json({"dim": 1, "facets": [
             {"normal": [1], "offset": 0.1}, {"normal": [-1], "offset": 1}]})
         integrate(lambda x: np.exp(-10 * np.sum((x - 0.3) ** 2, axis=-1)),
-                  triangulate(library.square(1)), tol=1e-12, budget=8)
+                  triangulate(library.square(1)), tol=1e-12)
     assert [r.name for r in caplog.records] == ["toricq.polytope",
                                                 "toricq.quadrature"]
     assert "rationalised" in caplog.records[0].getMessage()
