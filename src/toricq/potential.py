@@ -10,8 +10,8 @@ Hess g + diag(d) = 1/2 A^T diag(1/l) A + diag(d), so by Cauchy-Binet its
 determinant is the sum of c_T prod_{r in T} 1/l_r over facet subsets T,
 each term nonnegative for d >= 0, with c_T built once from exact minors of
 A (`det_terms`).  The half-form factor sqrt(det G_s) and Abreu's regularity
-function are read from facet-major rows of facet values (`facet_rows`),
-with no Hessian and no factorization per point.
+function are read from the facet values, one row per facet (`facet_values`),
+with no copy, no Hessian and no factorization per point.
 """
 
 from __future__ import annotations
@@ -60,22 +60,29 @@ class SymplecticPotential:
     # -- facet helpers ------------------------------------------------------
 
     def facet_values(self, x):
-        """l_r(x) for every facet; x is (..., n)."""
-        return np.asarray(x) @ self.A.T + self.b
+        """l_r(x) for every facet, one row per facet from one matmul: (R,)
+        at a point x, (n,), and (R, N) at N points x, (N, n)."""
+        l = self.A @ np.asarray(x).T
+        l.T[...] += self.b              # in place: no second (R, N) array
+        return l
 
     def is_interior(self, x):
-        return bool(np.all(self.facet_values(x) > 0))
+        with np.errstate(over="ignore"):    # an overflow keeps its sign
+            return bool(np.all(self.facet_values(x) > 0))
 
     def _require_interior(self, x):
-        if not self.is_interior(x):
+        """The facet values at x, which must all be positive."""
+        l = self.facet_values(x)
+        if not np.all(l > 0):
             raise PointError(f"point {np.asarray(x)} is not interior")
+        return l
 
-    # -- evaluators (broadcast over leading axes) ---------------------------
+    # -- evaluators (at a point x, (n,), or at N points, (N, n)) ------------
 
     def hess(self, x):
         """Hess g at x."""
         l = self.facet_values(x)
-        return 0.5 * np.einsum('...r,rj,rk->...jk', 1.0 / l, self.A, self.A)
+        return 0.5 * np.einsum('r...,rj,rk->...jk', 1.0 / l, self.A, self.A)
 
     def det_terms(self, shift=None) -> "DetTerms":
         """The Cauchy-Binet terms of det(Hess g + diag(shift)); shift has one
@@ -108,7 +115,7 @@ class SymplecticPotential:
     def third(self, x):
         """T[j,k,l] = d^3 g / dx_j dx_k dx_l."""
         l = self.facet_values(x)
-        return -0.5 * np.einsum('...r,rj,rk,rl->...jkl',
+        return -0.5 * np.einsum('r...,rj,rk,rl->...jkl',
                                 1.0 / l ** 2, self.A, self.A, self.A)
 
     def restrict(self, p: int, c) -> "SymplecticPotential":
@@ -168,21 +175,21 @@ class DetTerms:
         # the subsets' and the complements' columns, on first use
         self._columns = self._rest = None
 
-    def det(self, w, table, starts=None):
-        """The determinant at each node of w = facet_rows(l), for a
+    def det(self, l, table, starts=None):
+        """The determinant at each node of the facet values l, (R, N), for a
         (subsets, K) table of coefficients of K shifts over the same
         subsets (`coeffs[:, None]` for these terms alone): at the nodes from
         starts[j] to starts[j + 1] those of column j."""
         self._columns = self._columns or _columns(self.subsets, self.facets)
-        return _subset_sum(w, np.reciprocal, self._columns, table, starts)
+        return _subset_sum(l, np.reciprocal, self._columns, table, starts)
 
-    def det_times_facet_product(self, w):
+    def det_times_facet_product(self, l):
         """det * prod_r l_r = sum_T c_T prod_{r not in T} l_r at each node
-        of w = facet_rows(l), with no division."""
+        of the facet values l, (R, N), with no division."""
         self._rest = self._rest or _columns(
             [tuple(r for r in range(self.facets) if r not in T)
              for T in self.subsets], self.facets)
-        return _subset_sum(w, np.positive, self._rest, self.coeffs[:, None])
+        return _subset_sum(l, np.positive, self._rest, self.coeffs[:, None])
 
 
 def _columns(subsets, facets):
@@ -195,29 +202,23 @@ def _columns(subsets, facets):
     return tuple(np.ascontiguousarray(index.T))
 
 
-def facet_rows(l):
-    """Facet values l, (..., R), as C-contiguous facet-major rows (R, N)
-    over the N nodes, in at most one transposed copy."""
-    return np.ascontiguousarray(l.reshape(-1, l.shape[-1]).T)
-
-
 # nodes per block of _subset_sum, which bounds its temporaries
 _BLOCK = 2048
 
 
-def _subset_sum(w, op, columns, table, starts=None):
-    """sum_T c_T prod_{r in T} op(w_r) at the nodes of w = facet_rows(l)
-    for the subsets' facet `columns`, R meaning a factor 1, with c column
-    j of the coefficient table from node starts[j] to starts[j + 1] (all
-    nodes take column 0 if starts is None).  A block of nodes writes op(w)
-    into a factor block whose last row is ones, gathers it once per column
-    and folds the rows of terms in halves, so each node's sum has a fixed
-    order and a batch gives the same bits as its nodes one by one."""
-    R, N = w.shape
+def _subset_sum(l, op, columns, table, starts=None):
+    """sum_T c_T prod_{r in T} op(l_r) at the nodes of the facet values l,
+    (R, N), for the subsets' facet `columns`, R meaning a factor 1, with c
+    column j of the coefficient table from node starts[j] to starts[j + 1]
+    (all nodes take column 0 if starts is None).  A block of nodes writes
+    op(l) into a factor block whose last row is ones, gathers it once per
+    column and folds the rows of terms in halves, so each node's sum has a
+    fixed order and a batch gives the same bits as its nodes one by one."""
+    R, N = l.shape
     out, starts = np.empty(N), (0, N) if starts is None else starts
     for a in range(0, N, _BLOCK):
         factors = np.empty((R + 1, min(_BLOCK, N - a)))
-        op(w[:, a:a + _BLOCK], out=factors[:R])
+        op(l[:, a:a + _BLOCK], out=factors[:R])
         factors[R] = 1.0
         terms = factors[columns[0]]
         for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
@@ -245,9 +246,8 @@ def regularity_delta(pot: SymplecticPotential, x):
     """Abreu's delta(x) = (det Hess g * prod_r l_r)^(-1), the reciprocal of
     the positive polynomial sum_T c_T prod_{r not in T} l_r of the
     Cauchy-Binet terms; strictly positive inside."""
-    pot._require_interior(x)
-    w = facet_rows(pot.facet_values(x))
-    return float(1.0 / pot.det_terms().det_times_facet_product(w)[0])
+    l = pot._require_interior(x)[:, None]
+    return float(1.0 / pot.det_terms().det_times_facet_product(l)[0])
 
 
 def abreu_scalar_curvature(pot: SymplecticPotential, x):
@@ -262,20 +262,21 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
     the point nears a facet; points within 8e-10 of the boundary are rejected.
     """
     x = np.asarray(x, dtype=float)
-    pot._require_interior(x)
+    # far from the facets l_r, l_r^2 and l_r^3 overflow, and S can be inf / inf
+    with np.errstate(all="ignore"):
+        l, G, T = pot._require_interior(x), pot.hess(x), pot.third(x)
     # min l_r/|nu_r| over nonconstant facets bounds the boundary distance;
     # hypot takes |nu_r| without squaring, so huge normals do not overflow
-    l, norms = pot.facet_values(x), np.hypot.reduce(pot.A, axis=1, initial=0)
+    norms = np.hypot.reduce(pot.A, axis=1, initial=0)
     if np.min(l[norms > 0] / norms[norms > 0]) < 8e-10:
         raise PointError("point too close to the boundary for the "
                          "curvature formula")
     try:
-        H = np.linalg.inv(pot.hess(x))
+        H = np.linalg.inv(G)
     except np.linalg.LinAlgError:
         raise DomainError(f"the Hessian at {x} is singular in floats") from None
-    # far from the facets l_r^2 and l_r^3 overflow, and S can be inf / inf
     with np.errstate(all="ignore"):
-        HT = np.einsum('ab,jbc->jac', H, pot.third(x))      # H T_j
+        HT = np.einsum('ab,jbc->jac', H, T)                 # H T_j
         HTHTH = np.einsum('jab,kbc,cd->jkad', HT, HT, H)     # H T_j H T_k H
         aHa = np.einsum('rj,jk,rk->r', pot.A, H, pot.A)      # a_r . H a_r
         # sum_jk (H d_j d_k G H)_jk = sum_r (a_r . H a_r)^2 / l_r^3

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polytope import PolytopeError
-from .potential import (DomainError, SymplecticPotential, facet_rows,
+from .potential import (DomainError, SymplecticPotential,
                         guillemin_potential, to_float)
 from .quadrature import (IntegralResult, integrate_lockstep, integrate_slice,
                          triangulate)
@@ -65,18 +65,18 @@ def quantum_basis(poly, p: int):
 
 def stable_density(pot: SymplecticPotential, m):
     """Vectorized prod_r l_r(x)^{l_r(m)} e^{l_r(m) - l_r(x)}, read from the
-    facet-major rows of the facet values at the nodes x."""
+    facet values at the nodes x, one row per facet."""
     lm = pot.facet_values(np.asarray(m, dtype=float))[:, None]
     if np.any(lm < 0.5 - 1e-12):
         raise PolytopeError(
             f"lattice point {m} has a facet value below 1/2; "
             "the polytope is not half-form shifted")
 
-    def density(w):
-        """The density at the nodes of w = facet_rows(facet_values(x))."""
+    def density(l):
+        """The density at the nodes of l = facet_values(x), (R, N)."""
         # sum adds the facet rows in order, for any number of nodes, and
         # takes temporaries of one row at a time
-        return np.exp(sum(a * np.log(r) + (a - r) for a, r in zip(lm, w)))
+        return np.exp(sum(a * np.log(r) + (a - r) for a, r in zip(lm, l)))
 
     return density
 
@@ -96,9 +96,8 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s, terms=None):
     first p axes; s is a time, or a list of times with s[j] at rows
     starts[j] to starts[j + 1] of x.  det G_s is the Cauchy-Binet sum of
     `_det_terms`, built once here or given as terms, over one set of facet
-    subsets.  Each call copies its facet values once into the facet-major
-    rows that the density and every det read; a batch gives the same bits
-    as its nodes one by one."""
+    subsets.  The density and every det read one matmul's facet values as
+    they are; a batch gives the same bits as its nodes one by one."""
     density = stable_density(pot, m)
     mm = np.asarray(m, dtype=float)[:p]
     times = list(s) if np.ndim(s) else [s]
@@ -106,12 +105,12 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s, terms=None):
     ts, table = np.array(times, float), np.array([t.coeffs for t in terms]).T
 
     def f(x, starts=None):
-        w = facet_rows(pot.facet_values(x))
+        l = pot.facet_values(x)
         # det first: its blocks' temporaries are the largest of a call
-        root = np.sqrt(terms[0].det(w, table, starts))
+        root = np.sqrt(terms[0].det(l, table, starts))
         t = ts[0] if starts is None else ts.repeat(np.diff(starts))
         gauss = np.exp(-t * sum((x[:, j] - mm[j]) ** 2 for j in range(p)))
-        return gauss * density(w) * root
+        return gauss * density(l) * root
 
     return f
 

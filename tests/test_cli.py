@@ -599,8 +599,6 @@ class TestFlagValidation:
         assert code == expected
         assert err == "error: the Hessian at [1. 1.] is singular in floats\n"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("command, expected", [("reduce", 1),
                                                    ("curvature", 1)])
     def test_alpha_with_a_non_finite_curvature(self, capsys, command,

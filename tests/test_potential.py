@@ -14,7 +14,6 @@ from toricq.polytope import HPolytope
 from toricq.potential import (
     DomainError,
     abreu_scalar_curvature,
-    facet_rows,
     guillemin_potential,
     regularity_delta,
     SymplecticPotential,
@@ -102,6 +101,54 @@ class TestClosedForms:
                     continue
                 taken += 1
                 np.linalg.cholesky(pot.hess(x))  # raises if not SPD
+
+
+class TestFacetLayout:
+    """Facet values come facet-major from one matmul.  Its bits are those
+    of the node-major product for any normals; a batch gives each point's
+    bits for the integer normals of the shipped shapes (entries in [-2, 2]
+    up to 3-D, the box's +-e_i in 4-D).  A 4-D normal with several nonzero
+    entries may round differently at a point, in either layout."""
+
+    @staticmethod
+    def potential(rng, n, R, exact):
+        if not exact:
+            A = rng.uniform(-3, 3, (R, n))
+        elif n < 4:
+            A = rng.integers(-2, 3, (R, n))
+            A[~A.any(axis=1), 0] = 1
+        else:
+            signs = rng.choice([-1.0, 1.0], (R, 1))
+            A = signs * np.eye(n)[rng.integers(n, size=R)]
+        return SymplecticPotential(A, rng.integers(1, 8, R) / 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_batch_equals_points_and_node_major(self, n, exact):
+        rng = np.random.default_rng(30 + n)
+        for R in range(1, 11):
+            pot = self.potential(rng, n, R, exact)
+            for N in sorted({1, 7, R, 2048, 8704}):
+                x = rng.uniform(-1, 1, (N, n))
+                l = pot.facet_values(x)
+                assert l.shape == (R, N) and l.flags.c_contiguous
+                assert np.array_equal(l, (x @ pot.A.T + pot.b).T)
+                if exact:
+                    points = np.array([pot.facet_values(y) for y in x])
+                    assert np.array_equal(l, points.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_derivatives_on_a_batch_of_R_points(self, n):
+        # N = R, so subscripts that mix the node and facet axes still
+        # broadcast, and only the values tell
+        rng = np.random.default_rng(40 + n)
+        for R in range(1, 11):
+            pot = self.potential(rng, n, R, exact=True)
+            x = rng.uniform(-0.05, 0.05, (R, n))
+            assert np.array_equal(pot.hess(x),
+                                  np.array([pot.hess(y) for y in x]))
+            assert np.array_equal(pot.third(x),
+                                  np.array([pot.third(y) for y in x]))
 
 
 class TestLegendre:
@@ -240,7 +287,7 @@ class TestCauchyBinetAccuracy:
         l = TRIANGLE.facet_values(np.array([0.3, 2.2 - d]))
         ref = mp_det_shifted(TRIANGLE, l, [s, 0.0])
         terms = TRIANGLE.det_terms([s, 0.0])
-        got = terms.det(facet_rows(l), terms.coeffs[:, None])[0]
+        got = terms.det(l[:, None], terms.coeffs[:, None])[0]
         assert abs(got - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
@@ -254,7 +301,7 @@ class TestCauchyBinetAccuracy:
             ref = (mp_det_shifted(TRIANGLE, l, [s, 0.0])
                    * mpmath.fprod([mpmath.mpf(v) for v in l.tolist()]))
             got = TRIANGLE.det_terms([s, 0.0]).det_times_facet_product(
-                facet_rows(l))[0]
+                l[:, None])[0]
             assert abs(got - ref) <= 1e-15 * ref
             if s == 0.0:
                 delta = regularity_delta(TRIANGLE, x)
@@ -307,6 +354,5 @@ def test_cauchy_binet_terms(case, unshifted):
             == cauchy_binet_terms(A, d))
     # and they sum to the determinant of the shifted Hessian
     lu = np.linalg.det(pot.hess(x) + np.diag(d))
-    det = terms.det(facet_rows(pot.facet_values(x)),
-                    terms.coeffs[:, None])[0]
+    det = terms.det(pot.facet_values(x)[:, None], terms.coeffs[:, None])[0]
     assert det == pytest.approx(lu, rel=1e-10, abs=0.0)

@@ -7,7 +7,7 @@ import pytest
 from exact_oracles import guillemin_gradient, guillemin_value
 from toricq import library
 from toricq.polytope import DelzantPolytope, HPolytope
-from toricq.potential import facet_rows, guillemin_potential
+from toricq.potential import guillemin_potential
 from toricq.quadrature import integrate_slice
 from toricq.quantization import (
     hamiltonian_value,
@@ -83,14 +83,14 @@ class TestStableDensity:
                 y = guillemin_gradient(pot, x)
                 direct = math.exp(-2.0 * (float((x - np.asarray(m)) @ y)
                                           - guillemin_value(pot, x)))
-                w = facet_rows(pot.facet_values(x[None, :]))
+                w = pot.facet_values(x[None, :])
                 assert density(w)[0] == pytest.approx(direct, rel=1e-12)
 
     def test_bounded_at_boundary(self):
         pot = guillemin_potential(library.corrected_segment())
         density = stable_density(pot, (0,))
         x = np.array([[-0.5 + 1e-12], [1.5 - 1e-12]])
-        vals = density(facet_rows(pot.facet_values(x)))
+        vals = density(pot.facet_values(x))
         assert np.all(np.isfinite(vals))
 
     def test_rejects_shallow_point(self):
@@ -151,13 +151,13 @@ class TestNormIntegrandPointwise:
     def test_matches_node_major_form(self, case):
         pot, p, m, s, lo, hi = integrand_case(case)
         x = np.random.default_rng(12).uniform(lo, hi, (2500, len(lo)))
-        l = pot.facet_values(x)
+        l = pot.facet_values(x).T
         lm = pot.facet_values(np.asarray(m, dtype=float))
         density = np.exp(np.sum(lm * np.log(l) + (lm - l), axis=-1))
         gauss = np.exp(-s * np.sum((x[:, :p] - np.asarray(m[:p])) ** 2,
                                    axis=-1))
         terms = pot.det_terms([s] * p + [0.0] * (pot.dim - p))
-        det = terms.det(facet_rows(l), terms.coeffs[:, None])
+        det = terms.det(pot.facet_values(x), terms.coeffs[:, None])
         expected = gauss * density * np.sqrt(det)
         got = norm_integrand(pot, p, m, s)(x)
         if l.shape[1] < 8:
