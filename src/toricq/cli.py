@@ -137,6 +137,8 @@ def point_arg(args, pot, poly=None):
         if len(x) != pot.dim:
             raise UsageError(
                 f"--point has {len(x)} coordinates, expected {pot.dim}")
+        if not np.all(np.isfinite(x)):
+            raise UsageError("--point needs finite coordinates")
         return x
     x = (pot.barycenter if poly is None
          else np.array([to_float(c) for c in poly.barycenter]))
@@ -326,7 +328,7 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except (UsageError, PointError) as exc:
-        # a --point outside the interior, or too near a facet for S
+        # bad flag values or input, or a --point outside the interior
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (polytope.PolytopeError, DomainError) as exc:

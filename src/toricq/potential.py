@@ -2,9 +2,8 @@
 
 The Guillemin potential of a polytope with facet functions l_r is
 g(x) = 1/2 sum_r l_r(x) log l_r(x).  Its Hessian, third derivatives and
-Abreu scalar curvature are closed-form; `restrict` fixes the leading
-coordinates to a level.  Boundary behaviour is only ever probed
-through the dedicated limit paths of the quadrature and quantization modules.
+Abreu scalar curvature are closed-form, the curvature with no cut-off near
+the boundary; `restrict` fixes the leading coordinates to a level.
 
 Hess g + diag(d) = 1/2 A^T diag(1/l) A + diag(d), so by Cauchy-Binet its
 determinant is the sum of c_T prod_{r in T} 1/l_r over facet subsets T,
@@ -27,7 +26,7 @@ class DomainError(ValueError):
 
 
 class PointError(DomainError):
-    """A point that is not interior, or too close to the boundary."""
+    """A point that is not interior: a usage error, not a domain failure."""
 
 
 def to_float(q):
@@ -251,38 +250,35 @@ def regularity_delta(pot: SymplecticPotential, x):
 
 
 def abreu_scalar_curvature(pot: SymplecticPotential, x):
-    """Scalar curvature S = -1/2 sum_{jk} d^2 (G^-1)_{jk} / dx_j dx_k.
+    """Scalar curvature S = -1/2 sum_{jk} d^2 (G^-1)_{jk} / dx_j dx_k: 2/lam
+    on the segment [0, lam], 2a/((a+1)(x1+x2)) on the weighted-C^3 family.
 
-    The -1/2 normalization is calibrated so that the reduced potential
-    1/2 (x1 log x1 + x2 log x2 + a(x1+x2) log(a(x1+x2))) yields
-    S = 2a/((a+1)(x1+x2)); the round-segment [0, lam] value is 2/lam.
-    In closed form, with H = G^-1, T_j = d_j G and d_j d_k G = sum_r
-    a_rj a_rk a_r a_r^T / l_r^3: d_j d_k H = H T_j H T_k H + H T_k H T_j H
-    - H (d_j d_k G) H.  Its O(1/dist) terms cancel, so rounding grows as
-    the point nears a facet; points within 8e-10 of the boundary are rejected.
+    With B = diag(l)^(-1/2) A, so that B^T B = 2G, the projection P onto
+    the columns of B has P_rs = 1/2 a_r . G^-1 a_s / sqrt(l_r l_s), and
+    S = 2 sum_r P_rr^2 (1 - P_rr) / l_r
+        - sum_{r != s} P_rs (P_rs^2 + P_rr P_ss) / sqrt(l_r l_s).
+    A complete QR of B with rows and columns sorted by decreasing norm is
+    row-wise stable (Powell & Reid 1969; Cox & Higham 1998).  Q1, its first
+    n columns, gives P_rr, the rest Q2 each 1 - P_rr, and P_rs is Q1_r . Q1_s
+    or -Q2_r . Q2_s, whichever has the smaller rounding bound, so no term
+    cancels near a facet or a simple vertex; the unit normals give the rank.
     """
-    x = np.asarray(x, dtype=float)
-    # far from the facets l_r, l_r^2 and l_r^3 overflow, and S can be inf / inf
-    with np.errstate(all="ignore"):
-        l, G, T = pot._require_interior(x), pot.hess(x), pot.third(x)
-    # min l_r/|nu_r| over nonconstant facets bounds the boundary distance;
-    # hypot takes |nu_r| without squaring, so huge normals do not overflow
-    norms = np.hypot.reduce(pot.A, axis=1, initial=0)
-    if np.min(l[norms > 0] / norms[norms > 0]) < 8e-10:
-        raise PointError("point too close to the boundary for the "
-                         "curvature formula")
-    try:
-        H = np.linalg.inv(G)
-    except np.linalg.LinAlgError:
-        raise DomainError(f"the Hessian at {x} is singular in floats") from None
-    with np.errstate(all="ignore"):
-        HT = np.einsum('ab,jbc->jac', H, T)                 # H T_j
-        HTHTH = np.einsum('jab,kbc,cd->jkad', HT, HT, H)     # H T_j H T_k H
-        aHa = np.einsum('rj,jk,rk->r', pot.A, H, pot.A)      # a_r . H a_r
-        # sum_jk (H d_j d_k G H)_jk = sum_r (a_r . H a_r)^2 / l_r^3
-        S = -0.5 * float(np.einsum('jkjk->', HTHTH) + np.einsum(
-            'jkkj->', HTHTH) - np.sum(aHa ** 2 / l ** 3))
-    if not math.isfinite(S):
-        raise DomainError(f"the scalar curvature at {x} is not finite in "
-                          "floats")
-    return S
+    x, n = np.asarray(x, dtype=float), pot.dim
+    a = np.hypot.reduce(pot.A, axis=1, initial=0)   # no overflow in |a_r|
+    with np.errstate(all="ignore"):     # facet values may overflow far out
+        l = pot._require_interior(x)
+        if np.linalg.matrix_rank(pot.A[a > 0] / a[a > 0, None]) < n:
+            raise DomainError(f"the Hessian at {x} is singular in floats")
+        w = 1 / np.sqrt(l)
+        order = np.argsort(-a * w, kind="stable")
+        l, w, B = l[order], w[order], pot.A[order] * w[order, None]
+        B = B[:, np.argsort(-np.hypot.reduce(B, axis=0), kind="stable")]
+        Q1, Q2 = np.hsplit(np.linalg.qr(B, mode="complete")[0], [n])
+        p, c = np.sum(Q1 ** 2, axis=1), np.sum(Q2 ** 2, axis=1)
+        P = np.where(np.outer(p, p) <= np.outer(c, c), Q1 @ Q1.T, -Q2 @ Q2.T)
+        off = P * (P * P + np.outer(p, p)) * np.outer(w, w)
+        np.fill_diagonal(off, 0.0)     # the r = s terms are in the first sum
+        S = 2 * np.sum(p * p * c / l) - off.sum()
+    if math.isfinite(S) and np.all(np.isfinite(l)):
+        return float(S)
+    raise DomainError(f"the scalar curvature at {x} is not finite in floats")

@@ -97,7 +97,8 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s, terms=None):
     starts[j] to starts[j + 1] of x.  det G_s is the Cauchy-Binet sum of
     `_det_terms`, built once here or given as terms, over one set of facet
     subsets.  The density and every det read one matmul's facet values as
-    they are; a batch gives the same bits as its nodes one by one."""
+    they are, so a batch gives the same bits as its nodes one by one where
+    that matmul does; in 4-D, BLAS can round a node of a batch apart."""
     density = stable_density(pot, m)
     mm = np.asarray(m, dtype=float)[:p]
     times = list(s) if np.ndim(s) else [s]

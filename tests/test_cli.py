@@ -443,19 +443,34 @@ class TestCurvature:
         assert "not interior" in err and "--point" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("normal, point", [((1, 0), "0.5,0"),
+                                               ((2, 3), "0.1,0")])
+    def test_strip_has_a_singular_hessian(self, tmp_path, capsys, normal,
+                                          point):
+        # the normals +-normal do not span the plane, whatever their floats
+        strip = {"dim": 2, "facets": [
+            {"normal": list(normal), "offset": 0},
+            {"normal": [-c for c in normal], "offset": 1}]}
+        code = main(["--input", write(tmp_path, strip), "--command",
+                     "curvature", f"--point={point}"])
+        x = np.array([float(v) for v in point.split(",")])
+        assert (code, *capsys.readouterr()) == (
+            1, "", f"error: the Hessian at {x} is singular in floats\n")
+
     def test_far_interior_point(self, tmp_path, capsys):
-        # l^3 overflows, and S is -0 there (the true S is 0)
+        # the quadrant is flat: S is 0 there, with no sign
         code = main(["--input", write(tmp_path, QUADRANT), "--command",
                      "curvature", "--point", "1e150,1"])
         assert (code, *capsys.readouterr()) == (
-            0, "point,scalar_curvature\n9.9999999999999998e+149;1,-0\n", "")
+            0, "point,scalar_curvature\n9.9999999999999998e+149;1,0\n", "")
 
     def test_point_where_the_curvature_is_not_finite(self, tmp_path, capsys):
+        # l^3 overflows here, but no term of the projection form does: S = 0
         code = main(["--input", write(tmp_path, QUADRANT), "--command",
                      "curvature", "--point", "1e200,1e200"])
         assert (code, *capsys.readouterr()) == (
-            1, "", "error: the scalar curvature at [1.e+200 1.e+200] is not "
-            "finite in floats\n")
+            0, "point,scalar_curvature\n"
+            "9.9999999999999997e+199;9.9999999999999997e+199,0\n", "")
 
 
 COLD_START = """
@@ -575,6 +590,13 @@ def run_err(capsys, argv):
     return code, captured.err
 
 
+def alpha_curvatures(command, out):
+    """The S values that `reduce --alpha` (at (1, 1) and (2, 2)) or
+    `curvature --alpha` (at (1, 1)) prints."""
+    row = rows_of(out)[1]
+    return [float(v) for v in (row[2:] if command == "reduce" else row[1:])]
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize("command", ["reduce", "curvature"])
     @pytest.mark.parametrize("alpha", ["2.7", "-1", "0", "x"])
@@ -593,11 +615,14 @@ class TestFlagValidation:
                                                    ("curvature", 1)])
     def test_alpha_with_a_singular_float_hessian(self, capsys, command,
                                                  expected):
-        # at (1, 1) the Hessian 1/2 (I + alpha/2 J) rounds to a singular one
-        code, err = run_err(capsys, ["--command", command,
-                                     f"--alpha={10**66}"])
-        assert code == expected
-        assert err == "error: the Hessian at [1. 1.] is singular in floats\n"
+        # at (1, 1) the Hessian 1/2 (I + alpha/2 J) rounds to a singular
+        # one, but S = 2 alpha / ((alpha + 1)(x1 + x2)) needs no inverse:
+        # the expected S at (1, 1) is 1, and 1/2 at (2, 2)
+        code, out = run(capsys, ["--command", command, f"--alpha={10**66}"])
+        assert code == 0
+        assert alpha_curvatures(command, out) == pytest.approx(
+            [expected, expected / 2][:2 if command == "reduce" else 1],
+            rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("command, expected", [("reduce", 1),
                                                    ("curvature", 1)])
@@ -613,26 +638,44 @@ class TestFlagValidation:
 
     @pytest.mark.parametrize("command", ["reduce", "curvature"])
     def test_alpha_whose_squared_normal_overflows(self, capsys, command):
-        # |(alpha, alpha)| is taken without squaring, so (1, 1) stays at
-        # distance 1 from the boundary, and no numpy warning is raised
-        # before the Hessian turns out singular in floats
+        # |(alpha, alpha)| is taken without squaring, and no numpy warning
+        # is raised: S is 2 alpha / ((alpha + 1)(x1 + x2)), 1 at (1, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, err = run_err(capsys, ["--command", command,
-                                         f"--alpha={10**200}"])
-        assert code == 1
-        assert err == "error: the Hessian at [1. 1.] is singular in floats\n"
+            code = main(["--command", command, f"--alpha={10**200}"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert alpha_curvatures(command, out) == pytest.approx(
+            [1.0, 0.5][:2 if command == "reduce" else 1], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("point, message", [
         ("-0.5,0.5", "is not interior"),
-        ("-0.4999999999999,0.5", "too close to the boundary")])
+        ("-0.4999999999999,0.5", None)])
     def test_curvature_at_an_unusable_point_is_a_usage_error(
             self, tmp_path, capsys, point, message):
-        code, err = run_err(capsys, ["--input", write(tmp_path, SQUARE),
-                                     "--command", "curvature",
-                                     f"--point={point}"])
-        assert code == 2
-        assert message in err
+        # on a facet the point is a usage error; 1e-13 inside it, S is the
+        # square's constant 2/2 + 2/2 = 2, with no cut-off near the boundary
+        code = main(["--input", write(tmp_path, SQUARE), "--command",
+                     "curvature", f"--point={point}"])
+        out, err = capsys.readouterr()
+        if message is not None:
+            assert (code, out) == (2, "")
+            assert message in err and err.count("\n") == 1
+        else:
+            assert (code, err) == (0, "")
+            assert float(rows_of(out)[1][1]) == pytest.approx(2.0, rel=1e-14,
+                                                               abs=0.0)
+
+    @pytest.mark.parametrize("command", ["flow", "curvature"])
+    @pytest.mark.parametrize("point", ["0.25,inf", "-inf,0.5", "nan,0.5"])
+    def test_point_that_is_not_finite(self, tmp_path, capsys, command, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--input", write(tmp_path, SQUARE), "--command",
+                         command, f"--point={point}"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: --point needs finite coordinates\n"
 
     def test_points_p_out_of_range(self, tmp_path, capsys):
         code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),

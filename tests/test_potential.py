@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from exact_oracles import (cauchy_binet_terms, guillemin_gradient,
                            guillemin_value)
 from toricq import library
-from toricq.polytope import HPolytope
+from toricq.polytope import (DelzantPolytope, FrameChange, HPolytope,
+                            apply_frame_change)
 from toricq.potential import (
     DomainError,
     abreu_scalar_curvature,
@@ -18,6 +19,7 @@ from toricq.potential import (
     regularity_delta,
     SymplecticPotential,
 )
+from toricq.reduction import c3_reduction
 
 
 def fd_grad(fun, x, h=1e-6):
@@ -249,9 +251,10 @@ class TestAbreuCurvature:
                 1.4, rel=1e-13, abs=0.0)
 
     def test_boundary_rejected(self):
+        # no point is too close to the boundary: S is 2 on [0, 1] at 1e-12
         pot = guillemin_potential(library.segment(0, 1))
-        with pytest.raises(DomainError):
-            abreu_scalar_curvature(pot, np.array([1e-12]))
+        assert abreu_scalar_curvature(pot, np.array([1e-12])) == pytest.approx(
+            2.0, rel=1e-14, abs=0.0)
 
     def test_non_finite_rejected(self):
         # the facet value 2e308 overflows, and S comes out nan
@@ -259,6 +262,164 @@ class TestAbreuCurvature:
         with np.errstate(all="ignore"), pytest.raises(DomainError,
                                                       match="not finite"):
             abreu_scalar_curvature(pot, np.array([1.0, 1.0]))
+
+
+def unit_simplex(n):
+    """The unit n-simplex x >= 0, sum x <= 1, where S = n(n+1)."""
+    return SymplecticPotential(np.vstack([np.eye(n), -np.ones(n)]),
+                               [0.0] * n + [1.0])
+
+
+def mp_curvature(pot, x):
+    """Abreu's closed form S = sum_r h_rr^2 / (2 l_r^3) - 1/8 sum_rs
+    (h_rr h_ss h_rs + h_rs^3) / (l_r^2 l_s^2), h_rs = a_r . G^-1 a_s, at 60
+    digits from the float facet data and point."""
+    with mpmath.workdps(60):
+        A = mpmath.matrix(pot.A.tolist())
+        l = A * mpmath.matrix(x.tolist()) + mpmath.matrix(pot.b.tolist())
+        R = len(l)
+        G = A.T * mpmath.diag([1 / (2 * v) for v in l]) * A
+        h = A * G ** -1 * A.T
+        S = sum(h[r, r] ** 2 / (2 * l[r] ** 3) for r in range(R)) - sum(
+            (h[r, r] * h[s, s] * h[r, s] + h[r, s] ** 3) / (l[r] * l[s]) ** 2
+            for r in range(R) for s in range(R)) / 8
+        return float(S)
+
+
+# the distances d to the nearest facet of the accuracy sweep
+SWEEP = [10.0 ** -k for k in range(1, 15)]
+
+
+def sweep_bound(d):
+    """The error of S relative to max(1, |S|) allowed at distance d."""
+    return max(1e-12, 1e-14 / math.sqrt(d))
+
+
+def towards_facet(y, normal, d):
+    """The point at distance d inside the facet point y of the given
+    inward normal."""
+    normal = np.asarray(normal, dtype=float)
+    return np.asarray(y, dtype=float) + d * normal / np.linalg.norm(normal)
+
+
+class TestCurvatureNearFacets:
+    @pytest.mark.parametrize("d", SWEEP)
+    def test_triangle_line(self, d):
+        # (0.3, 0.7 - d) nears the slanted facet of the unit triangle, S = 6
+        S = abreu_scalar_curvature(unit_simplex(2), np.array([0.3, 0.7 - d]))
+        assert abs(S - 6.0) <= 1e-14 * 6.0
+
+    @pytest.mark.parametrize("d", SWEEP)
+    @pytest.mark.parametrize("y", [[0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]],
+                             ids=["3-simplex", "4-simplex"])
+    def test_simplex_near_its_slanted_facet(self, y, d):
+        n = len(y)
+        x = towards_facet(y, -np.ones(n), d)
+        S = abreu_scalar_curvature(unit_simplex(n), x)
+        assert abs(S - n * (n + 1)) <= sweep_bound(d) * n * (n + 1)
+
+    @pytest.mark.parametrize("d", SWEEP)
+    @pytest.mark.parametrize("alpha", [1, 2, 10**6, 10**66, 10**200],
+                             ids=["1", "2", "1e6", "1e66", "1e200"])
+    def test_weighted_reduction_near_an_axis(self, alpha, d):
+        # S = 2 alpha / ((alpha + 1)(x1 + x2)) at (d, 1)
+        pot = c3_reduction(alpha).potential
+        S = abreu_scalar_curvature(pot, np.array([d, 1.0]))
+        with mpmath.workdps(40):
+            exact = 2 * alpha / ((alpha + 1) * (mpmath.mpf(d) + 1))
+            assert abs(S - exact) <= sweep_bound(d) * max(1, abs(exact))
+
+    @pytest.mark.parametrize("d", SWEEP)
+    @pytest.mark.parametrize("y, normal", [([1.8, 1.2], [-1, -1]),
+                                           ([0.0, 0.7], [1, 0]),
+                                           ([0.9, 1.8], [-1, -2])],
+                             ids=["x+y=3", "x=0", "x+2y=4.5"])
+    def test_polygon_against_mpmath(self, y, normal, d):
+        # x, y >= 0, x <= 2, y <= 2, x + y <= 3, x + 2y <= 4.5: S varies
+        pot = SymplecticPotential(
+            [[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -1], [-1, -2]],
+            [0.0, 0.0, 2.0, 2.0, 3.0, 4.5])
+        x = towards_facet(y, normal, d)
+        exact = mp_curvature(pot, x)
+        S = abreu_scalar_curvature(pot, x)
+        assert abs(S - exact) <= sweep_bound(d) * max(1, abs(exact))
+
+    @pytest.mark.parametrize("d", SWEEP)
+    def test_cut_box_against_mpmath(self, d):
+        # [-1, 1]^3 cut by two slanted facets, near its facet z = 1: with
+        # unsorted columns the QR loses digits like 1e-16 / sqrt(d) here
+        pot = SymplecticPotential(
+            np.vstack([np.eye(3), -np.eye(3), [[-1, 2, 2], [2, -1, -1]]]),
+            [1.0] * 6 + [0.5, 1.0])
+        x = towards_facet([0.4, -0.9, 1.0], [0, 0, -1], d)
+        exact = mp_curvature(pot, x)
+        S = abreu_scalar_curvature(pot, x)
+        assert abs(S - exact) <= 1e-13 * max(1, abs(exact))
+
+
+# near a simple vertex, at two distances from its facets
+CORNERS = [(1e-6, 1e-6), (1e-13, 1e-13), (1e-13, 1e-4), (1e-9, 1e-14)]
+
+
+class TestCurvatureNearVertices:
+    @pytest.mark.parametrize("s, t", CORNERS)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_simplex_corner(self, n, s, t):
+        x = np.array([s, t] * n)[:n]
+        S = abreu_scalar_curvature(unit_simplex(n), x)
+        assert abs(S - n * (n + 1)) <= 1e-13 * n * (n + 1)
+
+    @pytest.mark.parametrize("s, t", CORNERS)
+    def test_polygon_corner_against_mpmath(self, s, t):
+        # the vertex (3/2, 3/2) of x + y <= 3 and x + 2y <= 9/2, whose facet
+        # values at (3/2, 3/2) + s (1, -1) + t (-2, 1) are t and s
+        pot = SymplecticPotential(
+            [[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -1], [-1, -2]],
+            [0.0, 0.0, 2.0, 2.0, 3.0, 4.5])
+        x = np.array([1.5 + s - 2 * t, 1.5 - s + t])
+        exact = mp_curvature(pot, x)
+        S = abreu_scalar_curvature(pot, x)
+        assert abs(S - exact) <= 1e-13 * max(1, abs(exact))
+
+
+@st.composite
+def framed_points(draw):
+    """A box [-1, 1]^n, n = 2..4, cut by up to two facets with integer
+    normals in [-2, 2] that keep the origin inside; an SL(n, Z) matrix, the
+    identity under up to three row shears by -2..2; and an interior point
+    whose facet values keep 1/2 or 1e-3 of the offsets."""
+    n = draw(st.integers(2, 4))
+    facets = [(tuple(sign * int(i == j) for j in range(n)), 1)
+              for i in range(n) for sign in (1, -1)]
+    facets += [(tuple(normal), draw(st.sampled_from(["1/2", 1, "5/2"])))
+               for normal in draw(st.lists(st.lists(
+                   st.integers(-2, 2), min_size=n, max_size=n).filter(any),
+                   max_size=2))]
+    poly = DelzantPolytope.from_data(n, facets)
+    B = np.eye(n, dtype=int)
+    for i, j, k in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.sampled_from([-2, -1, 1, 2])).filter(lambda t: t[0] != t[1]),
+            max_size=3)):
+        B[i] += k * B[j]
+    pot = guillemin_potential(poly)
+    u = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    reach = np.max(-(pot.A @ u) / pot.b)
+    keep = draw(st.sampled_from([0.5, 1e-3]))
+    x = u if reach <= 1 - keep else u * ((1 - keep) / reach)
+    return poly, B, x
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(framed_points())
+def test_curvature_is_frame_invariant(case):
+    # in the frame x~ = B x the facet values, and so S, are unchanged
+    poly, B, x = case
+    moved = apply_frame_change(poly, FrameChange(B.tolist()))
+    S = abreu_scalar_curvature(guillemin_potential(poly), x)
+    S_moved = abreu_scalar_curvature(guillemin_potential(moved), B @ x)
+    assert S_moved == pytest.approx(S, rel=1e-10, abs=1e-10)
 
 
 def mp_det_shifted(pot, l, shift):
