@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import geodesic, polytope, quantization, reduction
-from .potential import (DomainError, PointError, abreu_scalar_curvature,
-                        guillemin_potential, to_float)
+from .potential import (RAISE, DomainError, PointError,
+                        abreu_scalar_curvature, guillemin_potential, to_float)
 from .quadrature import cell_budget
 
 # a command's cyclic collections skip the heap that the imports built
@@ -109,8 +109,7 @@ def load_input(args):
         poly = polytope.load_polytope(args.input)
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc.strerror}")
-    except (json.JSONDecodeError, polytope.PolytopeError, TypeError,
-            ValueError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise UsageError(f"malformed polytope JSON: {exc}")
     if args.B:
         try:
@@ -326,12 +325,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return COMMANDS[args.command](args)
+        with np.errstate(**RAISE):
+            return COMMANDS[args.command](args)
     except (UsageError, PointError) as exc:
         # bad flag values or input, or a --point outside the interior
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (polytope.PolytopeError, DomainError) as exc:
+    except (polytope.PolytopeError, DomainError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .potential import DomainError, SymplecticPotential
+from .potential import DomainError, SymplecticPotential, finite
 
 
 class MabuchiRay:
@@ -26,21 +26,20 @@ class MabuchiRay:
     def __init__(self, base: SymplecticPotential, p: int, x):
         if not 1 <= p <= base.dim:
             raise ValueError("p must satisfy 1 <= p <= n")
-        base._require_interior(x)
         self.p, self.x = p, np.asarray(x, dtype=float)
         # s H is quadratic, so g_s has the third derivatives of g_0
-        with np.errstate(divide="ignore", over="ignore"):
+        with finite("the derivatives of g at %s are not finite in floats",
+                    self.x):
+            base._require_interior(self.x)
             G, self.third = base.hess(self.x), base.third(self.x)
-        if not (np.isfinite(G).all() and np.isfinite(self.third).all()):
-            raise DomainError(f"the derivatives of g at {self.x} are not "
-                              "finite in floats")
+            # np.einsum sets no float status: its overflow is checked here
+            if not (np.isfinite(G).all() and np.isfinite(self.third).all()):
+                raise FloatingPointError
         if not np.allclose(G, G.T, atol=1e-10):
             raise DomainError(f"the Hessian at {self.x} is not symmetric")
-        try:
+        with finite("the Hessian at %s is not positive-definite in floats",
+                    self.x):
             np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise DomainError(f"the Hessian at {self.x} is not "
-                              "positive-definite in floats") from None
         self.a1, self.a2, self.d = G[:p, :p], G[:p, p:], G[p:, p:]
         self.dinv = np.linalg.inv(self.d)
 

@@ -15,6 +15,7 @@ with no copy, no Hessian and no factorization per point.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -27,6 +28,21 @@ class DomainError(ValueError):
 
 class PointError(DomainError):
     """A point that is not interior: a usage error, not a domain failure."""
+
+
+# numpy's float rule in every command: only underflow is quiet, rounding to 0
+RAISE = dict(over="raise", invalid="raise", divide="raise", under="ignore")
+
+
+@contextlib.contextmanager
+def finite(message, *args):
+    """Run under RAISE, with FloatingPointError, float OverflowError and
+    LinAlgError (not ZeroDivisionError) as DomainError(message % args)."""
+    with np.errstate(**RAISE):
+        try:
+            yield
+        except (FloatingPointError, OverflowError, np.linalg.LinAlgError):
+            raise DomainError(message % args) from None
 
 
 def to_float(q):
@@ -66,15 +82,15 @@ class SymplecticPotential:
         return l
 
     def is_interior(self, x):
-        with np.errstate(over="ignore"):    # an overflow keeps its sign
+        # an overflowing facet value keeps its sign, and nan is not positive
+        with np.errstate(over="ignore", invalid="ignore"):
             return bool(np.all(self.facet_values(x) > 0))
 
     def _require_interior(self, x):
-        """The facet values at x, which must all be positive."""
-        l = self.facet_values(x)
-        if not np.all(l > 0):
+        """The facet values at x, which must be interior."""
+        if not self.is_interior(x):
             raise PointError(f"point {np.asarray(x)} is not interior")
-        return l
+        return self.facet_values(x)
 
     # -- evaluators (at a point x, (n,), or at N points, (N, n)) ------------
 
@@ -114,8 +130,9 @@ class SymplecticPotential:
     def third(self, x):
         """T[j,k,l] = d^3 g / dx_j dx_k dx_l."""
         l = self.facet_values(x)
-        return -0.5 * np.einsum('r...,rj,rk,rl->...jkl',
-                                1.0 / l ** 2, self.A, self.A, self.A)
+        with np.errstate(over="ignore"):    # l**2 = inf gives 1/l**2 = 0
+            return -0.5 * np.einsum('r...,rj,rk,rl->...jkl',
+                                    1.0 / l ** 2, self.A, self.A, self.A)
 
     def restrict(self, p: int, c) -> "SymplecticPotential":
         """y -> g(c, y) up to a constant, with facet data (A[:, p:],
@@ -265,7 +282,7 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
     """
     x, n = np.asarray(x, dtype=float), pot.dim
     a = np.hypot.reduce(pot.A, axis=1, initial=0)   # no overflow in |a_r|
-    with np.errstate(all="ignore"):     # facet values may overflow far out
+    with finite("the scalar curvature at %s is not finite in floats", x):
         l = pot._require_interior(x)
         if np.linalg.matrix_rank(pot.A[a > 0] / a[a > 0, None]) < n:
             raise DomainError(f"the Hessian at {x} is singular in floats")
@@ -276,9 +293,8 @@ def abreu_scalar_curvature(pot: SymplecticPotential, x):
         Q1, Q2 = np.hsplit(np.linalg.qr(B, mode="complete")[0], [n])
         p, c = np.sum(Q1 ** 2, axis=1), np.sum(Q2 ** 2, axis=1)
         P = np.where(np.outer(p, p) <= np.outer(c, c), Q1 @ Q1.T, -Q2 @ Q2.T)
-        off = P * (P * P + np.outer(p, p)) * np.outer(w, w)
-        np.fill_diagonal(off, 0.0)     # the r = s terms are in the first sum
-        S = 2 * np.sum(p * p * c / l) - off.sum()
-    if math.isfinite(S) and np.all(np.isfinite(l)):
-        return float(S)
-    raise DomainError(f"the scalar curvature at {x} is not finite in floats")
+        # r != s only: w_r^2 may overflow, and r = s is in the first sum
+        ww = np.multiply.outer(w, w, where=~np.eye(len(w), dtype=bool),
+                               out=np.zeros(P.shape))
+        off = P * (P * P + np.outer(p, p)) * ww
+        return float(2 * np.sum(p * p * c / l) - off.sum())

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polytope import PolytopeError
-from .potential import (DomainError, SymplecticPotential,
+from .potential import (DomainError, SymplecticPotential, finite,
                         guillemin_potential, to_float)
 from .quadrature import (IntegralResult, integrate_lockstep, integrate_slice,
                          triangulate)
@@ -44,10 +44,8 @@ class QuantumBasisElement(NamedTuple):
 def hamiltonian_value(m, p: int):
     """Ray energy H(m) = 1/2 sum_{j<=p} m_j^2, broadcast over the leading
     axes of m; a float for one point, and a DomainError past the floats."""
-    with np.errstate(over="ignore"):
+    with finite("H(m) = 1/2 |m_{<=p}|^2 is beyond the float range"):
         h = 0.5 * np.sum(np.asarray(m, dtype=float)[..., :p] ** 2, axis=-1)
-    if not np.isfinite(h).all():
-        raise DomainError("H(m) = 1/2 |m_{<=p}|^2 is beyond the float range")
     return h if h.ndim else float(h)
 
 
@@ -84,10 +82,8 @@ def stable_density(pot: SymplecticPotential, m):
 def _det_terms(pot: SymplecticPotential, p: int, s):
     """The Cauchy-Binet terms of det G_s; a DomainError naming s if a
     coefficient overflows."""
-    try:
+    with finite("s = %r: a coefficient of det G_s overflows", s):
         return pot.det_terms([s] * p + [0.0] * (pot.dim - p))
-    except OverflowError:
-        raise DomainError(f"s = {s!r}: a coefficient of det G_s overflows")
 
 
 def norm_integrand(pot: SymplecticPotential, p: int, m, s, terms=None):
@@ -118,7 +114,7 @@ def norm_integrand(pot: SymplecticPotential, p: int, m, s, terms=None):
 
 def _norm_integrals(pot, region, p, m, s_values, tol):
     """The norm integrals at the positive s_values over the region, in
-    lockstep, with numpy's floating-point warnings off.  For every s > 0
+    lockstep, with numpy's float errors ignored.  For every s > 0
     the zero shifts are the trailing n - p axes, so every det G_s has the
     same facet subsets.  The first s at which a coefficient of det G_s
     overflows or the integral is not finite names a DomainError."""
@@ -132,6 +128,7 @@ def _norm_integrals(pot, region, p, m, s_values, tol):
     times = s_values[:len(terms)]
     f = norm_integrand(pot, p, m, times, terms)
     results = []
+    # the s share integrand calls: only each integral's value names its s
     with np.errstate(all="ignore"):
         for s, res in zip(times, integrate_lockstep(f, region, tol,
                                                     len(times))):
@@ -204,20 +201,13 @@ class ConvergenceReport(NamedTuple):
 
 
 def richardson_extrapolate(s_values, values) -> float:
-    """Fit values(s) = a0 + a1/s + ... and return the constant term a0, with
-    numpy's warnings off; a system in 1/s that is singular in floats, or an a0
-    that is not finite (a power of 1/s overflows), is a DomainError."""
+    """Fit values(s) = a0 + a1/s + ... and return a0; a DomainError if the
+    system in 1/s is singular in floats or a power of 1/s overflows."""
     s = np.asarray(s_values, dtype=float)
-    try:
-        with np.errstate(all="ignore"):
-            V = np.vander(1.0 / s, N=len(s), increasing=True)
-            a0 = float(np.linalg.solve(V, np.asarray(values, float))[0])
-    except np.linalg.LinAlgError:
-        a0 = math.nan
-    if not math.isfinite(a0):
-        raise DomainError(f"s-grid {','.join(map(repr, s.tolist()))}: the "
-                          "extrapolation to s = oo is singular or not finite")
-    return a0
+    with finite("s-grid %s: the extrapolation to s = oo is singular or not "
+                "finite", ",".join(map(repr, s.tolist()))):
+        V = np.vander(1.0 / s, N=len(s), increasing=True)
+        return float(np.linalg.solve(V, np.asarray(values, float))[0])
 
 
 def verify_norm_limit(poly, p: int, m, s_values,

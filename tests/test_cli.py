@@ -361,6 +361,18 @@ class TestFlow:
         assert captured.err.startswith("error: ")
         assert message in captured.err and captured.err.count("\n") == 1
 
+    def test_float_failure_that_no_guard_names(self, tmp_path, capsys,
+                                                monkeypatch):
+        # a connection form scaled past the float range: numpy raises in
+        # every command, and main turns the raise into one error line
+        form = geodesic.connection_form_s
+        monkeypatch.setattr(geodesic, "connection_form_s",
+                            lambda ray, s: form(ray, s) * 1e300 * 1e300)
+        code = main(["--input", write(tmp_path, SQUARE), "--command", "flow"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: overflow encountered in multiply\n"
+
     def test_default_point_not_interior(self, tmp_path, capsys):
         # the only vertex of the quadrant is the origin, on its boundary
         code, err = run_err(capsys, ["--input", write(tmp_path, QUADRANT),
@@ -677,6 +689,20 @@ class TestFlagValidation:
         assert (code, out) == (2, "")
         assert err == "error: --point needs finite coordinates\n"
 
+    @pytest.mark.parametrize("command", ["flow", "curvature"])
+    def test_exterior_point_whose_facet_value_overflows(self, tmp_path,
+                                                        capsys, command):
+        # on the triangle x + y <= 2, the facet value 2 - x - y at
+        # (1e308, 1e308) overflows to -inf: the point is exterior, a usage
+        # error, and numpy prints no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--input", write(tmp_path, SIMPLEX), "--command",
+                         command, "--point=1e308,1e308"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: point [1.e+308 1.e+308] is not interior\n"
+
     def test_points_p_out_of_range(self, tmp_path, capsys):
         code, err = run_err(capsys, ["--input", write(tmp_path, SEGMENT),
                                      "--command", "points", "--p", "5"])
@@ -922,6 +948,16 @@ class TestInputErrors:
         assert code == 1
         assert err.startswith("error: empty polytope")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("facet, error", [
+        ({"normal": [0, 0], "offset": 1}, "zero normal vector"),
+        ({"normal": [0, 1]}, "facet 0: missing 'normal' or 'offset'")],
+        ids=["zero-normal", "no-offset"])
+    def test_malformed_facet(self, tmp_path, capsys, facet, error):
+        data = {"dim": 2, "facets": [facet, {"normal": [1, 0], "offset": 0}]}
+        code, err = run_err(capsys, ["--input", write(tmp_path, data),
+                                     "--command", "validate"])
+        assert (code, err) == (2, f"error: malformed polytope JSON: {error}\n")
 
     def test_dimension_zero_rejected(self, tmp_path, capsys):
         code, err = run_err(capsys, ["--input",

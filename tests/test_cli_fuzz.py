@@ -1,6 +1,7 @@
 """Fuzz the CLI exit-code contract: exit 0, 1 or 2, never a traceback,
-stdout that is empty or parses in the requested format, and no nan in a
-successful curvature, reduce, norms or flow."""
+stdout that is empty or parses in the requested format, stderr that is
+empty on success and one `error:` line on a domain failure, and no nan in
+a successful curvature, reduce, norms or flow."""
 
 import contextlib
 import csv
@@ -82,8 +83,8 @@ def shears(draw, dim):
     return ";".join(",".join(map(str, r)) for r in rows)
 
 POINTS = st.lists(
-    st.sampled_from([0.25, 0.5, 1.0, 1.5, -0.5, 5.0, 1e-300, float("nan"),
-                     float("inf")]),
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, -0.5, 5.0, 1e-300, 1e308,
+                     float("nan"), float("inf")]),
     min_size=1, max_size=3).map(lambda xs: ",".join(repr(x) for x in xs))
 
 
@@ -142,6 +143,13 @@ def check_exit_code_contract(data, options):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     text = out.getvalue()
+    if code == 0 or (code == 1 and text):
+        # a success, or the report of a failed validation or level audit
+        assert err.getvalue() == ""
+    elif code == 1:
+        # one error line, with no numpy warning before it
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
     if text and "--format=json" in options:
         json.loads(text)
     elif text:

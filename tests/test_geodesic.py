@@ -153,6 +153,16 @@ class TestSchurInverse:
         with pytest.raises(DomainError, match="not finite"):
             MabuchiRay(quadrant, 1, np.array([1e-300, 1.0]))
 
+    def test_hessian_that_overflows_in_einsum_rejected(self):
+        # the corrected square under the shear x2 -> x2 + 10^200 x1: each
+        # 1/l_r a_r a_r^T overflows inside np.einsum, which sets no float
+        # status, so Hess g holds inf although no numpy error is raised
+        sheared = SymplecticPotential(
+            [[1, 0], [-1e200, 1], [-1, 0], [1e200, -1]], [0.5, 0.5, 1.5, 1.5])
+        with pytest.raises(DomainError,
+                           match="derivatives of g .* not finite in floats"):
+            MabuchiRay(sheared, 1, np.array([0.5, 5e199]))
+
 
 class TestFrames:
     def test_frame_s_shape_and_content(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from toricq.polytope import (DelzantPolytope, FrameChange, HPolytope,
 from toricq.potential import (
     DomainError,
     abreu_scalar_curvature,
+    finite,
     guillemin_potential,
     regularity_delta,
     SymplecticPotential,
@@ -517,3 +519,37 @@ def test_cauchy_binet_terms(case, unshifted):
     lu = np.linalg.det(pot.hess(x) + np.diag(d))
     det = terms.det(pot.facet_values(x)[:, None], terms.coeffs[:, None])[0]
     assert det == pytest.approx(lu, rel=1e-10, abs=0.0)
+
+
+class TestFiniteRule:
+    """`finite` runs a block under numpy's raising rule and names each
+    float failure with its message, formatted only on failure."""
+
+    @pytest.mark.parametrize("fail", [
+        lambda: np.float64(1e308) * 10,
+        lambda: np.ones(1) / 0,
+        lambda: np.sqrt(-np.ones(1)),
+        lambda: math.exp(1000),
+        lambda: np.linalg.cholesky(-np.eye(2))],
+        ids=["overflow", "divide", "invalid", "float-overflow", "linalg"])
+    def test_float_failure_is_named(self, fail):
+        with pytest.raises(DomainError, match=r"^at \[1\. 2\.\]: no$"):
+            with finite("at %s: no", np.array([1.0, 2.0])):
+                fail()
+
+    def test_underflow_is_quiet(self):
+        with finite("unused"):
+            assert np.float64(1e-300) * 1e-300 == 0.0
+
+    def test_exact_division_by_zero_stays_a_crash(self):
+        with pytest.raises(ZeroDivisionError):
+            with finite("unused"):
+                Fraction(1) / 0
+
+    @pytest.mark.parametrize("x", [[1e-320, 0.5], [0.5, 1e-320]])
+    def test_curvature_at_a_subnormal_facet_value(self, x):
+        # 1/l_r = w_r^2 overflows at l_r = 1e-320, but the r = s terms are
+        # not in the double sum, so S is the triangle's 6/2 = 3
+        triangle = SymplecticPotential([[1, 0], [0, 1], [-1, -1]], [0, 0, 2])
+        assert abreu_scalar_curvature(triangle, np.array(x)) == pytest.approx(
+            3.0, rel=1e-14, abs=0.0)
