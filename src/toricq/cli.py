@@ -152,24 +152,16 @@ def point_arg(args, pot, poly=None):
 # table emission
 
 
-def _json_list(items, depth):
-    """json.dumps(list, indent=2) text of a list depth levels deep."""
-    pad = "\n" + "  " * depth
-    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
-
-
 def emit(columns, rows, args) -> str:
     """Render rows (already string-formatted) as CSV or a mirroring JSON,
-    json.dumps(..., indent=2) text built from the C encoder's cells."""
+    json.dumps(..., indent=2) text."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
         return buf.getvalue()
-    rows = [_json_list(list(map(json.dumps, r)), 2) for r in rows]
-    return ('{\n  "columns": ' + _json_list(list(map(json.dumps, columns)), 1)
-            + ',\n  "rows": ' + _json_list(rows, 1) + "\n}\n")
+    return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
 
 
 def write_output(text, args):

@@ -1,14 +1,15 @@
 """Mabuchi geodesic rays g_s = g_0 + s H and their infinite-time limits.
 
-H = 1/2 sum_{j<=p} x_j^2 deforms only the leading p x p Hessian block, so the
-deformed inverse Hessian has a Schur-complement closed form whose s -> oo
-limit is block-diagonal in the trailing (n-p) x (n-p) block D.  A
-`MabuchiRay` is the ray at one interior point: it holds the blocks of the
-base Hessian and the third derivatives there, which frames and connection
-forms share for every s and the limit.  A polarization frame is an
-orthonormal basis of a complex n-dimensional subspace of C^(2n), in the
-coordinate order (d/dx^1..d/dx^n, d/dtheta^1..d/dtheta^n), and frames are
-only ever compared through principal angles.
+H = 1/2 sum_{j<=p} x_j^2 deforms only the leading p x p block of
+G = Hess g_0 = [[A, B], [B^T, D]], so G_s^(-1) = L + K^T (S_0 + sI)^(-1) K
+is its s -> oo limit L = diag(0, D^(-1)) plus a rank-p term of order 1/s,
+with K = [I_p, -B D^(-1)] and S_0 = A - B D^(-1) B^T.  A `MabuchiRay` is the
+ray at one interior point: it holds L, K, S_0 and the third derivatives,
+which frames and connection forms share for every s and the limit.  A
+polarization frame is an orthonormal basis of a complex n-dimensional
+subspace of C^(2n), in the coordinate order (d/dx^1..d/dx^n,
+d/dtheta^1..d/dtheta^n), and frames are only ever compared through
+principal angles.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .potential import DomainError, SymplecticPotential, finite
 
 class MabuchiRay:
     """The ray of a base potential with p convex directions at the interior
-    point x.  Hess g_0(x) must be symmetric positive-definite; then so are
-    G + sT and its Schur complement S_s for every s >= 0."""
+    point x, with `limit`, `k` and `s0` the L, K and S_0 there.  Hess g_0(x)
+    must be symmetric positive-definite; then so are D and S_0 + sI."""
 
     def __init__(self, base: SymplecticPotential, p: int, x):
         if not 1 <= p <= base.dim:
@@ -40,27 +41,24 @@ class MabuchiRay:
         with finite("the Hessian at %s is not positive-definite in floats",
                     self.x):
             np.linalg.cholesky(G)
-        self.a1, self.a2, self.d = G[:p, :p], G[:p, p:], G[p:, p:]
-        self.dinv = np.linalg.inv(self.d)
+            B, self.limit = G[:p, p:], np.zeros_like(G)
+            self.limit[p:, p:] = np.linalg.inv(G[p:, p:])
+            # LAPACK's inverse sets no float status: a subnormal D's
+            # overflowing inverse is checked here
+            if not np.isfinite(self.limit).all():
+                raise FloatingPointError
+            self.k = np.hstack([np.eye(p), -B @ self.limit[p:, p:]])
+            self.s0 = G[:p, :p] + self.k[:, p:] @ B.T
 
     def inverse_hessian(self, s=None):
-        """(G + sT)^(-1) by the block Schur-complement formula; for s None
-        its s -> oo limit diag(0, D^(-1))."""
-        p, n = self.p, len(self.x)
-        out = np.zeros((n, n))
+        """(G + sT)^(-1) = L + K^T (S_0 + sI)^(-1) K; for s None its
+        s -> oo limit L = diag(0, D^(-1))."""
         if s is None:
-            out[p:, p:] = self.dinv
-            return out
+            return self.limit
         if s < 0:
             raise ValueError("geodesic parameter s must be nonnegative")
-        a2, dinv = self.a2, self.dinv
-        Sinv = np.linalg.inv(self.a1 + s * np.eye(p)
-                             - a2 @ np.linalg.solve(self.d, a2.T))
-        out[:p, :p] = Sinv
-        out[:p, p:] = -Sinv @ a2 @ dinv
-        out[p:, :p] = -dinv @ a2.T @ Sinv
-        out[p:, p:] = dinv + dinv @ a2.T @ Sinv @ a2 @ dinv
-        return out
+        return self.limit + self.k.T @ np.linalg.inv(
+            self.s0 + s * np.eye(self.p)) @ self.k
 
 
 # ---------------------------------------------------------------------------

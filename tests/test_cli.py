@@ -361,6 +361,16 @@ class TestFlow:
         assert captured.err.startswith("error: ")
         assert message in captured.err and captured.err.count("\n") == 1
 
+    def test_trailing_block_whose_inverse_overflows(self, tmp_path, capsys):
+        # D = 1/(2 * 1e308) is subnormal, and LAPACK's inverse overflows to
+        # inf with no float status: the guard names the Hessian
+        code = main(["--input", write(tmp_path, QUADRANT), "--command", "flow",
+                     "--p", "1", "--point=0.5,1e308"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == ("error: the Hessian at [5.e-001 1.e+308] is not "
+                       "positive-definite in floats\n")
+
     def test_float_failure_that_no_guard_names(self, tmp_path, capsys,
                                                 monkeypatch):
         # a connection form scaled past the float range: numpy raises in

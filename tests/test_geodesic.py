@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -137,14 +138,36 @@ class TestSchurInverse:
             stub_ray(self.G_REF, 1).inverse_hessian(-1.5)
 
     def test_det_growth(self):
-        ray = stub_ray(self.G_REF, 1)
         ratios = []
         for s in (10.0, 100.0, 1000.0):
             # det(G + sT) / (s^p det D) tends to 1 as s grows
             full = np.linalg.det(self.G_REF + np.diag([s, 0.0]))
-            ratios.append(full / (s * np.linalg.det(ray.d)))
+            ratios.append(full / (s * np.linalg.det(self.G_REF[1:, 1:])))
         assert abs(ratios[-1] - 1.0) <= 1e-2
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_blocks_match_a_50_digit_inverse_at_large_s(self, s):
+        # the leading and mixed blocks are O(1/s) and the trailing one O(1):
+        # each must be accurate relative to its own size
+        rng = np.random.default_rng(11)
+        for n in range(1, 5):
+            for p in range(1, n + 1):
+                for _ in range(4):
+                    M = rng.standard_normal((n, n))
+                    G = M @ M.T + n * np.eye(n)
+                    inv = stub_ray(G, p).inverse_hessian(s)
+                    with mpmath.workdps(50):
+                        Gs = mpmath.matrix(G.tolist())
+                        for j in range(p):
+                            Gs[j, j] += s
+                        exact = np.array((Gs ** -1).tolist(), dtype=float)
+                    for rows in (slice(None, p), slice(p, None)):
+                        for cols in (slice(None, p), slice(p, None)):
+                            block = exact[rows, cols]
+                            if block.size:
+                                err = np.abs(inv[rows, cols] - block).max()
+                                assert err <= 1e-13 * np.abs(block).max()
 
     def test_third_derivatives_not_finite_rejected(self):
         # on the quadrant at x1 = 1e-300, 1/x1^2 overflows to inf, and the
