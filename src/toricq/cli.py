@@ -247,14 +247,15 @@ def cmd_flow(args):
     x = point_arg(args, base, poly)
     ray = geodesic.MabuchiRay(base, args.p, x)
     limit_frame = geodesic.polarization_frame_limit(ray)
-    limit_conn = geodesic.connection_form_limit(ray)
     columns = ["point", "s", "frame_distance", "connection_gap"]
     ptxt = ";".join(fmt(v) for v in x)
     rows = []
     for s in grid:
         dist = geodesic.grassmann_distance(
             geodesic.polarization_frame_s(ray, s), limit_frame)
-        gap = np.linalg.norm(geodesic.connection_form_s(ray, s) - limit_conn)
+        # the increment is imaginary: its norm with no squares to underflow
+        increment = geodesic.connection_form_s(ray, s)[1]
+        gap = np.hypot.reduce(increment.imag, initial=0)
         rows.append([ptxt, fmt(s), fmt(dist), fmt(gap)])
     write_output(emit(columns, rows, args), args)
     return EXIT_OK

@@ -1,15 +1,17 @@
 """Mabuchi geodesic rays g_s = g_0 + s H and their infinite-time limits.
 
 H = 1/2 sum_{j<=p} x_j^2 deforms only the leading p x p block of
-G = Hess g_0 = [[A, B], [B^T, D]], so G_s^(-1) = L + K^T (S_0 + sI)^(-1) K
-is its s -> oo limit L = diag(0, D^(-1)) plus a rank-p term of order 1/s,
-with K = [I_p, -B D^(-1)] and S_0 = A - B D^(-1) B^T.  A `MabuchiRay` is the
-ray at one interior point: it holds L, K, S_0 and the third derivatives,
-which frames and connection forms share for every s and the limit.  A
-polarization frame is an orthonormal basis of a complex n-dimensional
-subspace of C^(2n), in the coordinate order (d/dx^1..d/dx^n,
-d/dtheta^1..d/dtheta^n), and frames are only ever compared through
-principal angles.
+G = Hess g_0 = [[A, B], [B^T, D]], so G_s^(-1) = L + Delta(s) is its
+s -> oo limit L = diag(0, D^(-1)) plus the rank-p term
+Delta(s) = K^T (S_0 + sI)^(-1) K of order 1/s, with K = [I_p, -B D^(-1)]
+and S_0 = A - B D^(-1) B^T.  A `MabuchiRay` is the ray at one interior
+point: it holds L, K, S_0 and the third derivatives, which frames and
+connection forms share for every s and the limit; what vanishes as
+s -> oo is taken from Delta, never as a difference of O(1) terms.  A
+polarization frame, the span of the rows [X | i I] with X = L + Delta in
+the coordinates (x^1..x^n, theta^1..theta^n), is held as (X, Delta, C)
+with C C^T = I + X^2: [X; -i I] C^(-T) is an orthonormal basis of its
+conjugate, and the limit frame has Delta = 0.
 """
 
 from __future__ import annotations
@@ -50,14 +52,12 @@ class MabuchiRay:
             self.k = np.hstack([np.eye(p), -B @ self.limit[p:, p:]])
             self.s0 = G[:p, :p] + self.k[:, p:] @ B.T
 
-    def inverse_hessian(self, s=None):
-        """(G + sT)^(-1) = L + K^T (S_0 + sI)^(-1) K; for s None its
-        s -> oo limit L = diag(0, D^(-1))."""
-        if s is None:
-            return self.limit
+    def delta(self, s):
+        """Delta(s) = K^T (S_0 + sI)^(-1) K, the rank-p term by which
+        G_s^(-1) exceeds its limit L, with one p x p inverse."""
         if s < 0:
             raise ValueError("geodesic parameter s must be nonnegative")
-        return self.limit + self.k.T @ np.linalg.inv(
+        return self.k.T @ np.linalg.inv(
             self.s0 + s * np.eye(self.p)) @ self.k
 
 
@@ -65,60 +65,57 @@ class MabuchiRay:
 # polarization frames
 
 
-def _orth(A):
-    """Orthonormal basis of the column space of A, as scipy.linalg.orth
-    defines it: the left singular vectors whose singular values exceed
-    max(sv) * eps * max(A.shape)."""
-    u, sv, _ = np.linalg.svd(A, full_matrices=False)
-    tol = sv.max(initial=0.0) * np.finfo(sv.dtype).eps * max(A.shape)
-    return u[:, sv > tol]
-
-
-def _frame(ray: MabuchiRay, s):
-    Ginv = ray.inverse_hessian(s)
-    return _orth(np.hstack([Ginv, 1j * np.eye(len(Ginv))]).conj().T)
+def _frame(ray: MabuchiRay, delta):
+    X = ray.limit + delta
+    # I + X^2 >= I: a frame has full rank unless X^2 overflows
+    with finite("the polarization frame at %s is not finite in floats",
+                ray.x):
+        return X, delta, np.linalg.cholesky(np.eye(len(X)) + X @ X)
 
 
 def polarization_frame_s(ray: MabuchiRay, s: float):
-    """Orthonormal basis of the span of the rows [G_s^(-1) | i I], the
-    antiholomorphic directions of the s-deformed complex structure."""
-    return _frame(ray, s)
+    """The frame of the rows [G_s^(-1) | i I], the antiholomorphic
+    directions of the s-deformed complex structure."""
+    return _frame(ray, ray.delta(s))
 
 
 def polarization_frame_limit(ray: MabuchiRay):
     """The limit frame, rows [diag(0, D^(-1)) | i I]: p vertical directions
     plus n-p holomorphic directions built from the trailing Hessian block."""
-    return _frame(ray, None)
+    return _frame(ray, np.zeros_like(ray.limit))
 
 
-def grassmann_distance(Q1, Q2) -> float:
-    """Largest principal angle between the complex n-dimensional subspaces
-    of C^(2n) with the orthonormal bases Q1 and Q2."""
-    if any(2 * Q.shape[1] < Q.shape[0] for Q in (Q1, Q2)):
-        raise DomainError("a polarization frame is rank-deficient in floats")
-    sigma = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
-    sigma = np.clip(sigma, -1.0, 1.0)
-    return float(np.arccos(sigma.min()))
+def grassmann_distance(F1, F2) -> float:
+    """Largest principal angle between the frames F1 and F2 (Bjorck &
+    Golub 1973).  With the bases Q_j = [X_j; -i I] C_j^(-T) and the basis
+    [I; i X_2] C_2^(-T) of the second span's complement, its sine is the
+    largest singular value of C_2^(-1) (Delta_1 - Delta_2) C_1^(-T) and its
+    cosine the smallest of Q_2^H Q_1 = C_2^(-1) (I + X_2 X_1) C_1^(-T)."""
+    (X1, delta1, C1), (X2, delta2, C2) = F1, F2
+    M = np.stack([delta1 - delta2, np.eye(len(X1)) + X2 @ X1])
+    M = np.linalg.solve(C2, np.linalg.solve(C1, M.transpose(0, 2, 1))
+                        .transpose(0, 2, 1))
+    sine, cosine = np.linalg.svd(M, compute_uv=False)
+    return float(np.arctan2(sine.max(), cosine.min()))
 
 
 # ---------------------------------------------------------------------------
 # connection forms
 
 
-def _connection_form(ray: MabuchiRay, s):
-    """Coefficients c of Theta = sum_k c[k] dtheta^k at the ray's point."""
-    Ginv = ray.inverse_hessian(s)
-    u = np.einsum('jkl,kl->j', ray.third, Ginv)
-    return -1j * ray.x + 0.25j * (u @ Ginv)
-
-
 def connection_form_s(ray: MabuchiRay, s: float):
-    """Theta_0^s = -i x . dtheta + (i/4)(d log det G_s) . G_s^(-1) dtheta."""
-    return _connection_form(ray, s)
+    """Theta_0^s = -i x . dtheta + (i/4)(d log det G_s) . G_s^(-1) dtheta,
+    as (the limit's dtheta coefficients, their increment).  With u = T : L
+    and du = T : Delta, the increment is (i/4)(u Delta + du L + du Delta)."""
+    L, delta = ray.limit, ray.delta(s)
+    u, du = np.einsum('jkl,mkl->mj', ray.third, [L, delta])
+    return connection_form_limit(ray), 0.25j * (u @ delta + du @ L
+                                                 + du @ delta)
 
 
 def connection_form_limit(ray: MabuchiRay):
-    """s -> oo limit, the same formula with diag(0, D^(-1)) in place of
-    G_s^(-1): the first p coefficients are exactly -i x_k; the rest pick up
-    (i/4) sum_{j>p} (d_j log det D) D^(-1) terms."""
-    return _connection_form(ray, None)
+    """The dtheta coefficients of the s -> oo limit, the same formula with
+    L = diag(0, D^(-1)) in place of G_s^(-1): the first p are exactly
+    -i x_k; the rest pick up (i/4) sum_{j>p} (d_j log det D) D^(-1) terms."""
+    u = np.einsum('jkl,kl->j', ray.third, ray.limit)
+    return -1j * ray.x + 0.25j * (u @ ray.limit)

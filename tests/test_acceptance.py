@@ -87,13 +87,12 @@ def test_criterion_3_schur_algebra(report):
             for s in (0.0, 1.0, 10.0, 100.0):
                 T = np.diag([1.0] * p + [0.0] * (n - p))
                 direct = np.linalg.inv(G + s * T)
-                err = np.max(np.abs(ray.inverse_hessian(s) - direct))
+                err = np.max(np.abs(ray.limit + ray.delta(s) - direct))
                 ok &= err <= 1e-10
     ray = geodesic.MabuchiRay(
         ConstantHessian(np.array([[2.0, 1.0], [1.0, 2.0]])), 1, np.zeros(2))
-    lim = ray.inverse_hessian()
-    e10 = np.linalg.norm(ray.inverse_hessian(10.0) - lim)
-    e20 = np.linalg.norm(ray.inverse_hessian(20.0) - lim)
+    e10 = np.linalg.norm(ray.delta(10.0))
+    e20 = np.linalg.norm(ray.delta(20.0))
     ok &= 0.4 <= e20 / e10 <= 0.6
     report(ok, "3 Schur inverse 1e-10 + limit error halving")
     assert ok
@@ -216,9 +215,8 @@ def test_criterion_8_connection_form_limit(report):
             ray = geodesic.MabuchiRay(base, p, x)
             limit = geodesic.connection_form_limit(ray)
             ok &= all(limit[k] == -1j * x[k] for k in range(p))
-            g10 = np.linalg.norm(geodesic.connection_form_s(ray, 10.0) - limit)
-            g100 = np.linalg.norm(geodesic.connection_form_s(ray, 100.0)
-                                  - limit)
+            g10 = np.linalg.norm(geodesic.connection_form_s(ray, 10.0)[1])
+            g100 = np.linalg.norm(geodesic.connection_form_s(ray, 100.0)[1])
             ok &= g100 <= g10 / 5.0
     report(ok, "8 connection gap factor >= 5 and exact -i x coefficients")
     assert ok

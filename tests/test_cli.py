@@ -266,8 +266,10 @@ class TestFlow:
         # moves: from the facets x1 + 1/2 and 3/2 - x1,
         # g1 = (1/(x1 + 1/2) + 1/(3/2 - x1))/2 and
         # T111 = -(1/(x1 + 1/2)^2 - 1/(3/2 - x1)^2)/2; the largest principal
-        # angle is arctan(1/(g1 + s)) and the gap |T111|/(4 (g1 + s)^2)
-        grid = [0.0, 1.0, 10.0, 100.0, 1000.0]
+        # angle is arctan(1/(g1 + s)) and the gap |T111|/(4 (g1 + s)^2); at
+        # s = 1e80 and 1e120 the squares of the gap's entries, 1e-322 and
+        # 1e-482, are subnormal or underflow to 0
+        grid = [0.0, 1.0, 10.0, 100.0, 1000.0, 1e4, 1e8, 1e12, 1e80, 1e120]
         code, out = run(capsys, ["--input", write(tmp_path, data),
                                  "--command", "flow", "--p", "1",
                                  "--point", point, "--s-grid",
@@ -280,9 +282,24 @@ class TestFlow:
         t111 = -0.5 * (1.0 / (x1 + 0.5) ** 2 - 1.0 / (1.5 - x1) ** 2)
         for s, row in zip(grid, rows):
             assert float(row[2]) == pytest.approx(math.atan(1.0 / (g1 + s)),
-                                                  rel=1e-9, abs=0.0)
+                                                  rel=1e-12, abs=0.0)
             assert float(row[3]) == pytest.approx(
-                abs(t111) / (4.0 * (g1 + s) ** 2), rel=1e-9, abs=0.0)
+                abs(t111) / (4.0 * (g1 + s) ** 2), rel=1e-12, abs=0.0)
+
+    def test_far_point_on_the_quadrant(self, tmp_path, capsys):
+        # G^(-1) = 2e150 I: X^2 = 4e300 I is finite, and the largest angle
+        # is arctan(1 / (5e-151 + s)) = arctan(1 / s) in floats
+        grid = [1.0, 1e4, 1e8, 1e12]
+        code, out = run(capsys, ["--input", write(tmp_path, QUADRANT),
+                                 "--command", "flow", "--p", "1",
+                                 "--point=1e150,1e150", "--s-grid",
+                                 ",".join(map(repr, grid))])
+        assert code == 0
+        rows = rows_of(out)[1:]
+        assert len(rows) == len(grid)
+        for s, row in zip(grid, rows):
+            assert float(row[2]) == pytest.approx(math.atan(1.0 / s),
+                                                  rel=1e-15, abs=0.0)
 
     def test_near_boundary_point(self, tmp_path, capsys):
         # G is diagonal with G11 ~ 5e14 at x1 = -1/2 + 1e-15; G + sT is
@@ -327,8 +344,8 @@ class TestFlow:
             fmt(geodesic.grassmann_distance(
                 geodesic.polarization_frame_s(ray(), s),
                 geodesic.polarization_frame_limit(ray()))),
-            fmt(np.linalg.norm(geodesic.connection_form_s(ray(), s)
-                               - geodesic.connection_form_limit(ray())))]
+            fmt(np.hypot.reduce(geodesic.connection_form_s(ray(), s)[1].imag,
+                                initial=0))]
             for s in grid]
         assert rows_of(out)[1:] == expected
 
@@ -344,12 +361,12 @@ class TestFlow:
     @pytest.mark.parametrize("data,point,message", [
         # Hess g = diag(g11, 0) on a strip is only positive semi-definite
         (STRIP, "0.5,0.5", "not positive-definite"),
-        # G^(-1) = 2e300 I drowns the i I of the frame rows
-        (QUADRANT, "1e300,1e300", "rank-deficient"),
+        # G^(-1) = 2e300 I, and the X^2 of a frame's I + X^2 overflows
+        (QUADRANT, "1e300,1e300", "frame at [1.e+300 1.e+300] is not finite"),
         # 1/x1^2 overflows in the third derivatives, 1/x1 in the Hessian
         (QUADRANT, "1e-300,1", "not finite"),
         (QUADRANT, "1e-320,1", "not finite")],
-        ids=["semidefinite", "rank-deficient", "third-overflow",
+        ids=["semidefinite", "square-overflow", "third-overflow",
              "hessian-overflow"])
     def test_degenerate_point_is_a_domain_failure(self, tmp_path, capsys,
                                                    data, point, message):
@@ -376,8 +393,8 @@ class TestFlow:
         # a connection form scaled past the float range: numpy raises in
         # every command, and main turns the raise into one error line
         form = geodesic.connection_form_s
-        monkeypatch.setattr(geodesic, "connection_form_s",
-                            lambda ray, s: form(ray, s) * 1e300 * 1e300)
+        monkeypatch.setattr(geodesic, "connection_form_s", lambda ray, s: [
+            c * 1e300 * 1e300 for c in form(ray, s)])
         code = main(["--input", write(tmp_path, SQUARE), "--command", "flow"])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
